@@ -1,11 +1,15 @@
-//! Serving-path benchmark: boots the real socket server and hammers
-//! `/api/design` with the paper's InfoPad system, in two shapes:
+//! Serving-path benchmark: boots the real socket server and hammers the
+//! v1 play route (`POST /api/v1/designs/demo/infopad/play`) with the
+//! paper's InfoPad system, in two shapes:
 //!
 //! - `sequential` — one client, a fresh TCP connection per request
 //!   (`Connection: close`), matching how this bench measured the old
 //!   blocking server, so the number stays comparable across commits.
 //! - `concurrent_128` — 128 keep-alive connections, each pipelining
-//!   batches of 8 GETs; the readiness reactor's intended load shape.
+//!   batches of 8 plays; the readiness reactor's intended load shape.
+//!
+//! Every play replays the cached compiled plan, so each request pays
+//! HTTP, a plan-cache hit, one replay and the report's serialization.
 //!
 //! Both sections land in `BENCH_serving.json` together with a full
 //! [`powerplay_telemetry::TelemetrySnapshot`], so the serving numbers
@@ -30,7 +34,7 @@ const CONCURRENT_SECS: f64 = 2.0;
 const SEQUENTIAL_SECS: f64 = 1.5;
 
 fn main() {
-    banner("serving path (InfoPad via /api/design)");
+    banner("serving path (InfoPad via the v1 play route)");
     // The bench is closed-loop on one host: clients and server share the
     // same cores, and batch latency floors at in_flight / throughput
     // (Little's law), so the CPU count is part of the result.
@@ -64,7 +68,7 @@ fn main() {
         )
         .expect("bind");
     let addr = server.addr();
-    let path = "/api/design?user=demo&name=infopad";
+    let path = "/api/v1/designs/demo/infopad/play";
 
     let sequential = run_sequential(addr, path);
     println!(
@@ -135,7 +139,7 @@ fn main() {
 /// One client, one request per fresh connection — the pre-reactor
 /// measurement shape (and the worst case for the accept path).
 fn run_sequential(addr: std::net::SocketAddr, path: &str) -> f64 {
-    let request = format!("GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n");
+    let request = format!("POST {path} HTTP/1.1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n");
     let one = |_: &mut u64| {
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream.write_all(request.as_bytes()).expect("send");
@@ -167,14 +171,15 @@ struct ConcurrentResult {
     batch_p99_ms: f64,
 }
 
-/// 128 keep-alive connections, each writing batches of 8 pipelined GETs
+/// 128 keep-alive connections, each writing batches of 8 pipelined plays
 /// and reading all 8 responses back — every response is awaited, so a
 /// lost or out-of-order response shows up as an error, not silence.
 fn run_concurrent(addr: std::net::SocketAddr, path: &str) -> ConcurrentResult {
     let stop = Arc::new(AtomicBool::new(false));
-    let batch: Vec<u8> = format!("GET {path} HTTP/1.1\r\nConnection: keep-alive\r\n\r\n")
-        .into_bytes()
-        .repeat(PIPELINE_DEPTH);
+    let batch: Vec<u8> =
+        format!("POST {path} HTTP/1.1\r\nContent-Length: 0\r\nConnection: keep-alive\r\n\r\n")
+            .into_bytes()
+            .repeat(PIPELINE_DEPTH);
 
     let workers: Vec<_> = (0..CLIENTS)
         .map(|_| {

@@ -127,10 +127,10 @@ where
     }
     metrics.queue_depth.add(items.len() as i64);
     let next = AtomicUsize::new(0);
-    let chunks: Vec<Vec<(usize, R)>> = crossbeam::thread::scope(|scope| {
+    let chunks: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     let mut state = init();
                     let mut out = Vec::new();
                     loop {
@@ -149,8 +149,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("what-if worker panicked"))
             .collect()
-    })
-    .expect("what-if worker pool panicked");
+    });
 
     let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);

@@ -1,10 +1,10 @@
-//! The versioned JSON API: `/api/v1/`.
+//! The versioned JSON API: `/api/v1/`, the application's one HTTP API.
 //!
-//! The pre-v1 `/api/*` endpoints grew one query parameter at a time out
-//! of the 1996 CGI scripts; this module is the deliberate redesign. It
-//! is a *resource* router — designs are addressed as
-//! `/api/v1/designs/{user}/{name}`, and the durable store's revision
-//! number is the HTTP validator:
+//! It is a *resource* router — designs are addressed as
+//! `/api/v1/designs/{user}/{name}`, the model library as
+//! `/api/v1/library` and `/api/v1/elements/{name}` (the cross-site fetch
+//! of paper Figures 6–7, see [`crate::remote`]), and the durable store's
+//! revision number is the HTTP validator:
 //!
 //! * `GET` answers with `ETag: "{rev}"` and honours `If-None-Match`
 //!   (a `304` costs one store lookup — no JSON serialization, no
@@ -16,10 +16,9 @@
 //!   `POST .../rollback` restores any revision in it (as a *new*
 //!   revision, so history stays append-only);
 //! * `POST .../play|sweep|sensitivities|lint|analyze` run the engine
-//!   (or the abstract interpreter) against the stored design, sharing
-//!   the compiled-plan cache with the legacy API; `analyze` bodies are
-//!   cached beside the plan, so an unchanged design answers without
-//!   re-analyzing;
+//!   (or the abstract interpreter) against the stored design through
+//!   the shared compiled-plan cache; `analyze` bodies are cached beside
+//!   the plan, so an unchanged design answers without re-analyzing;
 //! * `POST /api/v1/libraries` accepts a raw Liberty (`.lib`) source,
 //!   lowers every cell to an EQ-1 element (see `crates/liberty`),
 //!   persists the import as a revisioned store document, and registers
@@ -30,8 +29,7 @@
 //! `{"error": {"code", "message", "diagnostics"?}}` — machine-readable
 //! `code`, human-readable `message`, structured detail where it exists
 //! (lint reports for evaluation failures, `expected`/`actual` revisions
-//! for conflicts). The legacy `/api/*` routes keep answering but carry
-//! `Deprecation`/`Link` headers (see `PowerPlayApp::decorate_legacy`).
+//! for conflicts).
 
 use std::sync::Arc;
 
@@ -39,7 +37,7 @@ use powerplay_json::Json;
 use powerplay_sheet::Sheet;
 use powerplay_store::StoreError;
 
-use crate::app::{LegacyMode, PowerPlayApp, LIBRARY_SHARD};
+use crate::app::{PowerPlayApp, LIBRARY_SHARD};
 use crate::cache::PlanCache;
 use crate::events::sse_frame;
 use crate::http::{Method, Request, Response, Status};
@@ -53,7 +51,7 @@ pub(crate) fn respond(app: &PowerPlayApp, req: &Request) -> Response {
     let result = match segments.as_slice() {
         // `GET /api/v1` — the machine-readable route index.
         [] => match req.method() {
-            Method::Get => Ok(route_index(app)),
+            Method::Get => Ok(route_index()),
             _ => Err(method_not_allowed("GET")),
         },
         ["stats"] => match req.method() {
@@ -245,6 +243,24 @@ fn rev_etag(rev: u64) -> String {
     format!("\"{rev}\"")
 }
 
+/// A `304 Not Modified` if the request's `If-None-Match` matches the
+/// ETag the response would carry.
+fn not_modified(req: &Request, etag: &str) -> Option<Response> {
+    (req.header("if-none-match") == Some(etag)).then(|| {
+        let mut response = Response::new(Status::NotModified);
+        response.set_header("ETag", etag);
+        response
+    })
+}
+
+/// Whether `/api/v1/elements/{name}` can address an element called
+/// `name`. The router drops empty path segments, so a registered name
+/// must be non-empty `/`-separated segments (`ucb/sram`, not `x/` or
+/// `a//b`).
+pub(crate) fn addressable_element_name(name: &str) -> bool {
+    name.split('/').all(|segment| !segment.is_empty())
+}
+
 fn load(
     app: &PowerPlayApp,
     user: &str,
@@ -291,7 +307,7 @@ fn parse_if_match(tag: &str) -> Option<u64> {
 /// resource that is pure in the stored content at `rev` and the
 /// library registry — `analyze` and the imported-library detail both
 /// qualify, so they share this helper (and the cache's LRU accounting).
-fn with_cached_body(
+fn cached_or_build(
     app: &PowerPlayApp,
     key: u64,
     build: impl FnOnce() -> Result<String, Response>,
@@ -364,7 +380,7 @@ fn design_get(
 ) -> Result<Response, Response> {
     let (rev, sheet) = load(app, user, name)?;
     let etag = rev_etag(rev);
-    if let Some(not_modified) = PowerPlayApp::not_modified(req, &etag) {
+    if let Some(not_modified) = not_modified(req, &etag) {
         return Ok(not_modified);
     }
     let revisions = app
@@ -747,7 +763,7 @@ fn lint_post(app: &PowerPlayApp, user: &str, name: &str) -> Result<Response, Res
 fn analyze_post(app: &PowerPlayApp, user: &str, name: &str) -> Result<Response, Response> {
     let (rev, sheet) = load(app, user, name)?;
     let key = app.stored_key(user, name, rev);
-    with_cached_body(app, key, || {
+    cached_or_build(app, key, || {
         let plan = app.plan_for(key, &sheet);
         let bounds = powerplay_analysis::analyze(&plan).map_err(|e| play_error(&e))?;
         Ok(Json::object([
@@ -786,48 +802,16 @@ const V1_ROUTES: &[(&str, &str)] = &[
     ("POST", "/api/v1/designs/{user}/{name}/analyze"),
 ];
 
-/// The legacy routes that answer on more than one method.
-fn legacy_methods(route: &str) -> &'static [&'static str] {
-    match route {
-        "/api/design" | "/api/lint" => &["GET", "POST"],
-        _ => &["GET"],
-    }
-}
-
-/// `GET /api/v1` — the route index: every v1 route plus the deprecated
-/// legacy routes with their sunset state and successor, so clients can
-/// discover the surface (and its deprecations) without prose.
-fn route_index(app: &PowerPlayApp) -> Response {
-    let mode = app.legacy_mode();
-    let mut routes: Vec<Json> = V1_ROUTES
+/// `GET /api/v1` — the route index, so clients can discover the
+/// surface without prose.
+fn route_index() -> Response {
+    let routes: Json = V1_ROUTES
         .iter()
         .map(|(method, path)| {
-            Json::object([
-                ("method", Json::from(*method)),
-                ("path", Json::from(*path)),
-                ("deprecated", Json::from(false)),
-            ])
+            Json::object([("method", Json::from(*method)), ("path", Json::from(*path))])
         })
         .collect();
-    for (route, successor) in PowerPlayApp::LEGACY_API_ROUTES {
-        for method in legacy_methods(route) {
-            routes.push(Json::object([
-                ("method", Json::from(*method)),
-                ("path", Json::from(*route)),
-                ("deprecated", Json::from(true)),
-                ("sunset", Json::from(mode == LegacyMode::Off)),
-                ("successor", Json::from(*successor)),
-            ]));
-        }
-    }
-    Response::json(
-        Json::object([
-            ("version", Json::from("v1")),
-            ("legacy_mode", Json::from(mode.as_str())),
-            ("routes", routes.into_iter().collect::<Json>()),
-        ])
-        .to_string(),
-    )
+    Response::json(Json::object([("version", Json::from("v1")), ("routes", routes)]).to_string())
 }
 
 /// `GET /api/v1/stats` — the telemetry snapshot as JSON: the
@@ -887,9 +871,8 @@ fn stats_get() -> Response {
 
 /// `POST /api/v1/sensitivities` with a sheet JSON document as the body
 /// — the what-if ranking for an *unsaved* design (editor integrations,
-/// CI), completing the v1 migration of the legacy query-parameter
-/// route. The compiled plan is cached by canonicalized content hash,
-/// like `POST /api/design` bodies.
+/// CI). The compiled plan is cached by the hash of the canonicalized
+/// sheet JSON, so formatting differences do not fragment the cache.
 fn sensitivities_body_post(app: &PowerPlayApp, req: &Request) -> Result<Response, Response> {
     let json = body_json(req)?;
     let sheet = Sheet::from_json(&json)
@@ -927,8 +910,8 @@ fn models_post(app: &PowerPlayApp, req: &Request) -> Result<Response, Response> 
     let name = json
         .get("name")
         .and_then(Json::as_str)
-        .filter(|n| !n.is_empty())
-        .ok_or_else(|| bad("`name` is required"))?;
+        .filter(|n| addressable_element_name(n))
+        .ok_or_else(|| bad("`name` is required, as non-empty `/`-separated segments"))?;
     let class_id = json.get("class").and_then(Json::as_str).unwrap_or("");
     let class = ElementClass::from_id(class_id)
         .ok_or_else(|| bad(&format!("unknown class `{class_id}`")))?;
@@ -1066,7 +1049,7 @@ fn library_get(app: &PowerPlayApp, name: &str) -> Result<Response, Response> {
         ));
     };
     let key = app.stored_key(LIBRARY_SHARD, name, rev);
-    with_cached_body(app, key, || {
+    cached_or_build(app, key, || {
         let elements: Json = body["elements"]
             .as_array()
             .map(|items| items.iter().map(|e| e["name"].clone()).collect())
@@ -1267,6 +1250,7 @@ mod tests {
         conditional.set_header("If-None-Match", "\"1\"");
         let not_modified = app.handle(&conditional);
         assert_eq!(not_modified.status(), Status::NotModified);
+        assert_eq!(not_modified.header("etag"), Some("\"1\""));
         assert!(not_modified.body().is_empty());
 
         // A new revision invalidates the tag.
@@ -1355,6 +1339,9 @@ mod tests {
         assert_eq!(played.status(), Status::Ok, "{}", played.body_text());
         let parsed = Json::parse(&played.body_text()).unwrap();
         assert!(parsed["report"]["total_w"].as_f64().unwrap() > 0.0);
+        let rows = parsed["report"]["rows"].as_array().unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0]["name"].as_str(), Some("R"));
 
         let swept = post(
             &app,
@@ -1394,6 +1381,75 @@ mod tests {
         let bad = post(&app, "/api/v1/designs/a/d/sweep", "{\"global\": \"vdd\"}");
         assert_eq!(bad.status(), Status::BadRequest);
         assert_eq!(error_code(&bad), "invalid_body");
+
+        // A full-rail multiplier: power is quadratic in vdd, so the sweep
+        // quadruples from 1 V to 2 V and vdd (S = 2) outranks f (S = 1).
+        let mut mult = Sheet::new("m");
+        mult.set_global("vdd", "1.5").unwrap();
+        mult.set_global("f", "2e6").unwrap();
+        mult.add_element_row("M", "ucb/multiplier", []).unwrap();
+        put(
+            &app,
+            "/api/v1/designs/a/m",
+            &mult.to_json().to_string(),
+            None,
+        );
+        let swept = post(
+            &app,
+            "/api/v1/designs/a/m/sweep",
+            "{\"global\": \"vdd\", \"values\": [1.0, 2.0]}",
+        );
+        let parsed = Json::parse(&swept.body_text()).unwrap();
+        let series = parsed["series"].as_array().unwrap();
+        let ratio = series[1]["total_w"].as_f64().unwrap() / series[0]["total_w"].as_f64().unwrap();
+        assert!((ratio - 4.0).abs() < 1e-9, "not quadratic in vdd: {ratio}");
+        let ranked = post(&app, "/api/v1/designs/a/m/sensitivities", "");
+        let parsed = Json::parse(&ranked.body_text()).unwrap();
+        let top = &parsed["sensitivities"][0];
+        assert_eq!(top["global"].as_str(), Some("vdd"));
+        assert!((top["sensitivity"].as_f64().unwrap() - 2.0).abs() < 1e-3);
+
+        // A converter loaded by a row that does not exist: lint names the
+        // dangling reference (E008) and play/sweep fail with the unbound
+        // name (E001), each at the binding that holds it.
+        let mut broken = Sheet::new("b");
+        broken.set_global("vdd", "1.5").unwrap();
+        broken.set_global("f", "2e6").unwrap();
+        for row in ["G", "DC"] {
+            broken
+                .add_element_row(row, "ucb/dcdc", [("p_load", "P_missing_row")])
+                .unwrap();
+        }
+        put(
+            &app,
+            "/api/v1/designs/a/b",
+            &broken.to_json().to_string(),
+            None,
+        );
+        let linted = post(&app, "/api/v1/designs/a/b/lint", "");
+        assert_eq!(linted.status(), Status::Ok, "{}", linted.body_text());
+        let parsed = Json::parse(&linted.body_text()).unwrap();
+        assert!(parsed["lint"]["diagnostics"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .any(|d| d["code"].as_str() == Some("E008")
+                && d["path"].as_str() == Some("rows/DC/bindings/p_load")));
+        for (path, body) in [
+            ("/api/v1/designs/a/b/play", ""),
+            (
+                "/api/v1/designs/a/b/sweep",
+                "{\"global\": \"vdd\", \"values\": [1.0, 2.0]}",
+            ),
+        ] {
+            let failed = post(&app, path, body);
+            assert_eq!(failed.status(), Status::BadRequest, "{path}");
+            assert_eq!(error_code(&failed), "evaluation_failed");
+            let parsed = Json::parse(&failed.body_text()).unwrap();
+            let first = &parsed["error"]["diagnostics"]["diagnostics"][0];
+            assert_eq!(first["code"].as_str(), Some("E001"), "{path}");
+            assert_eq!(first["path"].as_str(), Some("rows/G/bindings/p_load"));
+        }
     }
 
     #[test]
@@ -1405,6 +1461,9 @@ mod tests {
 
         let library = get(&app, "/api/v1/library");
         assert_eq!(library.status(), Status::Ok);
+        assert_eq!(library.header("content-type"), Some("application/json"));
+        let parsed = Json::parse(&library.body_text()).unwrap();
+        assert!(parsed.as_array().unwrap().len() > 20);
         let wrong = post(&app, "/api/v1/library", "");
         assert_eq!(wrong.status(), Status::MethodNotAllowed);
         assert_eq!(wrong.header("allow"), Some("GET"));
@@ -1412,6 +1471,8 @@ mod tests {
 
         let element = get(&app, "/api/v1/elements/ucb/register");
         assert_eq!(element.status(), Status::Ok);
+        let parsed = Json::parse(&element.body_text()).unwrap();
+        assert_eq!(parsed["name"].as_str(), Some("ucb/register"));
         let unknown = get(&app, "/api/v1/elements/ucb/flux-capacitor");
         assert_eq!(unknown.status(), Status::NotFound);
         assert_eq!(error_code(&unknown), "not_found");
@@ -1575,62 +1636,21 @@ mod tests {
     }
 
     #[test]
-    fn route_index_lists_v1_and_deprecated_routes() {
+    fn route_index_lists_every_v1_route() {
         let app = app("index");
         let index = get(&app, "/api/v1");
         assert_eq!(index.status(), Status::Ok);
         let parsed = Json::parse(&index.body_text()).unwrap();
         assert_eq!(parsed["version"].as_str(), Some("v1"));
-        assert_eq!(parsed["legacy_mode"].as_str(), Some("warn"));
         let routes = parsed["routes"].as_array().unwrap();
-        let find = |method: &str, path: &str| {
-            routes
-                .iter()
-                .find(|r| r["method"].as_str() == Some(method) && r["path"].as_str() == Some(path))
-                .unwrap_or_else(|| panic!("{method} {path} missing from index"))
-        };
-        let events = find("GET", "/api/v1/designs/{user}/{name}/events");
-        assert_eq!(events["deprecated"].as_bool(), Some(false));
-        let legacy = find("GET", "/api/sweep");
-        assert_eq!(legacy["deprecated"].as_bool(), Some(true));
-        assert_eq!(legacy["sunset"].as_bool(), Some(false));
-        assert_eq!(
-            legacy["successor"].as_str(),
-            Some("/api/v1/designs/{user}/{name}/sweep")
-        );
-        // /api/design answers on both methods; both are indexed.
-        find("GET", "/api/design");
-        find("POST", "/api/design");
-    }
-
-    #[test]
-    fn legacy_off_sunsets_with_410_and_successor_link() {
-        let app = app("sunset");
-        app.set_legacy_mode(LegacyMode::Off);
-        let gone = get(&app, "/api/library");
-        assert_eq!(gone.status(), Status::Gone);
-        assert_eq!(error_code(&gone), "gone");
-        assert_eq!(gone.header("deprecation"), Some("true"));
-        assert_eq!(
-            gone.header("link"),
-            Some("</api/v1/library>; rel=\"successor-version\"")
-        );
-        // The remaining-traffic counter still counts sunset hits.
-        let metrics = get(&app, "/metrics").body_text();
-        assert!(
-            metrics.contains("powerplay_web_legacy_api_total{route=\"/api/library\"}"),
-            "{metrics}"
-        );
-        // The index reflects the switch; v1 routes are untouched.
-        let parsed = Json::parse(&get(&app, "/api/v1").body_text()).unwrap();
-        assert_eq!(parsed["legacy_mode"].as_str(), Some("off"));
-        assert_eq!(get(&app, "/api/v1/library").status(), Status::Ok);
-
-        // `on` serves the legacy route bare, no deprecation headers.
-        app.set_legacy_mode(LegacyMode::On);
-        let bare = get(&app, "/api/library");
-        assert_eq!(bare.status(), Status::Ok);
-        assert_eq!(bare.header("deprecation"), None);
+        assert_eq!(routes.len(), V1_ROUTES.len());
+        assert!(routes.iter().any(|r| r["method"].as_str() == Some("GET")
+            && r["path"].as_str() == Some("/api/v1/designs/{user}/{name}/events")));
+        // Every entry is a bare `{method, path}` inside the v1 namespace.
+        for route in routes {
+            assert_eq!(route.as_object().map(|o| o.len()), Some(2), "{route}");
+            assert!(route["path"].as_str().unwrap().starts_with("/api/v1"));
+        }
     }
 
     #[test]
@@ -1707,6 +1727,18 @@ mod tests {
             get(&app, "/api/v1/elements/custom/bad").status(),
             Status::NotFound
         );
+
+        // Names with empty segments could never be fetched back from
+        // the element route, so they are refused at registration.
+        for name in ["", "x/", "/x", "a//b"] {
+            let body = format!(
+                r#"{{"name": "{name}", "class": "computation", "model": {{"cap_full": "1e-12"}}}}"#
+            );
+            let refused = post(&app, "/api/v1/models", &body);
+            assert_eq!(refused.status(), Status::BadRequest, "{name:?}");
+            assert_eq!(error_code(&refused), "invalid_body");
+        }
+        assert!(app.registry.read().get("x/").is_none());
     }
 
     #[test]
@@ -1753,26 +1785,5 @@ mod tests {
         let missing = get(&app, "/api/v1/designs/a/nope/events");
         assert_eq!(missing.status(), Status::NotFound);
         assert_eq!(error_code(&missing), "not_found");
-    }
-
-    #[test]
-    fn legacy_api_advertises_deprecation_and_successor() {
-        let app = app("legacy");
-        let legacy = get(&app, "/api/library");
-        assert_eq!(legacy.status(), Status::Ok);
-        assert_eq!(legacy.header("deprecation"), Some("true"));
-        assert_eq!(
-            legacy.header("link"),
-            Some("</api/v1/library>; rel=\"successor-version\"")
-        );
-        // v1 responses carry no deprecation marker.
-        let v1 = get(&app, "/api/v1/library");
-        assert_eq!(v1.header("deprecation"), None);
-        // The remaining-traffic counter is exported.
-        let metrics = get(&app, "/metrics").body_text();
-        assert!(
-            metrics.contains("powerplay_web_legacy_api_total{route=\"/api/library\"}"),
-            "{metrics}"
-        );
     }
 }

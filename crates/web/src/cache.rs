@@ -2,12 +2,13 @@
 //!
 //! The 1996 CGI scripts recompiled a design from scratch on every
 //! request; the modern engine compiles once and replays, so the web
-//! layer keeps a small LRU of compiled plans keyed by the *content* of
-//! the design (a 64-bit FNV-1a hash of its canonical JSON) plus the
-//! library registry's generation counter. Repeated `/api/design`,
-//! `/api/sweep` and `/api/sensitivities` requests for an unchanged
-//! design skip compilation entirely, and the key doubles as the `ETag`
-//! for conditional GETs (`If-None-Match` → `304 Not Modified`).
+//! layer keeps a small LRU of compiled plans keyed by the design's
+//! identity — `(user, name, rev)` for a stored design, a 64-bit FNV-1a
+//! hash of the canonical JSON for an unsaved body — plus the library
+//! registry's generation counter. Repeated v1 `play`, `sweep` and
+//! `sensitivities` requests for an unchanged design skip compilation
+//! entirely, and derived resources that are pure in the key (`analyze`,
+//! imported-library detail) keep their serialized body beside the plan.
 //!
 //! Hit/miss/eviction counters and a size gauge are exported under
 //! `powerplay_web_plan_cache_*` on `/metrics`.
@@ -30,8 +31,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Continues an FNV-1a hash from a previous state, for keying over
 /// several fields without concatenating them.
-#[must_use]
-pub fn fnv1a_continue(state: u64, bytes: &[u8]) -> u64 {
+fn fnv1a_continue(state: u64, bytes: &[u8]) -> u64 {
     let mut hash = state;
     for &byte in bytes {
         hash ^= u64::from(byte);
@@ -77,9 +77,6 @@ struct Entry {
     /// the imported-library detail view cache a serialized body keyed
     /// by `(rev, generation)` without ever compiling a sheet).
     plan: Option<Arc<CompiledSheet>>,
-    /// The serialized `/api/design` success body, kept beside the plan
-    /// so an unchanged design answers without replaying at all.
-    body: Option<Arc<String>>,
     /// The serialized body of a pure-in-`(rev, generation)` derived
     /// resource (`/analyze`, library detail) — one per cached entry
     /// suffices because the inputs are immutable at a given key.
@@ -93,8 +90,8 @@ struct Inner {
     tick: u64,
 }
 
-/// A bounded LRU of compiled evaluation plans (and, for `/api/design`,
-/// their last successful response body), keyed by design content hash.
+/// A bounded LRU of compiled evaluation plans (and derived-resource
+/// bodies), keyed by design identity and registry generation.
 pub struct PlanCache {
     capacity: usize,
     inner: Mutex<Inner>,
@@ -139,12 +136,6 @@ impl PlanCache {
         fnv1a_continue(hash, &generation.to_le_bytes())
     }
 
-    /// The strong `ETag` a key renders as.
-    #[must_use]
-    pub fn etag(key: u64) -> String {
-        format!("\"{key:016x}\"")
-    }
-
     /// Returns the cached plan for `key`, or compiles one with `compile`
     /// and caches it. The second element reports whether it was a hit.
     /// Compilation runs outside the cache lock, so a slow compile never
@@ -175,7 +166,6 @@ impl PlanCache {
         let tick = inner.tick;
         let entry = inner.entries.entry(key).or_insert(Entry {
             plan: None,
-            body: None,
             analysis: None,
             tick,
         });
@@ -189,36 +179,10 @@ impl PlanCache {
         (plan, false)
     }
 
-    /// The cached `/api/design` body for `key`, if a successful response
-    /// was stored since the entry was created. Counts as a cache hit
-    /// when present (a miss here falls through to [`Self::plan_for`],
-    /// which does the hit/miss accounting for the plan lookup).
-    #[must_use]
-    pub fn cached_body(&self, key: u64) -> Option<Arc<String>> {
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let entry = inner.entries.get_mut(&key)?;
-        entry.tick = tick;
-        let body = entry.body.clone();
-        if body.is_some() {
-            cache_metrics().hits.inc();
-        }
-        body
-    }
-
-    /// Stores a successful `/api/design` body beside the plan for `key`.
-    /// A no-op if the entry was evicted in the meantime.
-    pub fn store_body(&self, key: u64, body: Arc<String>) {
-        let mut inner = self.inner.lock();
-        if let Some(entry) = inner.entries.get_mut(&key) {
-            entry.body = Some(body);
-        }
-    }
-
-    /// The cached analyze-endpoint body for `key`, if an analysis was
-    /// stored since the entry was created. Hit/miss accounting matches
-    /// [`Self::cached_body`].
+    /// The cached derived-resource body for `key`, if one was stored
+    /// since the entry was created. Counts as a cache hit when present;
+    /// a miss is counted by [`Self::plan_for`] if the caller then needs
+    /// to compile.
     #[must_use]
     pub fn cached_analysis(&self, key: u64) -> Option<Arc<String>> {
         let mut inner = self.inner.lock();
@@ -243,7 +207,6 @@ impl PlanCache {
         let tick = inner.tick;
         let entry = inner.entries.entry(key).or_insert(Entry {
             plan: None,
-            body: None,
             analysis: None,
             tick,
         });
@@ -336,32 +299,15 @@ mod tests {
     fn body_rides_along_and_dies_with_the_entry() {
         let cache = PlanCache::new(1);
         cache.plan_for(1, plan);
-        assert!(cache.cached_body(1).is_none());
-        cache.store_body(1, Arc::new("{\"x\":1}".to_owned()));
-        assert_eq!(
-            cache.cached_body(1).as_deref().map(String::as_str),
-            Some("{\"x\":1}")
-        );
-        cache.plan_for(2, plan); // capacity 1 → evicts 1
-        assert!(cache.cached_body(1).is_none());
-    }
-
-    #[test]
-    fn analysis_body_rides_along_independently() {
-        let cache = PlanCache::new(1);
-        cache.plan_for(1, plan);
-        cache.store_body(1, Arc::new("{\"report\":1}".to_owned()));
-        assert!(cache.cached_analysis(1).is_none(), "bodies are separate");
+        assert!(cache.cached_analysis(1).is_none());
         cache.store_analysis(1, Arc::new("{\"bounds\":1}".to_owned()));
         assert_eq!(
             cache.cached_analysis(1).as_deref().map(String::as_str),
             Some("{\"bounds\":1}")
         );
-        assert_eq!(
-            cache.cached_body(1).as_deref().map(String::as_str),
-            Some("{\"report\":1}")
-        );
-        cache.plan_for(2, plan); // evicts 1 and both bodies
+        let (_, hit) = cache.plan_for(1, || panic!("storing a body keeps the plan"));
+        assert!(hit);
+        cache.plan_for(2, plan); // capacity 1 → evicts 1 with its body
         assert!(cache.cached_analysis(1).is_none());
     }
 
@@ -384,10 +330,5 @@ mod tests {
         cache.store_analysis(10, Arc::new("a".to_owned()));
         cache.store_analysis(11, Arc::new("b".to_owned()));
         assert!(cache.cached_analysis(9).is_none(), "9 was the coldest");
-    }
-
-    #[test]
-    fn etag_is_a_quoted_hex_key() {
-        assert_eq!(PlanCache::etag(0xab), "\"00000000000000ab\"");
     }
 }

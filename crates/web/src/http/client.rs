@@ -103,7 +103,7 @@ impl Error for ClientError {}
 /// responses.
 ///
 /// ```no_run
-/// let response = powerplay_web::http::http_get("http://127.0.0.1:8096/api/library")?;
+/// let response = powerplay_web::http::http_get("http://127.0.0.1:8096/api/v1/library")?;
 /// assert!(response.body_text().starts_with('['));
 /// # Ok::<(), powerplay_web::http::ClientError>(())
 /// ```

@@ -6,15 +6,17 @@
 //! scripts behind an HTTP daemon; this crate rebuilds that stack from
 //! scratch on `std::net` (no web framework):
 //!
-//! * [`http`] — a small, correct HTTP/1.1 server (thread-per-connection
-//!   with keep-alive) and client, plus URL/form codecs;
+//! * [`http`] — a small, correct HTTP/1.1 server (an epoll readiness
+//!   reactor feeding a bounded worker pool, with keep-alive and
+//!   pipelining) and client, plus URL/form codecs;
 //! * [`html`] — escaping-safe HTML generation for the menu, library
 //!   browser, element input form (paper Figure 4) and design spreadsheet
 //!   (Figures 2/5) pages;
-//! * [`app`] — the PowerPlay application itself: user sessions with
-//!   on-disk per-user designs, the spreadsheet UI with hyperlinked
-//!   sub-sheets and a *Play* button, runtime model authoring, and a JSON
-//!   API;
+//! * [`app`] — the PowerPlay application itself: user sessions over the
+//!   durable design store (`powerplay-store`), the spreadsheet UI with
+//!   hyperlinked sub-sheets and a *Play* button, and runtime model
+//!   authoring;
+//! * [`api_v1`] — the JSON API, one resource router under `/api/v1`;
 //! * [`remote`] — cross-site model access (paper Figures 6–7): libraries
 //!   served at one site are fetched and merged into another's registry
 //!   over HTTP;
@@ -43,4 +45,3 @@ pub mod events;
 pub mod html;
 pub mod http;
 pub mod remote;
-pub mod session;

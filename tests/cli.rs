@@ -19,9 +19,13 @@ fn stdout(args: &[&str]) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
-fn write_design() -> std::path::PathBuf {
+/// Writes the grouped-LUT luminance design to a file of the caller's
+/// own: tests run in parallel, and a file shared between them could be
+/// read by one CLI run while another test's write has just truncated it.
+fn write_design(tag: &str) -> std::path::PathBuf {
     use powerplay::designs::luminance::{sheet, LuminanceArch};
-    let path = std::env::temp_dir().join(format!("powerplay-cli-{}.json", std::process::id()));
+    let path =
+        std::env::temp_dir().join(format!("powerplay-cli-{tag}-{}.json", std::process::id()));
     std::fs::write(
         &path,
         sheet(LuminanceArch::GroupedLut).to_json().to_pretty(),
@@ -70,7 +74,7 @@ fn eval_matches_known_numbers() {
 
 #[test]
 fn play_renders_design_files() {
-    let path = write_design();
+    let path = write_design("play_renders_design_files");
     let out = stdout(&["play", path.to_str().unwrap()]);
     assert!(out.contains("Look Up Table"));
     assert!(out.contains("139.0 uW"));
@@ -79,7 +83,7 @@ fn play_renders_design_files() {
 
 #[test]
 fn sweep_prints_series() {
-    let path = write_design();
+    let path = write_design("sweep_prints_series");
     let out = stdout(&["sweep", path.to_str().unwrap(), "vdd", "1.0,2.0"]);
     assert!(out.contains("61.79 uW"), "{out}"); // at 1.0 V
     let lines: Vec<&str> = out.lines().collect();
@@ -88,7 +92,7 @@ fn sweep_prints_series() {
 
 #[test]
 fn lump_emits_a_valid_element() {
-    let path = write_design();
+    let path = write_design("lump_emits_a_valid_element");
     let out = stdout(&["lump", path.to_str().unwrap(), "macros/decoder"]);
     let json = powerplay_json::Json::parse(&out).unwrap();
     let element = powerplay::LibraryElement::from_json(&json).unwrap();
@@ -108,7 +112,7 @@ fn bad_design_file_is_a_clean_error() {
 
 #[test]
 fn lint_passes_clean_designs() {
-    let path = write_design();
+    let path = write_design("lint_passes_clean_designs");
     let out = cli(&["lint", path.to_str().unwrap()]);
     assert!(
         out.status.success(),
@@ -191,7 +195,7 @@ fn compare_shows_the_architecture_study() {
 
 #[test]
 fn monte_carlo_summarizes_uncertainty() {
-    let path = write_design();
+    let path = write_design("monte_carlo_summarizes_uncertainty");
     let out = stdout(&["mc", path.to_str().unwrap(), "0.1", "100", "vdd,f"]);
     assert!(out.contains("p10"));
     assert!(out.contains("p50"));
@@ -201,7 +205,7 @@ fn monte_carlo_summarizes_uncertainty() {
 
 #[test]
 fn analyze_proves_bounds_on_clean_designs() {
-    let path = write_design();
+    let path = write_design("analyze_proves_bounds_on_clean_designs");
     let out = cli(&["analyze", path.to_str().unwrap()]);
     assert!(
         out.status.success(),
@@ -215,7 +219,7 @@ fn analyze_proves_bounds_on_clean_designs() {
 
 #[test]
 fn analyze_json_carries_intervals_and_diagnostics() {
-    let path = write_design();
+    let path = write_design("analyze_json_carries_intervals_and_diagnostics");
     let out = cli(&[
         "analyze",
         path.to_str().unwrap(),
@@ -268,7 +272,7 @@ fn analyze_flags_provable_errors_and_exits_one() {
 
 #[test]
 fn lint_and_analyze_share_the_exit_code_contract() {
-    let clean = write_design();
+    let clean = write_design("lint_and_analyze_share_the_exit_code_contract");
     let clean = clean.to_str().unwrap();
 
     // 0: clean run for both verbs.

@@ -1,17 +1,20 @@
-//! Regression test for the ETag weakness the v1 redesign fixed: a
-//! conditional GET of an unchanged stored design must answer `304 Not
-//! Modified` without recompiling — and, since the tag now comes from
-//! the store revision, without serializing or hashing the design at
-//! all. The proof is the plan-cache miss counter: it must not move
-//! across the conditional requests.
+//! Plan-cache accounting for the v1 API, proved with the cache's own
+//! miss counter:
+//!
+//! - a repeated play of an unchanged design reuses the compiled plan;
+//! - a conditional GET of the design answers `304 Not Modified` from
+//!   the store revision alone, without compiling, serializing or
+//!   hashing the design;
+//! - a library edit bumps the registry generation, so the next play
+//!   compiles the design exactly once more.
 //!
 //! This lives alone in its own integration binary because the cache
 //! counters are process-global; a single `#[test]` makes the
-//! no-growth assertion race-free.
+//! no-growth assertions race-free.
 
 use powerplay::{ucb_library, Sheet};
 use powerplay_web::app::PowerPlayApp;
-use powerplay_web::http::{Method, Request, Status};
+use powerplay_web::http::{Method, Request, Response, Status};
 
 fn prom_value(exposition: &str, series: &str) -> f64 {
     exposition
@@ -36,51 +39,57 @@ fn conditional_gets_neither_recompile_nor_rehash() {
         .unwrap();
     app.store().save("a", "d", &sheet, None).unwrap();
 
-    let metrics = |app: &PowerPlayApp| {
-        app.handle(&Request::new(Method::Get, "/metrics"))
-            .body_text()
+    let misses = || {
+        let exposition = app
+            .handle(&Request::new(Method::Get, "/metrics"))
+            .body_text();
+        prom_value(&exposition, "powerplay_web_plan_cache_misses_total")
     };
-    let misses = |exposition: &str| prom_value(exposition, "powerplay_web_plan_cache_misses_total");
+    let play = || -> Response {
+        let played = app.handle(&Request::new(Method::Post, "/api/v1/designs/a/d/play"));
+        assert_eq!(played.status(), Status::Ok, "{}", played.body_text());
+        played
+    };
 
-    // First legacy GET compiles once (one miss) and yields the tag.
-    let first = app.handle(&Request::new(Method::Get, "/api/design?user=a&name=d"));
-    assert_eq!(first.status(), Status::Ok, "{}", first.body_text());
-    let legacy_tag = first.header("etag").expect("legacy ETag").to_owned();
-    let baseline = misses(&metrics(&app));
+    // The first play compiles once (one miss); a repeat reuses the plan.
+    let first = play();
+    let baseline = misses();
     assert!(baseline >= 1.0);
+    assert_eq!(play().body_text(), first.body_text());
+    assert_eq!(misses(), baseline, "a repeated play must not recompile");
 
-    // Conditional legacy GETs revalidate from the store revision: no
-    // new misses (no recompile), and in fact no cache traffic at all.
+    // The design resource is tagged with its store revision, and
+    // conditional GETs revalidate from it without touching the cache.
+    let v1 = app.handle(&Request::new(Method::Get, "/api/v1/designs/a/d"));
+    assert_eq!(v1.status(), Status::Ok);
+    assert_eq!(v1.header("etag"), Some("\"1\""));
     for _ in 0..3 {
-        let mut conditional = Request::new(Method::Get, "/api/design?user=a&name=d");
-        conditional.set_header("If-None-Match", &legacy_tag);
+        let mut conditional = Request::new(Method::Get, "/api/v1/designs/a/d");
+        conditional.set_header("If-None-Match", "\"1\"");
         let r = app.handle(&conditional);
         assert_eq!(r.status(), Status::NotModified);
         assert!(r.body().is_empty());
     }
-    assert_eq!(
-        misses(&metrics(&app)),
-        baseline,
-        "a 304 must not recompile the design"
-    );
+    assert_eq!(misses(), baseline, "a 304 must not recompile the design");
 
-    // The v1 resource is revision-tagged directly.
-    let v1 = app.handle(&Request::new(Method::Get, "/api/v1/designs/a/d"));
-    assert_eq!(v1.status(), Status::Ok);
-    assert_eq!(v1.header("etag"), Some("\"1\""));
-    let mut conditional = Request::new(Method::Get, "/api/v1/designs/a/d");
-    conditional.set_header("If-None-Match", "\"1\"");
-    assert_eq!(app.handle(&conditional).status(), Status::NotModified);
-    assert_eq!(
-        misses(&metrics(&app)),
-        baseline,
-        "v1 conditional GETs never touch the plan cache"
+    // Registering a model bumps the registry generation (the new model
+    // could shadow one the design uses), so the next play compiles the
+    // unchanged design exactly once more, and the one after hits again.
+    let generation = app.registry().read().generation();
+    let mut model = Request::new(Method::Post, "/api/v1/models");
+    model.set_body(
+        br#"{"name": "carol/bump", "class": "computation", "model": {"cap_full": "10f"}}"#.to_vec(),
+        "application/json",
     );
+    assert_eq!(app.handle(&model).status(), Status::Created);
+    assert!(app.registry().read().generation() > generation);
+    play();
+    assert_eq!(misses(), baseline + 1.0, "a new generation compiles once");
+    play();
+    assert_eq!(misses(), baseline + 1.0);
 
-    // A new revision invalidates both surfaces.
+    // A new revision invalidates the tag.
     app.store().save("a", "d", &sheet, None).unwrap();
-    let refreshed = app.handle(&Request::new(Method::Get, "/api/design?user=a&name=d"));
-    assert_ne!(refreshed.header("etag"), Some(legacy_tag.as_str()));
     let v1 = app.handle(&Request::new(Method::Get, "/api/v1/designs/a/d"));
     assert_eq!(v1.header("etag"), Some("\"2\""));
 }
