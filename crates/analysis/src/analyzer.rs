@@ -20,7 +20,7 @@ use std::sync::OnceLock;
 use powerplay_expr::{BinaryOp, Builtin, EvalError, Expr, UnaryOp};
 use powerplay_library::{ElementModel, EvaluateElementError, LibraryElement};
 use powerplay_lint::{codes, convention_dim, infer_dims, Diagnostic, DimInfo, LintReport};
-use powerplay_sheet::{toposort, CompiledSheet, EvaluateSheetError, RowKindView, RowView};
+use powerplay_sheet::{CompiledSheet, EvaluateSheetError, RowKindView, RowView};
 use powerplay_telemetry::{Counter, Histogram};
 
 use crate::bounds::{Direction, InputBound, MonotoneInput, RowBounds, SheetBounds};
@@ -743,8 +743,8 @@ fn analyze_row(
             (abs.power, abs.area.map(|a| a.iv), abs.delay, rate)
         }
         RowKindView::SubSheet(sub) => {
-            // `play_impl(&param_scope, &[])`: sub globals evaluate in a
-            // child of the row's parameter scope, then sub rows.
+            // As the engine plays a sub-sheet: its globals evaluate in a
+            // child of the row's parameter scope, then its rows.
             let sub_result =
                 analyze_nested(sub, &param_env, ninputs, &row_path, sink).map_err(|source| {
                     EvaluateSheetError::Nested {
@@ -906,17 +906,15 @@ pub fn analyze_with_ranges(
         }
     }
 
-    // Globals in dependency order. With overrides in play the base
-    // order may be broken (an override can cut a cycle), so rebuild
-    // the order whenever ranges touch a global.
-    let overrides_globals = globals.iter().any(|g| overridden.contains_key(g.name()));
-    let order: Vec<usize> = if overrides_globals {
-        global_order_with_overrides(&globals, &overridden)?
-    } else {
-        plan.global_order().map_err(Clone::clone)?.to_vec()
-    };
+    // Globals in the engine's dependency order under the range names
+    // (an override can cut a cycle), with its error precedence. The
+    // appended names are already in the environment, so only declared
+    // globals are walked.
+    let names: Vec<&str> = ranges.iter().map(|(n, _)| n.as_str()).collect();
+    let override_plan = plan.override_plan(&names);
+    let order = override_plan.global_order().map_err(Clone::clone)?;
 
-    for &k in &order {
+    for &k in order.iter().filter(|&&k| k < globals.len()) {
         let g = &globals[k];
         let name = g.name();
         let path = format!("globals/{name}");
@@ -1015,36 +1013,4 @@ fn global_dim(name: &str, expr: &Expr) -> DimInfo {
         &|n| convention_dim(n).map_or(DimInfo::Any, DimInfo::Known),
         &mut scratch,
     )
-}
-
-/// Dependency order over globals when overrides may have cut edges.
-fn global_order_with_overrides(
-    globals: &[powerplay_sheet::GlobalView<'_>],
-    overridden: &BTreeMap<&str, Interval>,
-) -> Result<Vec<usize>, EvaluateSheetError> {
-    let index: BTreeMap<&str, usize> = globals
-        .iter()
-        .enumerate()
-        .map(|(k, g)| (g.name(), k))
-        .collect();
-    let mut deps: BTreeMap<usize, std::collections::BTreeSet<usize>> = BTreeMap::new();
-    for (k, g) in globals.iter().enumerate() {
-        let mut set = std::collections::BTreeSet::new();
-        if !overridden.contains_key(g.name()) {
-            for free in g.expr().free_variables() {
-                if let Some(&d) = index.get(free.as_str()) {
-                    set.insert(d);
-                }
-            }
-        }
-        deps.insert(k, set);
-    }
-    toposort(globals.len(), &deps).map_err(|cycle| {
-        EvaluateSheetError::CircularGlobals(
-            cycle
-                .iter()
-                .map(|&k| globals[k].name().to_string())
-                .collect(),
-        )
-    })
 }

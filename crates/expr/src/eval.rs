@@ -237,13 +237,6 @@ impl<'parent> Scope<'parent> {
         names.sort_unstable();
         names
     }
-
-    /// True when the scope is an empty root: no local bindings and no
-    /// parent. Such a scope cannot influence evaluation, so compiled
-    /// plans may substitute a faster equivalent evaluator.
-    pub fn is_empty_root(&self) -> bool {
-        self.parent.is_none() && self.bindings.is_empty()
-    }
 }
 
 impl<'p> FromIterator<(String, f64)> for Scope<'p> {

@@ -1,14 +1,16 @@
 //! The bytecode replay engine: a sheet lowered to a register machine.
 //!
 //! [`super::plan::CompiledSheet`] already amortizes graph analysis, but
-//! the tree walker still resolves every variable reference through a
+//! a tree walker would still resolve every variable reference through a
 //! `HashMap` scope chain on every play — per-reference hashing on the
 //! hottest path in the system. This module lowers the *entire* compiled
 //! row structure (sub-sheets inlined) into one flat [`Program`]: a
 //! contiguous `Vec<Instr>` whose operands are `u32` register slots
 //! resolved at compile time. Replay is a tight interpreter loop over a
 //! single `f64` register file — zero hashing, zero string comparison,
-//! zero `Arc` cloning per instruction.
+//! zero `Arc` cloning per instruction. Every play, delta replay and
+//! sweep runs a program; the tree walker
+//! ([`super::plan::CompiledSheet::play_with_tree`]) is the test oracle.
 //!
 //! # Bit-for-bit fidelity
 //!
@@ -25,13 +27,13 @@
 //!   negative formula results ([`Instr::Check`]) and the static-only
 //!   missing-`vdd` case ([`Instr::TrapIf`]) — and is tested at replay
 //!   time against the same predicate;
-//! * a name the lowerer cannot resolve is recorded in
-//!   [`Program::is_unresolved`]; plays that *override* such a name fall
-//!   back to the tree walker, because an appended override global could
-//!   change what the name means. Resolved names can never be re-bound
-//!   by overrides (an override either retargets a declared top-level
-//!   global — whose register is re-seeded — or appends a new outermost
-//!   global that every resolved reference already shadows).
+//! * overrides never re-bind a lowered name: an override either
+//!   retargets a declared top-level global, whose register is re-seeded
+//!   per play, or appends a new global. A set of override names that
+//!   appends globals gets its own program, lowered with one more
+//!   top-level register per appended name, so a lookup that would trap
+//!   or default without the name resolves exactly as the scope chain
+//!   resolves it (see [`crate::OverridePlan`]).
 //!
 //! # Batching
 //!
@@ -41,7 +43,7 @@
 //! per-slot loops to auto-vectorization. Per-lane trap state keeps error
 //! reporting identical to N serial replays.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
 
@@ -51,7 +53,7 @@ use powerplay_telemetry::{Counter, Histogram};
 use powerplay_units::{Area, Energy, Power, Time};
 
 use crate::engine::EvaluateSheetError;
-use crate::plan::{CompiledRow, CompiledRowKind, CompiledSheet};
+use crate::plan::{CompiledRow, CompiledRowKind, CompiledSheet, RowsPlan};
 use crate::report::{RowReport, SheetReport};
 
 /// Bytecode-engine metrics, registered once in the process-global
@@ -184,7 +186,8 @@ pub(crate) struct Program {
     /// The register file's initial image: constants pre-placed, all
     /// other slots zero. A replay memcpys this, then seeds globals.
     init: Vec<f64>,
-    /// Declared top-level globals by declaration index → register slot.
+    /// Top-level globals → register slot: the declared ones in
+    /// declaration order, then the appended override names.
     global_slots: Vec<u32>,
     /// Per top-level row (declaration index): the `[start, end)` code
     /// span that evaluates it. Emission follows plan order, so
@@ -193,9 +196,6 @@ pub(crate) struct Program {
     /// Per top-level row (declaration index): its report recipe.
     recipes: Vec<RowRecipe>,
     errors: Vec<ErrTemplate>,
-    /// Names the lowerer could not resolve anywhere in the scope chain.
-    /// Overriding one of these must fall back to the tree walker.
-    unresolved: BTreeSet<String>,
     /// Debug names per register (empty for temporaries).
     names: Vec<String>,
     /// Rows at every level, for the rows-evaluated counter.
@@ -269,7 +269,6 @@ struct Lowerer {
     /// the same dispatch as the interpreter, so it is bit-identical).
     const_val: Vec<Option<f64>>,
     errors: Vec<ErrTemplate>,
-    unresolved: BTreeSet<String>,
     /// Enclosing sub-sheet row names, outermost first.
     nest: Vec<Arc<str>>,
     rows_total: u64,
@@ -284,7 +283,6 @@ impl Lowerer {
             konsts: HashMap::new(),
             const_val: Vec::new(),
             errors: Vec::new(),
-            unresolved: BTreeSet::new(),
             nest: Vec::new(),
             rows_total: 0,
         }
@@ -358,10 +356,7 @@ impl Lowerer {
             Expr::Number(n) => Ok(self.konst(*n)),
             Expr::Variable(name) => match env.lookup(name) {
                 Some(slot) => Ok(slot),
-                None => {
-                    self.unresolved.insert(name.clone());
-                    Err(self.trap(wrap(EvalError::UnknownVariable(name.clone()))))
-                }
+                None => Err(self.trap(wrap(EvalError::UnknownVariable(name.clone())))),
             },
             Expr::Unary(UnaryOp::Neg, inner) => {
                 let a = self.lower_expr(inner, env, wrap)?;
@@ -385,7 +380,6 @@ impl Lowerer {
             }
             Expr::Call(name, args) => {
                 let Some(builtin) = Builtin::lookup(name) else {
-                    self.unresolved.insert(name.clone());
                     return Err(self.trap(wrap(EvalError::UnknownFunction(name.clone()))));
                 };
                 let arity = builtin.arity();
@@ -463,13 +457,10 @@ impl Lowerer {
     fn lookup_or_trap(&mut self, row_name: &Arc<str>, var: &'static str, env: &Env) -> Lower<u32> {
         match env.lookup(var) {
             Some(slot) => Ok(slot),
-            None => {
-                self.unresolved.insert(var.to_owned());
-                Err(self.trap(EvaluateSheetError::Element {
-                    row: row_name.to_string(),
-                    source: EvaluateElementError::MissingOperatingPoint(var),
-                }))
-            }
+            None => Err(self.trap(EvaluateSheetError::Element {
+                row: row_name.to_string(),
+                source: EvaluateElementError::MissingOperatingPoint(var),
+            })),
         }
     }
 
@@ -547,7 +538,6 @@ impl Lowerer {
             let vdd = match env.lookup("vdd") {
                 Some(slot) => slot,
                 None => {
-                    self.unresolved.insert("vdd".to_owned());
                     let err = self.wrap_nested(EvaluateSheetError::Element {
                         row: row_name.to_string(),
                         source: EvaluateElementError::MissingOperatingPoint("vdd"),
@@ -557,15 +547,8 @@ impl Lowerer {
                     zero
                 }
             };
-            let freq = match env.lookup("f") {
-                Some(slot) => slot,
-                None => {
-                    // `scope.get("f").unwrap_or(0.0)` — but a later
-                    // override could append `f`, so record it.
-                    self.unresolved.insert("f".to_owned());
-                    zero
-                }
-            };
+            // `scope.get("f").unwrap_or(0.0)`.
+            let freq = env.lookup("f").unwrap_or(zero);
             let contrib = self.lower_power_template(zero, freq, vdd, i_eff);
             let summed = self.reg("");
             self.emit(Instr::Bin {
@@ -740,29 +723,18 @@ impl Lowerer {
             }
             CompiledRowKind::Element(element) => {
                 let slots = self.lower_element(&row.name, element, env)?;
-                let mut params = Vec::with_capacity(row.param_names.len());
-                for name in &row.param_names {
-                    match env.lookup(name) {
-                        Some(slot) => params.push((name.clone(), slot)),
-                        // The tree walker skips the column too — but an
-                        // appended override could later supply it, so the
-                        // play must fall back in that case.
-                        None => {
-                            self.unresolved.insert(name.to_string());
-                        }
-                    }
-                }
-                let rate = env.lookup("f");
-                if rate.is_none() {
-                    self.unresolved.insert("f".to_owned());
-                }
+                let params: Vec<(Arc<str>, u32)> = row
+                    .param_names
+                    .iter()
+                    .filter_map(|name| env.lookup(name).map(|slot| (name.clone(), slot)))
+                    .collect();
                 Ok(RowRecipe {
                     name: row.name.clone(),
                     ident: row.ident.clone(),
                     doc_link: row.doc_link.clone(),
                     element: row.element_name.clone(),
                     params,
-                    rate,
+                    rate: env.lookup("f"),
                     power: slots.power,
                     energy: slots.energy,
                     area: slots.area,
@@ -783,7 +755,7 @@ impl Lowerer {
         env: &mut Env,
         sub: &CompiledSheet,
     ) -> Lower<(SheetRecipe, u32, Option<u32>)> {
-        let order = match &sub.base_global_plan {
+        let order = match sub.global_order() {
             Ok(order) => order,
             Err(e) => {
                 let e = e.clone();
@@ -895,22 +867,25 @@ impl Lowerer {
 }
 
 impl Program {
-    /// Lowers a compiled sheet into one flat program, or `None` when the
-    /// top-level structure itself failed to compile (the tree walker
-    /// reports those errors before any row evaluation, so there is
-    /// nothing to accelerate).
-    pub(crate) fn lower(plan: &CompiledSheet) -> Option<Program> {
-        let rows_plan = plan.structure.as_ref().ok()?;
+    /// Lowers a compiled sheet, whose rows compiled to `rows_plan`, into
+    /// one flat program. `appended` lists the override names that append
+    /// globals, in the order the resolved-globals vector lists them.
+    pub(crate) fn lower(plan: &CompiledSheet, rows_plan: &RowsPlan, appended: &[&str]) -> Program {
         let mut lw = Lowerer::new();
         let mut env = Env::new();
-        // Declared top-level globals: one named register each, seeded
-        // per play from the scalar global resolution (which owns the
-        // override graph-repair logic).
+        // Top-level globals, declared then appended: one named register
+        // each, seeded per play from the scalar global resolution (which
+        // owns the override graph-repair logic).
         env.push_layer();
-        let mut global_slots = Vec::with_capacity(plan.globals.len());
-        for g in &plan.globals {
-            let slot = lw.reg(g.name.to_string());
-            env.insert_top(g.name.clone(), slot);
+        let names = plan
+            .globals
+            .iter()
+            .map(|g| g.name.clone())
+            .chain(appended.iter().map(|&name| Arc::from(name)));
+        let mut global_slots = Vec::with_capacity(plan.globals.len() + appended.len());
+        for name in names {
+            let slot = lw.reg(name.to_string());
+            env.insert_top(name, slot);
             global_slots.push(slot);
         }
         let power_layer = env.push_layer();
@@ -939,7 +914,7 @@ impl Program {
             row_spans[i] = (start, lw.code.len() as u32);
             recipes[i] = Some(rec);
         }
-        Some(Program {
+        Program {
             code: lw.code,
             init: lw.init,
             global_slots,
@@ -949,27 +924,14 @@ impl Program {
                 .map(|r| r.expect("plan order covers every row"))
                 .collect(),
             errors: lw.errors,
-            unresolved: lw.unresolved,
             names: lw.names,
             rows_total: lw.rows_total,
-        })
-    }
-
-    /// True when `name` could not be resolved to a register somewhere in
-    /// the program. A play overriding such a name must use the tree
-    /// walker: an appended override global can be visible to scope
-    /// lookups the program compiled as errors or defaults.
-    pub(crate) fn is_unresolved(&self, name: &str) -> bool {
-        self.unresolved.contains(name)
+        }
     }
 
     /// Registers in the file (scratch buffers must be at least this).
     pub(crate) fn reg_count(&self) -> usize {
         self.init.len()
-    }
-
-    pub(crate) fn code_len(&self) -> u32 {
-        self.code.len() as u32
     }
 
     /// The `[start, end)` code span evaluating row `i` (declaration
@@ -978,13 +940,10 @@ impl Program {
         self.row_spans[i]
     }
 
-    /// Register slot of top-level global `i` (declaration index).
+    /// Register slot of top-level global `i` (its index in the resolved
+    /// globals: declared, then appended).
     pub(crate) fn global_slot(&self, i: usize) -> u32 {
         self.global_slots[i]
-    }
-
-    pub(crate) fn global_count(&self) -> usize {
-        self.global_slots.len()
     }
 
     /// Resets `regs` to the initial image (constants in place, all
@@ -994,10 +953,10 @@ impl Program {
         regs.extend_from_slice(&self.init);
     }
 
-    /// Writes the resolved top-level global values into their slots, in
-    /// declaration order. `values` may run longer (appended override
-    /// globals); the extras have no slot and are never read by a
-    /// program dispatched for them (see [`Program::is_unresolved`]).
+    /// Writes the resolved top-level global values into their slots: the
+    /// declared globals, then the appended ones — the order of both the
+    /// resolved-globals vector and the program's global registers, so
+    /// this is a positional zip.
     pub(crate) fn seed_globals(&self, values: impl Iterator<Item = f64>, regs: &mut [f64]) {
         for (&slot, value) in self.global_slots.iter().zip(values) {
             regs[slot as usize] = value;
@@ -1193,7 +1152,7 @@ impl Program {
             .add(self.rows_total);
         self.seed(regs);
         self.seed_globals(resolved.iter().map(|(_, v)| *v), regs);
-        let run = self.exec(0, self.code_len(), regs);
+        let run = self.exec(0, self.code.len() as u32, regs);
         metrics.instrs_total.add(self.code.len() as u64);
         run.map_err(|hit| self.materialize(hit))?;
         let rows = self

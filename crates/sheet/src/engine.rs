@@ -9,7 +9,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 
-use powerplay_expr::{EvalError, Scope};
+use powerplay_expr::EvalError;
 use powerplay_library::{EvaluateElementError, Registry};
 
 use crate::plan::CompiledSheet;
@@ -116,21 +116,7 @@ impl Sheet {
     /// Returns [`EvaluateSheetError`] for unknown elements, circular
     /// definitions, or formula failures anywhere in the hierarchy.
     pub fn play(&self, registry: &Registry) -> Result<SheetReport, EvaluateSheetError> {
-        self.play_in(registry, &Scope::new())
-    }
-
-    /// Like [`Sheet::play`] but with externally supplied bindings (used
-    /// when this sheet is nested inside another design).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Sheet::play`].
-    pub fn play_in(
-        &self,
-        registry: &Registry,
-        parent: &Scope<'_>,
-    ) -> Result<SheetReport, EvaluateSheetError> {
-        CompiledSheet::compile(self, registry).play_with_in(parent, &[])
+        CompiledSheet::compile(self, registry).play()
     }
 }
 

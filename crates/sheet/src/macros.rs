@@ -21,10 +21,11 @@
 use std::error::Error;
 use std::fmt;
 
-use powerplay_expr::{Expr, Scope};
+use powerplay_expr::Expr;
 use powerplay_library::{ElementClass, ElementModel, LibraryElement, Registry};
 
 use crate::engine::EvaluateSheetError;
+use crate::plan::CompiledSheet;
 use crate::sheet::Sheet;
 
 /// Error produced by [`Sheet::to_macro`].
@@ -87,15 +88,19 @@ impl Sheet {
         name: impl Into<String>,
         registry: &Registry,
     ) -> Result<LibraryElement, LumpMacroError> {
-        // Strip vdd/f so probes control the operating point.
+        // Strip vdd/f so the probes set the operating point: both become
+        // appended globals of one override plan, compiled and lowered
+        // once for all five probes.
         let mut probe_sheet = self.clone();
         probe_sheet.retain_globals(|n| n != "vdd" && n != "f");
+        let plan = CompiledSheet::compile(&probe_sheet, registry);
+        let operating_point = plan.override_plan(&["vdd", "f"]);
 
         let probe = |vdd: f64, f: f64| -> Result<f64, LumpMacroError> {
-            let mut scope = Scope::new();
-            scope.set("vdd", vdd);
-            scope.set("f", f);
-            Ok(probe_sheet.play_in(registry, &scope)?.total_power().value())
+            Ok(plan
+                .play_with_plan(&operating_point, &[vdd, f])?
+                .total_power()
+                .value())
         };
 
         // Static plane: P(v, 0) = I·v + D.

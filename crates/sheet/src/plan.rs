@@ -22,9 +22,12 @@
 //! evaluation sequence where the uncompiled engine would have found
 //! them. Global overrides are literals, which can change the *global*
 //! dependency graph (an override can break a cycle, and overriding an
-//! undefined name can introduce edges into it), so the tiny global plan
-//! is recomputed per play when overrides are present; the expensive row
-//! plan never depends on overrides and is always reused.
+//! undefined name can introduce edges into it), so every set of override
+//! names gets its own small [`OverridePlan`] (hoisted once per sweep);
+//! the expensive row plan never depends on overrides and is always
+//! reused. Rows always run as the sheet's register program (see
+//! [`crate::bytecode`]); the scope-chain tree walker is kept only as the
+//! oracle behind [`CompiledSheet::play_with_tree`].
 //!
 //! A plan snapshots the sheet and registry at compile time: recompile
 //! after editing rows, bindings, global *formulas*, or library
@@ -47,7 +50,8 @@ use crate::sheet::Sheet;
 
 /// Engine-layer metrics, registered once in the process-global registry.
 /// Only the *top-level* compile/play entry points record here; sub-sheet
-/// recursion goes through the `*_impl` twins so a hierarchical design
+/// compilation goes through [`CompiledSheet::compile_impl`] and sub-sheet
+/// rows run inside their parent's program, so a hierarchical design
 /// counts as one compile and one play (rows are counted at every level).
 pub(crate) struct PlanMetrics {
     compile_seconds: Histogram,
@@ -106,9 +110,13 @@ pub(crate) fn plan_metrics() -> &'static PlanMetrics {
     })
 }
 
-/// Process-unique plan identities, so a [`ReplayState`] can tell when it
-/// is handed to a different plan than the one that filled it.
+/// Process-unique plan identities, so an [`OverridePlan`] is only ever
+/// played against the sheet it was built for.
 static PLAN_IDS: AtomicU64 = AtomicU64::new(1);
+
+/// Resolved global values: the declared globals in declaration order,
+/// then the names an override plan appends.
+type Resolved = Vec<(String, f64)>;
 
 /// Per-thread scratch register file for bytecode replays, so repeated
 /// plays on one thread reuse a single allocation.
@@ -142,16 +150,12 @@ pub struct CompiledSheet {
     id: u64,
     pub(crate) name: Arc<str>,
     pub(crate) globals: Vec<CompiledGlobal>,
-    /// Global evaluation order for the un-overridden sheet (recomputed
-    /// per play when overrides are present — see module docs).
-    pub(crate) base_global_plan: Result<Vec<usize>, EvaluateSheetError>,
+    /// The plan of the un-overridden sheet. Its program cell holds the
+    /// sheet's register program, shared by every plan that appends no
+    /// name (see [`OverridePlan::program`]).
+    base: OverridePlan,
     /// Row plan, or the structural error the engine would report.
     pub(crate) structure: Result<RowsPlan, EvaluateSheetError>,
-    /// The sheet lowered to one flat register-machine program (see
-    /// [`crate::bytecode`]); `None` when the top-level structure errored
-    /// or this plan is a sub-sheet (already inlined by its parent's
-    /// program). Attached by [`CompiledSheet::compile`] only.
-    pub(crate) program: Option<Arc<Program>>,
 }
 
 #[derive(Debug, Clone)]
@@ -227,11 +231,14 @@ impl CompiledSheet {
     /// point evaluation would have reached them.
     pub fn compile(sheet: &Sheet, registry: &Registry) -> CompiledSheet {
         let _timer = plan_metrics().compile_seconds.start_timer();
-        let mut plan = Self::compile_impl(sheet, registry);
+        let plan = Self::compile_impl(sheet, registry);
         // Lower the whole hierarchy (sub-sheets inlined) into one flat
-        // register-machine program. Only the top level carries one: a
-        // sub-plan's rows are spans inside its parent's program.
-        plan.program = Program::lower(&plan).map(Arc::new);
+        // register-machine program now, so compiling pays for it rather
+        // than the first play. A sub-plan's rows are spans inside its
+        // parent's program; played on its own, it lowers on first play.
+        if let Ok(rows) = &plan.structure {
+            plan.base.program(&plan, rows);
+        }
         plan
     }
 
@@ -248,14 +255,13 @@ impl CompiledSheet {
                 expr: expr.clone(),
             })
             .collect();
-        let base_global_plan = plan_globals(&globals);
+        let id = PLAN_IDS.fetch_add(1, Ordering::Relaxed);
         CompiledSheet {
-            id: PLAN_IDS.fetch_add(1, Ordering::Relaxed),
+            id,
             name: Arc::from(sheet.name()),
-            base_global_plan,
+            base: OverridePlan::new(id, Vec::new(), &globals),
             structure: compile_rows(sheet, registry),
             globals,
-            program: None,
         }
     }
 
@@ -308,7 +314,7 @@ impl CompiledSheet {
     ///
     /// Exactly those of [`Sheet::play`].
     pub fn play(&self) -> Result<SheetReport, EvaluateSheetError> {
-        self.play_with(&[])
+        self.play_with_plan(&self.base, &[])
     }
 
     /// Evaluates the plan with the given global value overrides —
@@ -323,30 +329,14 @@ impl CompiledSheet {
     ///
     /// Exactly those of [`Sheet::play`] on the overridden sheet.
     pub fn play_with(&self, overrides: &[(&str, f64)]) -> Result<SheetReport, EvaluateSheetError> {
-        self.play_with_in(&Scope::new(), overrides)
+        let (names, values) = dedup_overrides(overrides);
+        self.play_with_plan(&self.override_plan(&names), &values)
     }
 
-    /// Like [`CompiledSheet::play_with`] but with externally supplied
-    /// bindings (used when this sheet is nested inside another design).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CompiledSheet::play_with`].
-    pub fn play_with_in(
-        &self,
-        parent: &Scope<'_>,
-        overrides: &[(&str, f64)],
-    ) -> Result<SheetReport, EvaluateSheetError> {
-        let metrics = plan_metrics();
-        metrics.plays_total.inc();
-        let _timer = metrics.replay_seconds.start_timer();
-        self.play_impl(parent, overrides)
-    }
-
-    /// Like [`CompiledSheet::play_with`] but forcing the tree-walking
-    /// evaluator even when a bytecode program is available — the
-    /// reference oracle the parity test suite (and the throughput
-    /// benches) compare the bytecode engine against.
+    /// Like [`CompiledSheet::play_with`] but through the scope-chain tree
+    /// walker instead of the register program — the reference oracle the
+    /// parity test suite (and the throughput benches) compare the
+    /// program against.
     ///
     /// # Errors
     ///
@@ -358,191 +348,36 @@ impl CompiledSheet {
         let metrics = plan_metrics();
         metrics.plays_total.inc();
         let _timer = metrics.replay_seconds.start_timer();
-        self.play_impl_mode(&Scope::new(), overrides, false)
+        let (names, values) = dedup_overrides(overrides);
+        self.play_tree(&Scope::new(), &self.override_plan(&names), &values)
     }
 
-    /// [`CompiledSheet::play_with_in`] minus the top-level metrics, so a
-    /// nested design counts as one play and one replay-latency sample.
-    pub(crate) fn play_impl(
+    /// The tree walker: globals resolved through `plan` in a child of
+    /// `parent`, then every row through the scope chain. A nested
+    /// sub-sheet plays its base plan with the row's parameter scope as
+    /// `parent`.
+    fn play_tree(
         &self,
         parent: &Scope<'_>,
-        overrides: &[(&str, f64)],
-    ) -> Result<SheetReport, EvaluateSheetError> {
-        self.play_impl_mode(parent, overrides, true)
-    }
-
-    /// True when a play with `parent` bindings and `overrides` can be
-    /// answered by the bytecode program: top-level scope (a non-empty
-    /// parent could rebind any name the program resolved statically) and
-    /// no override touching a name the lowering left unresolved (an
-    /// appended override global is visible to the scope lookups the
-    /// program compiled as errors or defaults).
-    fn bytecode_for(&self, parent: &Scope<'_>, names: &[&str]) -> Option<&Program> {
-        if !parent.is_empty_root() {
-            return None;
-        }
-        let prog = self.program.as_deref()?;
-        if names.iter().any(|n| prog.is_unresolved(n)) {
-            return None;
-        }
-        Some(prog)
-    }
-
-    fn play_impl_mode(
-        &self,
-        parent: &Scope<'_>,
-        overrides: &[(&str, f64)],
-        use_bytecode: bool,
+        plan: &OverridePlan,
+        values: &[f64],
     ) -> Result<SheetReport, EvaluateSheetError> {
         let _span = profile::span_lazy(|| format!("play {}", self.name));
+        let inner = plan.inner.as_ref().map_err(Clone::clone)?;
         let mut globals_scope = parent.child();
-        let resolved_globals = if overrides.is_empty() {
-            let order = self.base_global_plan.as_ref().map_err(Clone::clone)?;
-            let mut resolved: Vec<Option<(String, f64)>> = vec![None; self.globals.len()];
-            for &i in order {
-                let global = &self.globals[i];
-                let value = global.expr.eval(&globals_scope).map_err(|source| {
-                    EvaluateSheetError::Global {
-                        name: global.name.to_string(),
-                        source,
-                    }
-                })?;
-                globals_scope.set(global.name.clone(), value);
-                resolved[i] = Some((global.name.to_string(), value));
-            }
-            resolved
-                .into_iter()
-                .map(|slot| slot.expect("every global evaluated"))
-                .collect()
-        } else {
-            self.eval_overridden_globals(&mut globals_scope, overrides)?
-        };
-
-        let plan = self.structure.as_ref().map_err(Clone::clone)?;
-
-        if use_bytecode {
-            let names: Vec<&str> = overrides.iter().map(|&(n, _)| n).collect();
-            if let Some(prog) = self.bytecode_for(parent, &names) {
-                return with_scratch_regs(|regs| {
-                    prog.replay_full(self.name.clone(), resolved_globals, regs)
-                });
-            }
-        }
-
-        let rows = eval_rows_full(plan, &globals_scope)?;
-
-        Ok(SheetReport::new(self.name.clone(), resolved_globals, rows))
+        let resolved = self.eval_globals_with_plan(&mut globals_scope, plan, inner, values)?;
+        let rows_plan = self.structure.as_ref().map_err(Clone::clone)?;
+        let rows = eval_rows_full(rows_plan, &globals_scope)?;
+        Ok(SheetReport::new(self.name.clone(), resolved, rows))
     }
 
-    /// Global evaluation under overrides. Overridden globals become
-    /// literals, which removes their outgoing dependency edges (and can
-    /// dissolve cycles); overriding an undefined name appends a new
-    /// global that existing formulas may now resolve against. Both
-    /// reshape the graph, so it is re-planned here from the precomputed
-    /// free-variable sets — a few comparisons over a handful of
-    /// globals, not an AST re-walk.
-    fn eval_overridden_globals(
-        &self,
-        globals_scope: &mut Scope<'_>,
-        overrides: &[(&str, f64)],
-    ) -> Result<Vec<(String, f64)>, EvaluateSheetError> {
-        // Apply overrides in sequence: replace the value of an existing
-        // global, or append a fresh one (later duplicates win).
-        let mut base_value: Vec<Option<f64>> = vec![None; self.globals.len()];
-        let mut appended: Vec<(String, f64)> = Vec::new();
-        for &(name, value) in overrides {
-            if let Some(i) = self.globals.iter().position(|g| &*g.name == name) {
-                base_value[i] = Some(value);
-            } else if let Some(slot) = appended.iter_mut().find(|(n, _)| n == name) {
-                slot.1 = value;
-            } else {
-                appended.push((name.to_owned(), value));
-            }
-        }
-
-        enum Node<'a> {
-            Formula(&'a CompiledGlobal),
-            Literal(&'a str, f64),
-        }
-        let nodes: Vec<Node<'_>> = self
-            .globals
-            .iter()
-            .enumerate()
-            .map(|(i, g)| match base_value[i] {
-                Some(v) => Node::Literal(&g.name, v),
-                None => Node::Formula(g),
-            })
-            .chain(appended.iter().map(|(n, v)| Node::Literal(n, *v)))
-            .collect();
-
-        let index_of: BTreeMap<&str, usize> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, node)| match node {
-                Node::Formula(g) => (&*g.name, i),
-                Node::Literal(name, _) => (*name, i),
-            })
-            .collect();
-        let mut deps: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-        for (i, node) in nodes.iter().enumerate() {
-            let entry = deps.entry(i).or_default();
-            if let Node::Formula(g) = node {
-                if g.free.contains(&*g.name) {
-                    return Err(EvaluateSheetError::CircularGlobals(vec![g
-                        .name
-                        .to_string()]));
-                }
-                for var in &g.free {
-                    if let Some(&j) = index_of.get(var.as_str()) {
-                        if j != i {
-                            entry.insert(j);
-                        }
-                    }
-                }
-            }
-        }
-        let order = toposort(nodes.len(), &deps).map_err(|cycle| {
-            EvaluateSheetError::CircularGlobals(
-                cycle
-                    .into_iter()
-                    .map(|i| match &nodes[i] {
-                        Node::Formula(g) => g.name.to_string(),
-                        Node::Literal(name, _) => (*name).to_owned(),
-                    })
-                    .collect(),
-            )
-        })?;
-
-        let mut resolved: Vec<Option<(String, f64)>> = vec![None; nodes.len()];
-        for i in order {
-            let (name, value) = match &nodes[i] {
-                Node::Literal(name, value) => ((*name).to_owned(), *value),
-                Node::Formula(g) => {
-                    let value = g.expr.eval(globals_scope).map_err(|source| {
-                        EvaluateSheetError::Global {
-                            name: g.name.to_string(),
-                            source,
-                        }
-                    })?;
-                    (g.name.to_string(), value)
-                }
-            };
-            globals_scope.set(name.clone(), value);
-            resolved[i] = Some((name, value));
-        }
-        Ok(resolved
-            .into_iter()
-            .map(|slot| slot.expect("every global evaluated"))
-            .collect())
-    }
-
-    /// Precomputes everything about a set of override *names* that
-    /// [`CompiledSheet::eval_overridden_globals`] would otherwise redo
-    /// per play: name → global-slot resolution, the reshaped global
-    /// dependency graph, and its toposort (or the `CircularGlobals`
-    /// error every play with these names would raise). The graph shape
-    /// depends only on the names, never the values, so a sweep resolves
-    /// it once and plays each point with [`CompiledSheet::play_with_plan`].
+    /// Precomputes everything about a set of override *names* that every
+    /// play with those names shares: name → global-slot resolution, the
+    /// reshaped global dependency graph, and its toposort (or the
+    /// `CircularGlobals` error every play with these names would raise).
+    /// The graph shape depends only on the names, never the values, so a
+    /// sweep resolves it once and plays each point with
+    /// [`CompiledSheet::play_with_plan`].
     ///
     /// Duplicate names collapse to one slot (later values win, matching
     /// [`Sheet::set_global_value`] applied in sequence).
@@ -553,83 +388,18 @@ impl CompiledSheet {
                 uniq.push(n.to_owned());
             }
         }
-        let inner = self.build_override_inner(&uniq);
-        OverridePlan {
-            plan_id: self.id,
-            names: uniq,
-            inner,
-        }
+        OverridePlan::new(self.id, uniq, &self.globals)
     }
 
-    /// Mirrors the graph construction of `eval_overridden_globals`,
-    /// including its error precedence: a self-referential formula errors
-    /// first (lowest node index), then cycles surface from the toposort.
-    fn build_override_inner(
-        &self,
-        names: &[String],
-    ) -> Result<OverridePlanInner, EvaluateSheetError> {
-        let mut global_slot: Vec<Option<usize>> = vec![None; self.globals.len()];
-        let mut appended: Vec<usize> = Vec::new();
-        for (slot, name) in names.iter().enumerate() {
-            if let Some(i) = self.globals.iter().position(|g| &*g.name == name.as_str()) {
-                global_slot[i] = Some(slot);
-            } else {
-                appended.push(slot);
-            }
-        }
-        let node_count = self.globals.len() + appended.len();
-        let name_of = |k: usize| -> &str {
-            if k < self.globals.len() {
-                &self.globals[k].name
-            } else {
-                &names[appended[k - self.globals.len()]]
-            }
-        };
-        let index_of: BTreeMap<&str, usize> = (0..node_count).map(|k| (name_of(k), k)).collect();
-        let mut deps: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-        for k in 0..node_count {
-            deps.entry(k).or_default();
-        }
-        for (k, (slot, g)) in global_slot.iter().zip(&self.globals).enumerate() {
-            if slot.is_some() {
-                continue; // overridden: a constant, no formula deps
-            }
-            if g.free.contains(&*g.name) {
-                return Err(EvaluateSheetError::CircularGlobals(vec![g
-                    .name
-                    .to_string()]));
-            }
-            let entry = deps.entry(k).or_default();
-            for var in &g.free {
-                if let Some(&j) = index_of.get(var.as_str()) {
-                    if j != k {
-                        entry.insert(j);
-                    }
-                }
-            }
-        }
-        let order = toposort(node_count, &deps).map_err(|cycle| {
-            EvaluateSheetError::CircularGlobals(
-                cycle.into_iter().map(|k| name_of(k).to_owned()).collect(),
-            )
-        })?;
-        Ok(OverridePlanInner {
-            global_slot,
-            appended,
-            order,
-        })
-    }
-
-    /// Resolves globals through a precomputed [`OverridePlan`]; output
-    /// is identical to `eval_overridden_globals` on the corresponding
-    /// `(name, value)` pairs.
+    /// Resolves globals through a precomputed [`OverridePlan`], setting
+    /// each into `globals_scope` as it goes.
     fn eval_globals_with_plan(
         &self,
         globals_scope: &mut Scope<'_>,
         plan: &OverridePlan,
         inner: &OverridePlanInner,
         values: &[f64],
-    ) -> Result<Vec<(String, f64)>, EvaluateSheetError> {
+    ) -> Result<Resolved, EvaluateSheetError> {
         let node_count = self.globals.len() + inner.appended.len();
         let mut resolved: Vec<Option<(String, f64)>> = vec![None; node_count];
         for &k in &inner.order {
@@ -661,6 +431,30 @@ impl CompiledSheet {
             .collect())
     }
 
+    /// Everything a play does before any row runs, in the engine's
+    /// error order: the global errors of `plan`, then the structural
+    /// error of the rows. Returns the resolved globals, the row plan and
+    /// the register program for `plan`'s names.
+    fn prepare<'a>(
+        &'a self,
+        plan: &'a OverridePlan,
+        values: &[f64],
+    ) -> Result<(Resolved, &'a RowsPlan, &'a Arc<Program>), EvaluateSheetError> {
+        assert_eq!(
+            plan.plan_id, self.id,
+            "override plan built for a different compiled sheet"
+        );
+        assert_eq!(
+            values.len(),
+            plan.names.len(),
+            "one value per planned override name"
+        );
+        let inner = plan.inner.as_ref().map_err(Clone::clone)?;
+        let resolved = self.eval_globals_with_plan(&mut Scope::new(), plan, inner, values)?;
+        let rows_plan = self.structure.as_ref().map_err(Clone::clone)?;
+        Ok((resolved, rows_plan, plan.program(self, rows_plan)))
+    }
+
     /// A full (non-incremental) play through a precomputed
     /// [`OverridePlan`]. `values` align with [`OverridePlan::names`].
     ///
@@ -676,28 +470,9 @@ impl CompiledSheet {
         let metrics = plan_metrics();
         metrics.plays_total.inc();
         let _timer = metrics.replay_seconds.start_timer();
-        assert_eq!(
-            plan.plan_id, self.id,
-            "override plan built for a different compiled sheet"
-        );
-        assert_eq!(
-            values.len(),
-            plan.names.len(),
-            "one value per planned override name"
-        );
         let _span = profile::span_lazy(|| format!("play {}", self.name));
-        let inner = plan.inner.as_ref().map_err(Clone::clone)?;
-        let mut globals_scope = Scope::new();
-        let resolved = self.eval_globals_with_plan(&mut globals_scope, plan, inner, values)?;
-        let rows_plan = self.structure.as_ref().map_err(Clone::clone)?;
-
-        let names: Vec<&str> = plan.names.iter().map(String::as_str).collect();
-        if let Some(prog) = self.bytecode_for(&Scope::new(), &names) {
-            return with_scratch_regs(|regs| prog.replay_full(self.name.clone(), resolved, regs));
-        }
-
-        let rows = eval_rows_full(rows_plan, &globals_scope)?;
-        Ok(SheetReport::new(self.name.clone(), resolved, rows))
+        let (resolved, _, prog) = self.prepare(plan, values)?;
+        with_scratch_regs(|regs| prog.replay_full(self.name.clone(), resolved, regs))
     }
 
     /// Incremental replay: re-evaluates only the rows whose watched
@@ -707,10 +482,11 @@ impl CompiledSheet {
     /// [`DELTA_FALLBACK_NUM`]/[`DELTA_FALLBACK_DEN`] of the rows.
     ///
     /// The result is bit-for-bit identical to
-    /// [`CompiledSheet::play_with`] with the same overrides. On error
-    /// `state` keeps its last successful baseline. Delta replay targets
-    /// *top-level* plays (empty parent scope); sub-sheet rows are
-    /// macro-lumped — a dirty sub-sheet row replays its whole subtree.
+    /// [`CompiledSheet::play_with`] with the same overrides. A global or
+    /// structural error leaves `state` as it was; an error while rows
+    /// run drops its baseline, so the next replay through it is a full
+    /// one. Sub-sheet rows are macro-lumped — a dirty sub-sheet row
+    /// replays its whole subtree.
     ///
     /// # Errors
     ///
@@ -720,20 +496,9 @@ impl CompiledSheet {
         state: &mut ReplayState,
         overrides: &[(&str, f64)],
     ) -> Result<SheetReport, EvaluateSheetError> {
-        let mut names: Vec<&str> = Vec::with_capacity(overrides.len());
-        let mut values: Vec<f64> = Vec::with_capacity(overrides.len());
-        for &(name, value) in overrides {
-            if let Some(p) = names.iter().position(|&n| n == name) {
-                values[p] = value;
-            } else {
-                names.push(name);
-                values.push(value);
-            }
-        }
+        let (names, values) = dedup_overrides(overrides);
         let cached = state.override_plan.as_ref().filter(|p| {
-            p.plan_id == self.id
-                && p.names.len() == names.len()
-                && p.names.iter().zip(&names).all(|(a, b)| a == b)
+            p.plan_id == self.id && p.names.iter().map(String::as_str).eq(names.iter().copied())
         });
         let plan = match cached {
             Some(p) => p.clone(),
@@ -762,59 +527,26 @@ impl CompiledSheet {
         let metrics = plan_metrics();
         metrics.delta_replays_total.inc();
         let _timer = metrics.delta_replay_seconds.start_timer();
-        assert_eq!(
-            plan.plan_id, self.id,
-            "override plan built for a different compiled sheet"
-        );
-        assert_eq!(
-            values.len(),
-            plan.names.len(),
-            "one value per planned override name"
-        );
         let _span = profile::span_lazy(|| format!("delta-play {}", self.name));
+        let (resolved, rows_plan, prog) = self.prepare(plan, values)?;
 
-        let inner = plan.inner.as_ref().map_err(Clone::clone)?;
-        let mut globals_scope = Scope::new();
-        let resolved = self.eval_globals_with_plan(&mut globals_scope, plan, inner, values)?;
-        let rows_plan = self.structure.as_ref().map_err(Clone::clone)?;
-        let names: Vec<&str> = plan.names.iter().map(String::as_str).collect();
-        let prog = self.bytecode_for(&Scope::new(), &names);
+        // A usable baseline is the last report of this same program with
+        // the register image it left. Anything else (a first play,
+        // another program, an image an error left half-written) replays
+        // in full. The baseline is taken out while rows run, so an error
+        // leaves none behind.
+        let prev = match state.baseline.take() {
+            Some((p, report)) if Arc::ptr_eq(&p, prog) => report,
+            _ => return self.full_replay_for_delta(prog, resolved, state, DeltaOutcome::Full),
+        };
 
-        // No usable baseline: full evaluation, then remember it.
-        if state.plan_id != Some(self.id) || state.report.is_none() {
-            metrics.plays_total.inc();
-            let report =
-                self.full_replay_for_delta(prog, rows_plan, &globals_scope, resolved, state)?;
-            state.commit(self.id, &report, rows_plan.rows.len(), DeltaOutcome::Full);
-            metrics
-                .delta_dirty_rows
-                .observe_value(rows_plan.rows.len() as u64);
-            return Ok(report);
-        }
-
-        let prev = state.report.as_ref().expect("checked above");
-        let prev_globals: BTreeMap<&str, f64> = prev
-            .globals()
+        // Same program, so the same global names in the same positions.
+        let changed: Vec<&str> = resolved
             .iter()
-            .map(|(n, v)| (n.as_str(), *v))
+            .zip(prev.globals())
+            .filter(|((_, value), (_, pv))| value.to_bits() != pv.to_bits())
+            .map(|((name, _), _)| name.as_str())
             .collect();
-        let mut changed: BTreeSet<&str> = BTreeSet::new();
-        for (name, value) in &resolved {
-            match prev_globals.get(name.as_str()) {
-                Some(pv) if pv.to_bits() == value.to_bits() => {}
-                _ => {
-                    changed.insert(name);
-                }
-            }
-        }
-        if prev_globals.len() != resolved.len() {
-            let new_names: BTreeSet<&str> = resolved.iter().map(|(n, _)| n.as_str()).collect();
-            for name in prev_globals.keys() {
-                if !new_names.contains(name) {
-                    changed.insert(name);
-                }
-            }
-        }
 
         // Memoized point: nothing changed, so the previous rows stand
         // verbatim (the globals vector is rebuilt — its order follows
@@ -823,7 +555,7 @@ impl CompiledSheet {
             metrics.delta_memo_hits_total.inc();
             metrics.delta_dirty_rows.observe_value(0);
             let report = SheetReport::new(self.name.clone(), resolved, prev.rows().to_vec());
-            state.commit(self.id, &report, 0, DeltaOutcome::Memo);
+            state.commit(prog, &report, 0, DeltaOutcome::Memo);
             return Ok(report);
         }
 
@@ -859,117 +591,63 @@ impl CompiledSheet {
         }
         if potential * DELTA_FALLBACK_DEN > rows_plan.rows.len() * DELTA_FALLBACK_NUM {
             metrics.delta_fallbacks_total.inc();
-            metrics.plays_total.inc();
-            let report =
-                self.full_replay_for_delta(prog, rows_plan, &globals_scope, resolved, state)?;
-            state.commit(
-                self.id,
-                &report,
-                rows_plan.rows.len(),
-                DeltaOutcome::Fallback,
-            );
-            metrics
-                .delta_dirty_rows
-                .observe_value(rows_plan.rows.len() as u64);
-            return Ok(report);
+            return self.full_replay_for_delta(prog, resolved, state, DeltaOutcome::Fallback);
         }
 
-        // Targeted walk in plan order; errors leave `state` at its last
-        // successful baseline (clean rows cannot error — identical
-        // inputs evaluated successfully last time). Routed through the
-        // bytecode program when its register file can mirror the
-        // baseline, otherwise through the tree walker.
-        let prev = state.report.take().expect("checked above");
-        let use_bytecode = match prog {
-            Some(p) => self.ensure_regs(p, state, &prev),
-            None => {
-                state.regs_plan = None;
-                false
-            }
-        };
-        let walk = if use_bytecode {
-            let p = prog.expect("use_bytecode implies a program");
-            let ReplayState { dirty, regs, .. } = state;
-            delta_walk_bytecode(p, rows_plan, &resolved, &prev, dirty, regs)
-        } else {
-            delta_walk(rows_plan, &globals_scope, &prev, &mut state.dirty)
-        };
-        match walk {
-            Ok((rows, evaluated)) => {
-                metrics.rows_evaluated_total.add(evaluated as u64);
-                metrics.delta_dirty_rows.observe_value(evaluated as u64);
-                let report = SheetReport::new(self.name.clone(), resolved, rows);
-                state.commit(self.id, &report, evaluated, DeltaOutcome::Incremental);
-                Ok(report)
-            }
-            Err(err) => {
-                if use_bytecode {
-                    state.regs_plan = None;
-                }
-                state.report = Some(prev);
-                Err(err)
-            }
-        }
+        // Targeted walk in plan order over the baseline's register image
+        // (clean rows cannot error — identical inputs ran successfully
+        // last time).
+        let (rows, evaluated) = delta_walk(
+            prog,
+            rows_plan,
+            &resolved,
+            &prev,
+            &mut state.dirty,
+            &mut state.regs,
+        )?;
+        metrics.rows_evaluated_total.add(evaluated as u64);
+        metrics.delta_dirty_rows.observe_value(evaluated as u64);
+        let report = SheetReport::new(self.name.clone(), resolved, rows);
+        state.commit(prog, &report, evaluated, DeltaOutcome::Incremental);
+        Ok(report)
     }
 
-    /// The full-evaluation path shared by the no-baseline and
-    /// over-threshold branches of [`CompiledSheet::replay_delta_with_plan`]:
-    /// a bytecode replay into the state's persistent register file when a
-    /// program is available (leaving the file valid for targeted walks),
-    /// the tree walker otherwise.
+    /// The full replay shared by the no-baseline and over-threshold
+    /// branches of [`CompiledSheet::replay_delta_with_plan`]: runs the
+    /// whole program into the state's register file, which then mirrors
+    /// the new baseline.
     fn full_replay_for_delta(
         &self,
-        prog: Option<&Program>,
-        rows_plan: &RowsPlan,
-        globals_scope: &Scope<'_>,
-        resolved: Vec<(String, f64)>,
+        prog: &Arc<Program>,
+        resolved: Resolved,
         state: &mut ReplayState,
+        outcome: DeltaOutcome,
     ) -> Result<SheetReport, EvaluateSheetError> {
-        if let Some(prog) = prog {
-            return match prog.replay_full(self.name.clone(), resolved, &mut state.regs) {
-                Ok(report) => {
-                    state.regs_plan = Some(self.id);
-                    Ok(report)
-                }
-                Err(err) => {
-                    state.regs_plan = None;
-                    Err(err)
-                }
-            };
-        }
-        state.regs_plan = None;
-        let rows = eval_rows_full(rows_plan, globals_scope)?;
-        Ok(SheetReport::new(self.name.clone(), resolved, rows))
+        let metrics = plan_metrics();
+        metrics.plays_total.inc();
+        let report = prog.replay_full(self.name.clone(), resolved, &mut state.regs)?;
+        let rows = self.row_count();
+        state.commit(prog, &report, rows, outcome);
+        metrics.delta_dirty_rows.observe_value(rows as u64);
+        Ok(report)
     }
+}
 
-    /// Makes `state.regs` a valid register image of the baseline report
-    /// `prev`: already valid when the last successful execution through
-    /// this state was bytecode, otherwise rebuilt by replaying the whole
-    /// program at the baseline's global values. Returns `false` (state
-    /// invalidated) when the baseline cannot be reproduced — the caller
-    /// then walks the tree, which needs no register file.
-    fn ensure_regs(&self, prog: &Program, state: &mut ReplayState, prev: &SheetReport) -> bool {
-        if state.regs_plan == Some(self.id) {
-            return true;
-        }
-        let globals = prev.globals();
-        if globals.len() < prog.global_count() {
-            state.regs_plan = None;
-            return false;
-        }
-        prog.seed(&mut state.regs);
-        prog.seed_globals(globals.iter().map(|(_, v)| *v), &mut state.regs);
-        match prog.exec(0, prog.code_len(), &mut state.regs) {
-            Ok(()) => {
-                state.regs_plan = Some(self.id);
-                true
-            }
-            Err(_) => {
-                state.regs_plan = None;
-                false
-            }
+/// Collapses `(name, value)` override pairs to one value per name, in
+/// order of first appearance; later values win, as
+/// [`Sheet::set_global_value`] applied in sequence would.
+fn dedup_overrides<'a>(overrides: &[(&'a str, f64)]) -> (Vec<&'a str>, Vec<f64>) {
+    let mut names: Vec<&str> = Vec::with_capacity(overrides.len());
+    let mut values: Vec<f64> = Vec::with_capacity(overrides.len());
+    for &(name, value) in overrides {
+        if let Some(p) = names.iter().position(|&n| n == name) {
+            values[p] = value;
+        } else {
+            names.push(name);
+            values.push(value);
         }
     }
+    (names, values)
 }
 
 /// Fall back to a full replay when the potential dirty frontier exceeds
@@ -987,14 +665,70 @@ pub struct OverridePlan {
     plan_id: u64,
     names: Vec<String>,
     inner: Result<OverridePlanInner, EvaluateSheetError>,
+    /// This plan's register program, lowered on first use. A plan that
+    /// appends no name leaves it empty, except the sheet's base plan,
+    /// whose cell holds the program all such plans share (see
+    /// [`OverridePlan::program`]).
+    program: OnceLock<Arc<Program>>,
 }
 
 impl OverridePlan {
+    fn new(plan_id: u64, names: Vec<String>, globals: &[CompiledGlobal]) -> OverridePlan {
+        OverridePlan {
+            plan_id,
+            inner: build_override_inner(globals, &names),
+            names,
+            program: OnceLock::new(),
+        }
+    }
+
     /// The de-duplicated override names; values passed to
     /// [`CompiledSheet::play_with_plan`] and
     /// [`CompiledSheet::replay_delta_with_plan`] align with this order.
     pub fn names(&self) -> &[String] {
         &self.names
+    }
+
+    /// The global evaluation order under these override names, as node
+    /// indices: nodes below the sheet's global count are its declared
+    /// globals (indices into [`CompiledSheet::globals_view`]), the rest
+    /// are the names this plan appends, in [`OverridePlan::names`] order.
+    ///
+    /// # Errors
+    ///
+    /// The `CircularGlobals` error every play with these names raises.
+    pub fn global_order(&self) -> Result<&[usize], &EvaluateSheetError> {
+        match &self.inner {
+            Ok(inner) => Ok(&inner.order),
+            Err(err) => Err(err),
+        }
+    }
+
+    /// `names` slots that append new globals (none when the plan errors).
+    fn appended(&self) -> &[usize] {
+        self.inner.as_ref().map_or(&[], |inner| &inner.appended)
+    }
+
+    /// The register program plays through this plan run. A plan that
+    /// appends no name shares the sheet's program, held by its base
+    /// plan. One that does gets its own, with a global register per
+    /// appended name after the declared ones, lowered on its first play:
+    /// building a plan lowers nothing, so the oracle and the analyzer
+    /// can build plans they never play.
+    fn program<'a>(&'a self, sheet: &'a CompiledSheet, rows: &RowsPlan) -> &'a Arc<Program> {
+        let appended = self.appended();
+        let cell = if appended.is_empty() {
+            &sheet.base.program
+        } else {
+            &self.program
+        };
+        cell.get_or_init(|| {
+            let names: Vec<&str> = appended
+                .iter()
+                .map(|&slot| self.names[slot].as_str())
+                .collect();
+            Arc::new(Program::lower(sheet, rows, &names))
+        })
     }
 }
 
@@ -1008,13 +742,76 @@ struct OverridePlanInner {
     order: Vec<usize>,
 }
 
+/// Orders the globals under a set of override names — the one place the
+/// engine does. Overridden globals become literals, which removes their
+/// outgoing dependency edges (and can dissolve cycles); a name that is
+/// not a global appends a literal node that formulas may now read. Error
+/// precedence: a self-referential formula errors first (lowest
+/// declaration index), then cycles surface from the toposort.
+fn build_override_inner(
+    globals: &[CompiledGlobal],
+    names: &[String],
+) -> Result<OverridePlanInner, EvaluateSheetError> {
+    let mut global_slot: Vec<Option<usize>> = vec![None; globals.len()];
+    let mut appended: Vec<usize> = Vec::new();
+    for (slot, name) in names.iter().enumerate() {
+        if let Some(i) = globals.iter().position(|g| &*g.name == name.as_str()) {
+            global_slot[i] = Some(slot);
+        } else {
+            appended.push(slot);
+        }
+    }
+    let node_count = globals.len() + appended.len();
+    let name_of = |k: usize| -> &str {
+        if k < globals.len() {
+            &globals[k].name
+        } else {
+            &names[appended[k - globals.len()]]
+        }
+    };
+    let index_of: BTreeMap<&str, usize> = (0..node_count).map(|k| (name_of(k), k)).collect();
+    let mut deps: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
+    for k in 0..node_count {
+        deps.entry(k).or_default();
+    }
+    for (k, (slot, g)) in global_slot.iter().zip(globals).enumerate() {
+        if slot.is_some() {
+            continue; // overridden: a constant, no formula deps
+        }
+        if g.free.contains(&*g.name) {
+            return Err(EvaluateSheetError::CircularGlobals(vec![g
+                .name
+                .to_string()]));
+        }
+        let entry = deps.entry(k).or_default();
+        for var in &g.free {
+            if let Some(&j) = index_of.get(var.as_str()) {
+                if j != k {
+                    entry.insert(j);
+                }
+            }
+        }
+    }
+    let order = toposort(node_count, &deps).map_err(|cycle| {
+        EvaluateSheetError::CircularGlobals(
+            cycle.into_iter().map(|k| name_of(k).to_owned()).collect(),
+        )
+    })?;
+    Ok(OverridePlanInner {
+        global_slot,
+        appended,
+        order,
+    })
+}
+
 /// How the last [`CompiledSheet::replay_delta`] answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeltaOutcome {
     /// No replay recorded yet.
     #[default]
     None,
-    /// First play into this state: full evaluation.
+    /// No usable baseline (first play into this state, a different
+    /// program, or an error in the last replay): full evaluation.
     Full,
     /// Dirty frontier over threshold: full evaluation.
     Fallback,
@@ -1030,18 +827,16 @@ pub enum DeltaOutcome {
 /// clean-row path.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayState {
-    plan_id: Option<u64>,
-    report: Option<SheetReport>,
+    /// The last successful report and the program whose register image
+    /// `regs` holds for it. Keyed by program identity: a plan that
+    /// appends names has its own register layout.
+    baseline: Option<(Arc<Program>, SheetReport)>,
     override_plan: Option<Arc<OverridePlan>>,
     dirty: Vec<bool>,
     last_dirty_rows: Option<usize>,
     last_outcome: DeltaOutcome,
-    /// Persistent bytecode register file. Valid (mirrors `report`) only
-    /// while `regs_plan` matches the plan that last filled it via a
-    /// *successful* bytecode execution; tree-walk commits and bytecode
-    /// errors invalidate it.
+    /// Persistent register file; mirrors the baseline report.
     regs: Vec<f64>,
-    regs_plan: Option<u64>,
 }
 
 impl ReplayState {
@@ -1061,9 +856,14 @@ impl ReplayState {
         self.last_outcome
     }
 
-    fn commit(&mut self, plan_id: u64, report: &SheetReport, dirty: usize, outcome: DeltaOutcome) {
-        self.plan_id = Some(plan_id);
-        self.report = Some(report.clone());
+    fn commit(
+        &mut self,
+        prog: &Arc<Program>,
+        report: &SheetReport,
+        dirty: usize,
+        outcome: DeltaOutcome,
+    ) {
+        self.baseline = Some((prog.clone(), report.clone()));
         self.last_dirty_rows = Some(dirty);
         self.last_outcome = outcome;
     }
@@ -1076,72 +876,95 @@ impl ReplayState {
 /// baseline (un-overridden) play, then derives a *value-independent*
 /// dirty superset — every row whose inputs can depend on any override
 /// name, directly or through non-overridden global formulas or
-/// `P_`/`A_` chains. Each [`BatchKernel::replay_chunk`] call resolves
-/// globals per lane with the scalar path (which owns override graph
-/// repair and global error precedence), seeds a slot-major SoA register
-/// file from the baseline image, and executes only the dirty rows' code
-/// spans across all lanes at once. Clean rows reuse the baseline report
-/// verbatim — they cannot differ, because none of their watched inputs
-/// can change.
+/// `P_`/`A_` chains. Without a usable baseline (the plan appends a name,
+/// or the un-overridden play fails) every row is dirty and lanes start
+/// from the program's initial register image. Each
+/// [`BatchKernel::replay_chunk`] call resolves globals per lane with the
+/// scalar path (which owns override graph repair and global error
+/// precedence), seeds a slot-major SoA register file, and executes only
+/// the dirty rows' code spans across all lanes at once. Clean rows reuse
+/// the baseline report verbatim — they cannot differ, because none of
+/// their watched inputs can change.
 ///
 /// Results are bit-for-bit those of [`CompiledSheet::play_with_plan`]
 /// per point, including which error surfaces first.
 pub struct BatchKernel<'a> {
     plan: &'a CompiledSheet,
     oplan: &'a OverridePlan,
-    inner: &'a OverridePlanInner,
-    prog: &'a Program,
-    rows_plan: &'a RowsPlan,
     /// Value-independent dirty superset over top-level rows.
     dirty: Vec<bool>,
     /// Plan-order traversal of the dirty rows.
     dirty_order: Vec<usize>,
-    /// Register image of the baseline play.
-    baseline_regs: Vec<f64>,
-    baseline: SheetReport,
+    /// Register image every lane starts from: the baseline play's, or
+    /// the program's initial image when there is no baseline.
+    image: Vec<f64>,
+    /// The baseline play clean rows are copied from.
+    baseline: Option<SheetReport>,
 }
 
 impl CompiledSheet {
-    /// Builds a batched sweep kernel for the override names in `plan`,
-    /// or `None` when batching cannot reproduce the scalar path exactly:
-    /// no bytecode program, an override name the lowering left
-    /// unresolved, a structural/global-plan error (every point fails the
-    /// same way — the scalar path reports it), or a baseline play that
-    /// itself errors (the clean-row reuse needs a valid baseline).
-    pub fn batch_kernel<'a>(&'a self, plan: &'a OverridePlan) -> Option<BatchKernel<'a>> {
+    /// Builds a batched sweep kernel for the override names in `plan`.
+    /// Every sweep batches: points that fail before any row runs
+    /// (globals, then structure) are answered per lane.
+    pub fn batch_kernel<'a>(&'a self, plan: &'a OverridePlan) -> BatchKernel<'a> {
         assert_eq!(
             plan.plan_id, self.id,
             "override plan built for a different compiled sheet"
         );
-        let names: Vec<&str> = plan.names.iter().map(String::as_str).collect();
-        let prog = self.bytecode_for(&Scope::new(), &names)?;
-        let inner = plan.inner.as_ref().ok()?;
-        let rows_plan = self.structure.as_ref().ok()?;
+        let mut kernel = BatchKernel {
+            plan: self,
+            oplan: plan,
+            dirty: Vec::new(),
+            dirty_order: Vec::new(),
+            image: Vec::new(),
+            baseline: None,
+        };
+        // Without rows every lane fails in `prepare`, and nothing runs.
+        let Ok(rows_plan) = &self.structure else {
+            return kernel;
+        };
+        let prog = plan.program(self, rows_plan);
 
-        // Baseline: the un-overridden play, through the program so its
-        // register image is available for lane seeding.
-        let order = self.base_global_plan.as_ref().ok()?;
-        let mut scope = Scope::new();
-        let mut decl: Vec<Option<(String, f64)>> = vec![None; self.globals.len()];
-        for &i in order {
-            let g = &self.globals[i];
-            let value = g.expr.eval(&scope).ok()?;
-            scope.set(g.name.clone(), value);
-            decl[i] = Some((g.name.to_string(), value));
+        // Baseline: the un-overridden play through the same program, so
+        // its register image can seed the lanes. A plan that appends a
+        // name has another register layout and no un-overridden value.
+        if plan.appended().is_empty() {
+            kernel.baseline = self
+                .prepare(&self.base, &[])
+                .ok()
+                .and_then(|(resolved, _, _)| {
+                    prog.replay_full(self.name.clone(), resolved, &mut kernel.image)
+                        .ok()
+                });
         }
-        let resolved: Vec<(String, f64)> = decl
-            .into_iter()
-            .map(|slot| slot.expect("every global evaluated"))
+        kernel.dirty = match (&kernel.baseline, &plan.inner) {
+            (Some(_), Ok(inner)) => self.sweep_dirty(plan, inner, rows_plan),
+            _ => {
+                prog.seed(&mut kernel.image);
+                vec![true; rows_plan.rows.len()]
+            }
+        };
+        kernel.dirty_order = rows_plan
+            .order
+            .iter()
+            .copied()
+            .filter(|&i| kernel.dirty[i])
             .collect();
-        let mut baseline_regs = Vec::new();
-        let baseline = prog
-            .replay_full(self.name.clone(), resolved, &mut baseline_regs)
-            .ok()?;
+        kernel
+    }
 
-        // Names whose value can differ from the baseline at some point
-        // of the sweep: the override names plus the fixpoint of
-        // non-overridden global formulas reading any of them.
-        let mut changed: BTreeSet<&str> = names.iter().copied().collect();
+    /// The rows a sweep over `plan`'s names can change: watchers of the
+    /// override names and of the non-overridden global formulas reading
+    /// them (to a fixpoint), closed over `P_`/`A_` dependents. Value
+    /// independent, so no bitwise pruning — extra rows only cost
+    /// execution.
+    fn sweep_dirty(
+        &self,
+        plan: &OverridePlan,
+        inner: &OverridePlanInner,
+        rows_plan: &RowsPlan,
+    ) -> Vec<bool> {
+        let mut changed: BTreeSet<&str> = plan.names.iter().map(String::as_str).collect();
         loop {
             let mut grew = false;
             for (i, g) in self.globals.iter().enumerate() {
@@ -1157,10 +980,6 @@ impl CompiledSheet {
                 break;
             }
         }
-
-        // Dirty superset: watchers of any changed name, closed over
-        // `P_`/`A_` dependents (value-independent, so no bitwise
-        // propagation pruning — extra rows only cost execution).
         let mut dirty = vec![false; rows_plan.rows.len()];
         let mut stack: Vec<usize> = Vec::new();
         for name in &changed {
@@ -1181,24 +1000,7 @@ impl CompiledSheet {
                 }
             }
         }
-        let dirty_order: Vec<usize> = rows_plan
-            .order
-            .iter()
-            .copied()
-            .filter(|&i| dirty[i])
-            .collect();
-
-        Some(BatchKernel {
-            plan: self,
-            oplan: plan,
-            inner,
-            prog,
-            rows_plan,
-            dirty,
-            dirty_order,
-            baseline_regs,
-            baseline,
-        })
+        dirty
     }
 }
 
@@ -1220,28 +1022,22 @@ impl BatchKernel<'_> {
         let mut out: Vec<Option<Result<SheetReport, EvaluateSheetError>>> =
             (0..n).map(|_| None).collect();
 
-        // Scalar global resolution per lane; a lane whose globals error
-        // is answered immediately and excluded from the batch.
-        let mut lanes: Vec<(usize, Vec<(String, f64)>)> = Vec::with_capacity(n);
+        // Scalar global resolution and structure check per lane; a lane
+        // that errors there is answered immediately and left out.
+        let mut lanes: Vec<(usize, Resolved)> = Vec::with_capacity(n);
+        let mut prog = None;
         for (idx, point) in points.iter().enumerate() {
-            let values = point.as_ref();
-            assert_eq!(
-                values.len(),
-                self.oplan.names.len(),
-                "one value per planned override name"
-            );
-            let mut scope = Scope::new();
-            match self
-                .plan
-                .eval_globals_with_plan(&mut scope, self.oplan, self.inner, values)
-            {
-                Ok(resolved) => lanes.push((idx, resolved)),
+            match self.plan.prepare(self.oplan, point.as_ref()) {
+                Ok((resolved, _, p)) => {
+                    prog = Some(p);
+                    lanes.push((idx, resolved));
+                }
                 Err(err) => out[idx] = Some(Err(err)),
             }
         }
 
-        let m = lanes.len();
-        if m > 0 {
+        if let Some(prog) = prog {
+            let m = lanes.len();
             metrics.plays_total.add(m as u64);
             metrics
                 .rows_evaluated_total
@@ -1249,25 +1045,25 @@ impl BatchKernel<'_> {
             bytecode_metrics().batch_width.observe_value(m as u64);
 
             // Slot-major SoA register file: lane `l` of slot `s` at
-            // `s * m + l`. Baseline image per slot, then each lane's
-            // own top-level global values.
-            let reg_count = self.prog.reg_count();
-            let mut soa = vec![0.0f64; reg_count * m];
-            for (slot, &value) in self.baseline_regs.iter().enumerate() {
+            // `s * m + l`. The starting image per slot, then each lane's
+            // own global values (declared, then appended: a positional
+            // zip with the program's global registers).
+            let mut soa = vec![0.0f64; prog.reg_count() * m];
+            for (slot, &value) in self.image.iter().enumerate() {
                 soa[slot * m..(slot + 1) * m].fill(value);
             }
             for (l, (_, resolved)) in lanes.iter().enumerate() {
-                for (gi, (_, value)) in resolved.iter().take(self.prog.global_count()).enumerate() {
-                    soa[self.prog.global_slot(gi) as usize * m + l] = *value;
+                for (gi, (_, value)) in resolved.iter().enumerate() {
+                    soa[prog.global_slot(gi) as usize * m + l] = *value;
                 }
             }
 
             let mut errs: Vec<Option<TrapHit>> = vec![None; m];
             let mut instrs = 0u64;
             for &i in &self.dirty_order {
-                let (start, end) = self.prog.row_span(i);
+                let (start, end) = prog.row_span(i);
                 instrs += u64::from(end - start) * m as u64;
-                self.prog.exec_batch(start, end, &mut soa, m, &mut errs);
+                prog.exec_batch(start, end, &mut soa, m, &mut errs);
                 if errs.iter().all(Option::is_some) {
                     break;
                 }
@@ -1276,16 +1072,13 @@ impl BatchKernel<'_> {
 
             for (l, (idx, resolved)) in lanes.into_iter().enumerate() {
                 let result = match errs[l] {
-                    Some(hit) => Err(self.prog.materialize(hit)),
+                    Some(hit) => Err(prog.materialize(hit)),
                     None => {
                         let get = |slot: u32| soa[slot as usize * m + l];
-                        let rows = (0..self.rows_plan.rows.len())
-                            .map(|i| {
-                                if self.dirty[i] {
-                                    self.prog.build_row_report(i, &get)
-                                } else {
-                                    self.baseline.rows()[i].clone()
-                                }
+                        let rows = (0..self.dirty.len())
+                            .map(|i| match &self.baseline {
+                                Some(base) if !self.dirty[i] => base.rows()[i].clone(),
+                                _ => prog.build_row_report(i, &get),
                             })
                             .collect();
                         Ok(SheetReport::new(self.plan.name.clone(), resolved, rows))
@@ -1335,61 +1128,15 @@ fn set_row_outputs(row: &CompiledRow, report: &RowReport, power_layer: &mut Scop
     }
 }
 
-/// The targeted walk of an incremental replay: dirty rows re-evaluate
-/// (propagating to dependents only when their outputs actually change,
-/// compared bitwise), clean rows reuse the previous report. Scopes seen
-/// by evaluated rows are identical to a full replay's by induction, so
-/// the result is bit-for-bit the same.
+/// The targeted walk of an incremental replay: dirty rows re-execute
+/// their code spans against the persistent register file (`regs`, a
+/// valid image of `prev`), clean rows reuse the previous report
+/// verbatim. A dirty row propagates to its dependents only when its
+/// power or area bits actually change. Registers seen by executed rows
+/// are identical to a full replay's by induction, so the result is
+/// bit-for-bit the same. On success `regs` mirrors the returned rows; on
+/// error it holds partial writes and must not be reused as a baseline.
 fn delta_walk(
-    plan: &RowsPlan,
-    globals_scope: &Scope<'_>,
-    prev: &SheetReport,
-    dirty: &mut [bool],
-) -> Result<(Vec<RowReport>, usize), EvaluateSheetError> {
-    let mut power_layer = globals_scope.child();
-    let mut reports: Vec<Option<RowReport>> = vec![None; plan.rows.len()];
-    let mut evaluated = 0usize;
-    for &i in &plan.order {
-        let row = &plan.rows[i];
-        let prev_row = &prev.rows()[i];
-        let report = if dirty[i] {
-            evaluated += 1;
-            let fresh = evaluate_compiled_row(row, &power_layer)?;
-            let power_changed =
-                fresh.power().value().to_bits() != prev_row.power().value().to_bits();
-            let area_changed = fresh.area().map(|a| a.value().to_bits())
-                != prev_row.area().map(|a| a.value().to_bits());
-            if power_changed || area_changed {
-                for &d in &plan.dependents[i] {
-                    dirty[d] = true;
-                }
-            }
-            fresh
-        } else {
-            prev_row.clone()
-        };
-        set_row_outputs(row, &report, &mut power_layer);
-        reports[i] = Some(report);
-    }
-    Ok((
-        reports
-            .into_iter()
-            .map(|r| r.expect("every row evaluated"))
-            .collect(),
-        evaluated,
-    ))
-}
-
-/// [`delta_walk`] over the bytecode program: dirty rows re-execute their
-/// code spans against the persistent register file (`regs`, a valid
-/// image of `prev` — see [`CompiledSheet::ensure_regs`]), clean rows
-/// reuse the previous report verbatim. Change propagation compares the
-/// same power/area bits the tree walk does. On success `regs` mirrors
-/// the returned rows (clean rows' slots were already consistent and
-/// dirty rows' slots were just recomputed); on error it must be
-/// invalidated by the caller, since a trapped span leaves partial
-/// writes.
-fn delta_walk_bytecode(
     prog: &Program,
     plan: &RowsPlan,
     resolved: &[(String, f64)],
@@ -1433,41 +1180,6 @@ fn delta_walk_bytecode(
             .collect(),
         evaluated,
     ))
-}
-
-/// Plans global evaluation order for the un-overridden sheet,
-/// replicating the engine's scan: a self-reference errors first (lowest
-/// declaration index wins), then cycles surface from the toposort.
-fn plan_globals(globals: &[CompiledGlobal]) -> Result<Vec<usize>, EvaluateSheetError> {
-    let index_of: BTreeMap<&str, usize> = globals
-        .iter()
-        .enumerate()
-        .map(|(i, g)| (&*g.name, i))
-        .collect();
-    let mut deps: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-    for (i, global) in globals.iter().enumerate() {
-        if global.free.contains(&*global.name) {
-            return Err(EvaluateSheetError::CircularGlobals(vec![global
-                .name
-                .to_string()]));
-        }
-        let entry = deps.entry(i).or_default();
-        for var in &global.free {
-            if let Some(&j) = index_of.get(var.as_str()) {
-                if j != i {
-                    entry.insert(j);
-                }
-            }
-        }
-    }
-    toposort(globals.len(), &deps).map_err(|cycle| {
-        EvaluateSheetError::CircularGlobals(
-            cycle
-                .into_iter()
-                .map(|i| globals[i].name.to_string())
-                .collect(),
-        )
-    })
 }
 
 /// Compiles the row layer: duplicate-ident check, then the `P_`/`A_`
@@ -1710,12 +1422,12 @@ fn evaluate_compiled_row(
 
     match &row.kind {
         CompiledRowKind::SubSheet(sub) => {
-            let sub_report =
-                sub.play_impl(&param_scope, &[])
-                    .map_err(|source| EvaluateSheetError::Nested {
-                        row: row.name.to_string(),
-                        source: Box::new(source),
-                    })?;
+            let sub_report = sub
+                .play_tree(&param_scope, &sub.base, &[])
+                .map_err(|source| EvaluateSheetError::Nested {
+                    row: row.name.to_string(),
+                    source: Box::new(source),
+                })?;
             let params: Vec<(Arc<str>, f64)> = row
                 .bindings
                 .iter()
@@ -1915,10 +1627,7 @@ impl CompiledSheet {
     ///
     /// The `CircularGlobals` error every play would raise.
     pub fn global_order(&self) -> Result<&[usize], &EvaluateSheetError> {
-        match &self.base_global_plan {
-            Ok(order) => Ok(order),
-            Err(err) => Err(err),
-        }
+        self.base.global_order()
     }
 
     /// The compiled row structure.
@@ -1938,9 +1647,9 @@ impl CompiledSheet {
     /// instruction stream. Returns a one-line notice when the sheet has
     /// no program (top-level structural error).
     pub fn disassemble(&self) -> String {
-        match &self.program {
-            Some(prog) => prog.disassemble(),
-            None => "no bytecode program: top-level structure failed to compile\n".to_owned(),
+        match &self.structure {
+            Ok(rows) => self.base.program(self, rows).disassemble(),
+            Err(_) => "no bytecode program: top-level structure failed to compile\n".to_owned(),
         }
     }
 }

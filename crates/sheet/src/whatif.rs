@@ -7,20 +7,20 @@
 //!
 //! Every helper compiles the sheet to a [`CompiledSheet`] once, hoists
 //! the override-name resolution into one [`crate::plan::OverridePlan`]
-//! per sweep, and replays points *incrementally*. Sweeps and Monte-Carlo
-//! studies go through the batched bytecode kernel when one is available
+//! per study, and runs the sheet's register program. Sweeps and
+//! Monte-Carlo studies always go through the batched kernel
 //! ([`CompiledSheet::batch_kernel`]): points are grouped into
 //! [`BatchKernel::WIDTH`]-lane chunks and every dirty row's code span is
-//! executed across all lanes per instruction-dispatch pass. Otherwise
-//! each worker owns a reusable [`ReplayState`] and goes through
-//! [`CompiledSheet::replay_delta_with_plan`], so a point re-evaluates
-//! only the rows its changed globals actually reach. Identical points
-//! (sensitivity sweeps revisiting a base) are deduplicated before
-//! dispatch and answered from the first evaluation. Results are
-//! returned in input order and, per point, are bit-identical to the
-//! serial reference implementations (kept as `*_serial` for
-//! benchmarking and as oracles); on failure the error reported is the
-//! one the earliest point in input order produced.
+//! executed across all lanes per instruction-dispatch pass.
+//! Sensitivities and the timing search give each worker a reusable
+//! [`ReplayState`] and go through [`CompiledSheet::replay_delta`], so a
+//! point re-evaluates only the rows its changed globals actually reach.
+//! Identical sweep points are deduplicated before dispatch and answered
+//! from the first evaluation. Results are returned in input order and,
+//! per point, are bit-identical to the serial reference implementations
+//! (kept as `*_serial` for benchmarking and as oracles); on failure the
+//! error reported is the one the earliest point in input order
+//! produced.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -86,7 +86,6 @@ fn worker_count() -> usize {
 /// pairs are scattered back after the join, which keeps the output
 /// deterministic regardless of scheduling. Falls back to a plain serial
 /// map for a single item or a single-core host.
-#[cfg(test)]
 fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -204,8 +203,8 @@ pub fn sweep_global(
 /// The override-name resolution is hoisted into one
 /// [`crate::plan::OverridePlan`] for the whole sweep, duplicate values
 /// are evaluated once (cross-point memoization, counted in
-/// `powerplay_whatif_memo_*`), and each worker replays points
-/// incrementally through a reused [`ReplayState`].
+/// `powerplay_whatif_memo_*`), and the rest run through the batched
+/// kernel in [`BatchKernel::WIDTH`]-point chunks.
 ///
 /// # Errors
 ///
@@ -241,29 +240,16 @@ pub fn sweep_compiled(
         }
     }
 
-    // Batched bytecode kernel when the program covers the sweep exactly;
-    // otherwise per-point incremental replay. Both are bit-for-bit the
-    // scalar reference per point, so the choice is invisible downstream.
-    let results: Vec<Result<SheetReport, EvaluateSheetError>> =
-        match plan.batch_kernel(&override_plan) {
-            Some(kernel) => {
-                let chunks: Vec<&[f64]> = unique.chunks(BatchKernel::WIDTH).collect();
-                parallel_map_with(
-                    &chunks,
-                    || (),
-                    |(), chunk| {
-                        let points: Vec<[f64; 1]> = chunk.iter().map(|&v| [v]).collect();
-                        kernel.replay_chunk(&points)
-                    },
-                )
-                .into_iter()
-                .flatten()
-                .collect()
-            }
-            None => parallel_map_with(&unique, ReplayState::new, |state, &value| {
-                plan.replay_delta_with_plan(&override_plan, state, &[value])
-            }),
-        };
+    // Bit-for-bit the scalar reference per point.
+    let kernel = plan.batch_kernel(&override_plan);
+    let chunks: Vec<&[f64]> = unique.chunks(BatchKernel::WIDTH).collect();
+    let results: Vec<Result<SheetReport, EvaluateSheetError>> = parallel_map(&chunks, |chunk| {
+        let points: Vec<[f64; 1]> = chunk.iter().map(|&v| [v]).collect();
+        kernel.replay_chunk(&points)
+    })
+    .into_iter()
+    .flatten()
+    .collect();
     if unique.len() == values.len() {
         // No duplicates: hand the reports over without cloning.
         return values
@@ -310,7 +296,8 @@ pub fn sweep_global_serial(
 ///
 /// Sorted by descending magnitude — the "where should effort go" view
 /// that the paper motivates ("identify both the major power consumers
-/// and the point of diminishing returns").
+/// and the point of diminishing returns"). NaN sensitivities (a design
+/// whose power overflows) sort last.
 ///
 /// Globals whose value is zero are skipped (no relative perturbation
 /// exists).
@@ -365,7 +352,7 @@ pub fn sensitivities_compiled(
     let mut out = results
         .into_iter()
         .collect::<Result<Vec<_>, EvaluateSheetError>>()?;
-    out.sort_by(|a, b| b.1.abs().partial_cmp(&a.1.abs()).expect("finite"));
+    out.sort_by(|a, b| nan_last(-a.1.abs(), -b.1.abs()));
     Ok(out)
 }
 
@@ -483,7 +470,7 @@ pub fn voltage_scaling_gain(
 /// Summary statistics of a Monte-Carlo power study.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonteCarloSummary {
-    /// Sampled totals, sorted ascending.
+    /// Sampled totals, sorted ascending (NaN totals last).
     pub samples: Vec<f64>,
 }
 
@@ -569,25 +556,22 @@ pub fn monte_carlo(
                 .collect()
         })
         .collect();
-    let results: Vec<Result<f64, EvaluateSheetError>> = match plan.batch_kernel(&override_plan) {
-        Some(kernel) => {
-            let chunks: Vec<&[Vec<f64>]> = trial_values.chunks(BatchKernel::WIDTH).collect();
-            parallel_map_with(&chunks, || (), |(), chunk| kernel.replay_chunk(chunk))
-                .into_iter()
-                .flatten()
-                .map(|r| r.map(|report| report.total_power().value()))
-                .collect()
-        }
-        None => parallel_map_with(&trial_values, ReplayState::new, |state, trial| {
-            plan.replay_delta_with_plan(&override_plan, state, trial)
-                .map(|r| r.total_power().value())
-        }),
-    };
-    let mut samples = results
+    let kernel = plan.batch_kernel(&override_plan);
+    let chunks: Vec<&[Vec<f64>]> = trial_values.chunks(BatchKernel::WIDTH).collect();
+    let mut samples = parallel_map(&chunks, |chunk| kernel.replay_chunk(chunk))
         .into_iter()
+        .flatten()
+        .map(|r| r.map(|report| report.total_power().value()))
         .collect::<Result<Vec<_>, EvaluateSheetError>>()?;
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite powers"));
+    samples.sort_by(|a, b| nan_last(*a, *b));
     Ok(MonteCarloSummary { samples })
+}
+
+/// Orders numbers by [`f64::total_cmp`] and every NaN after them,
+/// whatever its sign: an overflowing design yields NaN powers, which
+/// must not panic a sort.
+fn nan_last(a: f64, b: f64) -> std::cmp::Ordering {
+    a.is_nan().cmp(&b.is_nan()).then(a.total_cmp(&b))
 }
 
 #[cfg(test)]

@@ -4,7 +4,9 @@
 use powerplay_expr::Scope;
 use powerplay_library::builtin::ucb_library;
 use powerplay_library::Registry;
-use powerplay_sheet::{CompiledSheet, DeltaOutcome, ReplayState, Row, RowModel, Sheet};
+use powerplay_sheet::{
+    BatchKernel, CompiledSheet, DeltaOutcome, ReplayState, Row, RowKindView, RowModel, Sheet,
+};
 use proptest::prelude::*;
 
 /// A random small design over a handful of builtin elements, with
@@ -144,7 +146,11 @@ proptest! {
         for row in bare.rows_mut() {
             stripped.add_row(row.clone());
         }
-        let direct = stripped.play_in(&library, &scope).unwrap().total_power().value();
+        let direct = CompiledSheet::compile(&stripped, &library)
+            .play_with(&[("vdd", vdd), ("f", f)])
+            .unwrap()
+            .total_power()
+            .value();
         let via_macro = lumped.evaluate(&scope).unwrap().power.value();
         prop_assert!(
             (direct - via_macro).abs() <= 1e-9 * direct.max(1e-12),
@@ -306,9 +312,9 @@ proptest! {
     /// as the tree walker reports it: unknown variables, wrong arity,
     /// unknown functions, non-finite physical values, circular row
     /// powers, and errors buried inside sub-sheets. Overriding `ghost`
-    /// can *resolve* the unknown-variable defects — the dispatch must
-    /// then fall back to the tree walker, and both paths must agree on
-    /// the now-successful report as well.
+    /// appends a global that *resolves* the unknown-variable defects —
+    /// the program lowered for that name set must then agree with the
+    /// tree walker on the now-successful report as well.
     #[test]
     fn bytecode_errors_match_tree_walker(
         sheet in arb_sheet(),
@@ -404,18 +410,49 @@ proptest! {
     }
 
     /// The batched sweep kernel answers every point bit-for-bit as the
-    /// tree walker would, end to end through the what-if pipeline.
+    /// tree walker would — reports and errors — chunk by chunk and end
+    /// to end through the what-if pipeline. Sweeps run over a declared
+    /// global (`vdd`) and over appended names (`ghost`, which resolves
+    /// the unknown-variable defects, and the unreferenced `x_new`), on
+    /// sound sheets and on every defect class above.
     #[test]
     fn batched_sweep_matches_tree_walker_per_point(
         sheet in arb_sheet(),
-        values in prop::collection::vec(0.9f64..4.0, 1..20),
+        defect in 0u32..10,
+        name in prop_oneof![
+            Just("vdd".to_owned()),
+            Just("ghost".to_owned()),
+            Just("x_new".to_owned()),
+        ],
+        values in prop::collection::vec(0.5f64..4.0, 1..20),
     ) {
         let library = lib();
-        let plan = CompiledSheet::compile(&sheet, &library);
-        let curve = powerplay_sheet::whatif::sweep_compiled(&plan, "vdd", &values).unwrap();
-        for (value, report) in curve {
-            prop_assert_eq!(Ok(report), plan.play_with_tree(&[("vdd", value)]));
-        }
+        let plan = CompiledSheet::compile(&with_defect(sheet, defect), &library);
+        let tree: Vec<_> = values
+            .iter()
+            .map(|&v| plan.play_with_tree(&[(name.as_str(), v)]))
+            .collect();
+
+        let override_plan = plan.override_plan(&[name.as_str()]);
+        let kernel = plan.batch_kernel(&override_plan);
+        let points: Vec<[f64; 1]> = values.iter().map(|&v| [v]).collect();
+        let batched: Vec<_> = points
+            .chunks(BatchKernel::WIDTH)
+            .flat_map(|chunk| kernel.replay_chunk(chunk))
+            .collect();
+        prop_assert_eq!(&batched, &tree);
+
+        // The sweep answers every report, or the first error in input
+        // order.
+        let expected: Result<Vec<_>, _> = values
+            .iter()
+            .zip(tree)
+            .map(|(&v, played)| played.map(|report| (v, report)))
+            .collect();
+        prop_assert_eq!(
+            powerplay_sheet::whatif::sweep_compiled(&plan, &name, &values),
+            expected
+        );
     }
 
     /// Doubling the global rate doubles dynamic power for rate-derived
@@ -429,6 +466,68 @@ proptest! {
         let doubled = faster.play(&lib()).unwrap().total_power().value();
         prop_assert!((doubled / base - 2.0).abs() < 1e-9);
     }
+}
+
+/// `sheet` with one injected defect (0: none): every class the parity
+/// tests above inject, global, structural and value-level.
+fn with_defect(sheet: Sheet, defect: u32) -> Sheet {
+    let mut broken = sheet;
+    match defect {
+        0 => {}
+        1 => {
+            broken.set_global("a", "b + 1").unwrap();
+            broken.set_global("b", "a * 2").unwrap();
+        }
+        2 => {
+            broken
+                .add_element_row("Ghost", "nowhere/nothing", [])
+                .unwrap();
+        }
+        3 => {
+            broken
+                .add_element_row("Twin Row", "ucb/register", [])
+                .unwrap();
+            broken
+                .add_element_row("twin-row", "ucb/register", [])
+                .unwrap();
+        }
+        4 => {
+            broken
+                .add_element_row("Loop A", "ucb/dcdc", [("p_load", "P_loop_b")])
+                .unwrap();
+            broken
+                .add_element_row("Loop B", "ucb/dcdc", [("p_load", "P_loop_a")])
+                .unwrap();
+        }
+        5 => {
+            broken
+                .add_element_row("Ghost Var", "ucb/register", [("bits", "ghost * 2")])
+                .unwrap();
+        }
+        6 => {
+            broken
+                .add_element_row("Bad Arity", "ucb/register", [("bits", "min(4)")])
+                .unwrap();
+        }
+        7 => {
+            broken
+                .add_element_row("Bad Func", "ucb/register", [("bits", "mystery(4)")])
+                .unwrap();
+        }
+        8 => {
+            broken
+                .add_element_row("Bad Wire", "ucb/wire", [("length_mm", "-5")])
+                .unwrap();
+        }
+        _ => {
+            let mut inner = Sheet::new("inner");
+            inner
+                .add_element_row("Deep Ghost", "ucb/register", [("bits", "ghost + 1")])
+                .unwrap();
+            broken.add_subsheet_row("Subsystem", inner);
+        }
+    }
+    broken
 }
 
 /// A three-row sheet where the `duty` global feeds exactly one row,
@@ -512,4 +611,57 @@ fn replay_state_survives_plan_swap() {
     let fresh = plan_b.replay_delta(&mut state, &[]).unwrap();
     assert_eq!(state.last_outcome(), DeltaOutcome::Full);
     assert_eq!(Ok(fresh), plan_b.play());
+}
+
+#[test]
+fn replay_after_a_failed_walk_is_full() {
+    let library = lib();
+    let plan = CompiledSheet::compile(&chained_sheet(), &library);
+    let mut state = ReplayState::new();
+    plan.replay_delta(&mut state, &[]).unwrap();
+
+    // A negative `duty` drives Amp's load non-physical: the targeted walk
+    // traps after writing registers, so the image is no baseline.
+    let failed = plan.replay_delta(&mut state, &[("duty", -1.0)]);
+    assert!(failed.is_err());
+    assert_eq!(failed, plan.play_with(&[("duty", -1.0)]));
+
+    let next = plan.replay_delta(&mut state, &[("duty", 0.8)]).unwrap();
+    assert_eq!(state.last_outcome(), DeltaOutcome::Full);
+    assert_eq!(Ok(next), plan.play_with(&[("duty", 0.8)]));
+}
+
+#[test]
+fn sub_sheet_plan_plays_through_its_own_program() {
+    let library = lib();
+    let mut inner = Sheet::new("inner");
+    inner.set_global_value("scale", 2.0);
+    inner
+        .add_element_row(
+            "Core",
+            "ucb/multiplier",
+            [("bw_a", "8"), ("bw_b", "scale * 4")],
+        )
+        .unwrap();
+    let mut outer = chained_sheet();
+    outer.add_subsheet_row("Sub", inner);
+    let plan = CompiledSheet::compile(&outer, &library);
+    let rows = plan.rows_view().unwrap();
+    let sub = rows
+        .iter()
+        .find_map(|row| match row.kind() {
+            RowKindView::SubSheet(sub) => Some(sub),
+            _ => None,
+        })
+        .expect("a sub-sheet row");
+
+    // On its own the sub-sheet has no operating point (an error), and
+    // with one appended it plays; both through programs it lowers on
+    // demand, both as the tree walker answers.
+    assert!(sub.play().is_err());
+    assert_eq!(sub.play(), sub.play_with_tree(&[]));
+    let point = [("vdd", 1.5), ("f", 2e6)];
+    assert!(sub.play_with(&point).is_ok());
+    assert_eq!(sub.play_with(&point), sub.play_with_tree(&point));
+    assert!(sub.disassemble().starts_with("program:"));
 }

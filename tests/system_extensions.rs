@@ -5,7 +5,7 @@
 
 use powerplay::designs::infopad;
 use powerplay::designs::luminance::{sheet, LuminanceArch};
-use powerplay::{whatif, PowerPlay};
+use powerplay::{whatif, PowerPlay, Sheet};
 use powerplay_models::battery::Battery;
 use powerplay_models::scaling::{DelayScaling, ParallelismTradeoff};
 use powerplay_units::{Capacitance, Frequency, Time, Voltage};
@@ -155,4 +155,41 @@ fn battery_power_budget_is_reachable_by_design_changes() {
     let (p_panel, power) = candidate.expect("some display setting meets the budget");
     assert!(p_panel < 2.23);
     assert!(power <= budget);
+}
+
+/// One register row at an absurd supply: its switched energy overflows
+/// to infinity, so the play succeeds with a non-finite total.
+fn overflowing_register(f: &str) -> Sheet {
+    let mut sheet = Sheet::new("overflow");
+    sheet.set_global("vdd", "1e200").unwrap();
+    sheet.set_global("f", f).unwrap();
+    sheet
+        .add_element_row("Reg", "ucb/register", [("bits", "16")])
+        .unwrap();
+    sheet
+}
+
+#[test]
+fn sensitivities_of_an_infinite_total_do_not_panic() {
+    let pp = PowerPlay::new();
+    let sheet = overflowing_register("2MHz");
+    let total = pp.play(&sheet).unwrap().total_power().value();
+    assert_eq!(total, f64::INFINITY);
+    // inf - inf: both sensitivities are NaN, and ranking them must not
+    // panic.
+    let sens = whatif::sensitivities(&sheet, pp.registry()).unwrap();
+    assert_eq!(sens.len(), 2);
+    assert!(sens.iter().all(|(_, s)| s.is_nan()), "{sens:?}");
+}
+
+#[test]
+fn monte_carlo_over_nan_totals_does_not_panic() {
+    let pp = PowerPlay::new();
+    let sheet = overflowing_register("0");
+    // Infinite energy at zero rate: every total is NaN.
+    let total = pp.play(&sheet).unwrap().total_power().value();
+    assert!(total.is_nan());
+    let mc = whatif::monte_carlo(&sheet, pp.registry(), &["vdd"], 0.1, 16, 7).unwrap();
+    assert_eq!(mc.samples.len(), 16);
+    assert!(mc.samples.iter().all(|p| p.is_nan()));
 }
