@@ -54,10 +54,21 @@ impl Registry {
             .insert(element.name().to_owned(), Arc::new(element))
     }
 
+    /// Removes the element at `name` and returns it. A removal bumps the
+    /// generation, so plans compiled against the element recompile.
+    pub fn remove(&mut self, name: &str) -> Option<Arc<LibraryElement>> {
+        let removed = self.elements.remove(name);
+        if removed.is_some() {
+            self.generation += 1;
+        }
+        removed
+    }
+
     /// A version tag that changes on every mutation of this registry
-    /// value ([`Self::insert`] / [`Self::merge`]). Two generations being
-    /// equal means the contents have not changed since; the converse
-    /// does not hold (a replaced-then-restored element still bumps it).
+    /// value ([`Self::insert`] / [`Self::remove`] / [`Self::merge`]).
+    /// Two generations being equal means the contents have not changed
+    /// since; the converse does not hold (a replaced-then-restored
+    /// element still bumps it).
     pub fn generation(&self) -> u64 {
         self.generation
     }

@@ -335,8 +335,8 @@ impl CompiledSheet {
 
     /// Like [`CompiledSheet::play_with`] but through the scope-chain tree
     /// walker instead of the register program — the reference oracle the
-    /// parity test suite (and the throughput benches) compare the
-    /// program against.
+    /// parity test suite (and its timing gate) compare the program
+    /// against.
     ///
     /// # Errors
     ///

@@ -18,9 +18,8 @@
 //! Identical sweep points are deduplicated before dispatch and answered
 //! from the first evaluation. Results are returned in input order and,
 //! per point, are bit-identical to the serial reference implementations
-//! (kept as `*_serial` for benchmarking and as oracles); on failure the
-//! error reported is the one the earliest point in input order
-//! produced.
+//! (kept as `*_serial` oracles); on failure the error reported is the
+//! one the earliest point in input order produced.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -270,8 +269,7 @@ pub fn sweep_compiled(
 
 /// Serial reference implementation of [`sweep_global`]: clone the sheet,
 /// mutate the global, re-play — once per value. Kept as the oracle the
-/// parallel path is tested against and as the baseline the benchmarks
-/// compare compiled replay to.
+/// parallel path is tested against.
 ///
 /// # Errors
 ///

@@ -2,7 +2,7 @@
 //!
 //! The paper's pitch is *instant* what-if recomputation served over the
 //! web; serving that at scale is impossible to tune or trust without
-//! numbers from the live serving path, not just offline criterion runs.
+//! numbers from the live serving path, not just offline benchmark runs.
 //! This crate is the plumbing every other layer reports through:
 //!
 //! * [`Counter`], [`Gauge`], [`Histogram`] — lock-free instruments.
@@ -18,9 +18,8 @@
 //!   capture is active a span is one thread-local flag read; under
 //!   [`profile::capture`] it records wall time into a [`profile::ProfileNode`]
 //!   tree (the CLI's `profile` verb prints it).
-//! * [`TelemetrySnapshot`] — a point-in-time JSON export of every
-//!   registered series (histograms summarized by count/sum/quantiles),
-//!   which benches write into `BENCH_serving.json`.
+//! * [`TelemetrySnapshot`] — a point-in-time copy of every registered
+//!   series, with bucket-bound quantile estimates for histograms.
 //! * [`Registry::prometheus`] — the text exposition format
 //!   (version 0.0.4) behind the web app's `GET /metrics`.
 //!

@@ -1,6 +1,4 @@
-//! Point-in-time JSON exports of the registry.
-
-use powerplay_json::Json;
+//! Point-in-time copies of the registry.
 
 /// Everything one series of a histogram knew at snapshot time.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,29 +34,9 @@ impl HistogramSnapshot {
             .find(|(_, cumulative)| *cumulative >= rank)
             .map(|(le, _)| *le)
     }
-
-    fn to_json(&self) -> Json {
-        let mut members = vec![
-            ("name", Json::from(self.name.as_str())),
-            ("count", Json::from(self.count as f64)),
-            ("sum_seconds", Json::from(self.sum_seconds)),
-        ];
-        for (key, q) in [
-            ("p50_seconds", 0.5),
-            ("p90_seconds", 0.9),
-            ("p99_seconds", 0.99),
-        ] {
-            if let Some(v) = self.quantile_seconds(q).filter(|v| v.is_finite()) {
-                members.push((key, Json::from(v)));
-            }
-        }
-        Json::object(members)
-    }
 }
 
-/// A point-in-time export of every registered series, JSON-serializable
-/// — the payload benches write into `BENCH_serving.json` so serving-path
-/// numbers can be diffed across commits.
+/// A point-in-time copy of every registered series.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySnapshot {
     /// `(series name, value)`.
@@ -86,37 +64,6 @@ impl TelemetrySnapshot {
     /// Looks a histogram up by its rendered series name.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.iter().find(|h| h.name == name)
-    }
-
-    /// The snapshot as JSON: counters and gauges verbatim, histograms
-    /// summarized by count/sum/quantile estimates (full bucket detail
-    /// stays on the `/metrics` exposition, where a scraper wants it).
-    pub fn to_json(&self) -> Json {
-        Json::object([
-            (
-                "counters",
-                Json::object(
-                    self.counters
-                        .iter()
-                        .map(|(name, v)| (name.as_str(), Json::from(*v as f64))),
-                ),
-            ),
-            (
-                "gauges",
-                Json::object(
-                    self.gauges
-                        .iter()
-                        .map(|(name, v)| (name.as_str(), Json::from(*v as f64))),
-                ),
-            ),
-            (
-                "histograms",
-                self.histograms
-                    .iter()
-                    .map(HistogramSnapshot::to_json)
-                    .collect(),
-            ),
-        ])
     }
 }
 
@@ -154,21 +101,5 @@ mod tests {
                 .quantile_seconds(0.5),
             None
         );
-    }
-
-    #[test]
-    fn snapshot_json_shape() {
-        let _on = ENABLED_TEST_LOCK.read().unwrap();
-        let r = Registry::new();
-        r.counter("a_total", "a").add(2);
-        r.gauge("b", "b").set(3);
-        r.histogram("c_seconds", "c").observe_ns(1000);
-        let json = r.snapshot().to_json();
-        assert_eq!(json["counters"]["a_total"].as_f64(), Some(2.0));
-        assert_eq!(json["gauges"]["b"].as_f64(), Some(3.0));
-        assert_eq!(json["histograms"][0]["count"].as_f64(), Some(1.0));
-        // Round-trips through the JSON parser.
-        let text = json.to_string();
-        assert!(powerplay_json::Json::parse(&text).is_ok(), "{text}");
     }
 }

@@ -31,6 +31,7 @@
 //! (lint reports for evaluation failures, `expected`/`actual` revisions
 //! for conflicts).
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use powerplay_json::Json;
@@ -1071,7 +1072,12 @@ fn library_get(app: &PowerPlayApp, name: &str) -> Result<Response, Response> {
 /// the real-world front door: parse, lower every cell to an EQ-1
 /// element, persist the import as a revisioned document under the
 /// reserved `_libraries` shard, and register the elements (which bumps
-/// the registry generation, invalidating cached plans). The diagnostic
+/// the registry generation, invalidating cached plans). A re-import
+/// replaces the previous one: elements its manifest listed that the
+/// new import lacks leave the registry, as they would on restart. (A
+/// library named after a builtin namespace such as `ucb` is not
+/// handled: dropping a cell that shadowed a builtin removes the cell
+/// live, while a restart brings the builtin back.) The diagnostic
 /// report rides along in the success body; E017 failures answer 400
 /// with the report in `diagnostics`.
 fn libraries_post(app: &PowerPlayApp, req: &Request) -> Result<Response, Response> {
@@ -1108,6 +1114,10 @@ fn libraries_post(app: &PowerPlayApp, req: &Request) -> Result<Response, Respons
     ]);
     // Re-importing the same library name supersedes the previous
     // import as a new document revision (history stays append-only).
+    let previous = app
+        .store
+        .load_doc(LIBRARY_SHARD, &doc_name)
+        .map_err(store_error)?;
     let rev = app
         .store
         .save_doc(LIBRARY_SHARD, &doc_name, &manifest, None)
@@ -1119,6 +1129,18 @@ fn libraries_post(app: &PowerPlayApp, req: &Request) -> Result<Response, Respons
         .collect();
     {
         let mut registry = app.registry.write();
+        if let Some((_, previous)) = previous {
+            let kept: HashSet<&str> = import.elements.iter().map(|e| e.name()).collect();
+            let dropped = previous["elements"]
+                .as_array()
+                .unwrap_or_default()
+                .iter()
+                .filter_map(|e| e["name"].as_str())
+                .filter(|name| !kept.contains(name));
+            for name in dropped {
+                registry.remove(name);
+            }
+        }
         for element in import.elements {
             registry.insert(element);
         }

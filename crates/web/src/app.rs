@@ -330,7 +330,7 @@ impl PowerPlayApp {
 
     /// Like [`Self::serve`] but with explicit reactor/pool sizing —
     /// worker count, shed thresholds, deadlines — for deployments and
-    /// the load bench.
+    /// the load test.
     ///
     /// # Errors
     ///

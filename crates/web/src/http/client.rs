@@ -224,7 +224,7 @@ fn split_url(url: &str) -> Result<(String, &str), ClientError> {
 
 /// Reads one HTTP/1.1 response off `reader` — status line, headers,
 /// then a `Content-Length` body (or read-to-EOF without one). Public so
-/// raw-socket tests and the load bench can parse responses without
+/// raw-socket tests and the load test can parse responses without
 /// hand-rolled readers.
 ///
 /// # Errors

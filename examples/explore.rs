@@ -1,11 +1,13 @@
 //! Design-space exploration: supply sweeps, timing-constrained voltage
-//! scaling, macro lumping and re-use — the "spreadsheet playground"
-//! workflows of the paper, driven programmatically.
+//! scaling, architecture-driven voltage scaling by parallelism, macro
+//! lumping and re-use — the "spreadsheet playground" workflows of the
+//! paper, driven programmatically.
 //!
 //! Run with: `cargo run --example explore`
 
 use powerplay::designs::luminance::{self, LuminanceArch};
-use powerplay::{whatif, PowerPlay, Row, RowModel, Sheet, Voltage};
+use powerplay::{whatif, Capacitance, Frequency, PowerPlay, Row, RowModel, Sheet, Voltage};
+use powerplay_models::scaling::{DelayScaling, ParallelismTradeoff};
 
 fn bar(width_units: f64) -> String {
     "#".repeat(width_units.round().max(0.0) as usize)
@@ -43,6 +45,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nsensitivities (relative):");
     for (name, s) in whatif::sensitivities(&decoder, pp.registry())? {
         println!("  {name:<6} {s:+.3}");
+    }
+
+    // --- Parallelism at fixed throughput: replicate the decoder
+    // datapath, relax each unit's timing, drop the supply.
+    let trade = ParallelismTradeoff {
+        delay: DelayScaling::cmos_1_2um(),
+        cap_per_op: Capacitance::new(pp.play(&decoder)?.total_power().value() / (1.5 * 1.5 * 2e6)),
+        overhead_per_way: 0.25,
+        vdd_max: Voltage::new(5.0),
+    };
+    for (label, f) in [
+        ("2 MHz (paper rate)", 2e6),
+        ("32 MHz (4x-res display)", 32e6),
+    ] {
+        let f = Frequency::new(f);
+        println!("\npower vs parallelism at {label}:");
+        println!("{:>3} {:>10} {:>14}", "N", "vdd", "power");
+        for n in 1..=8u32 {
+            match (trade.supply_for(n, f), trade.power_at(n, f)) {
+                (Some(vdd), Some(p)) => {
+                    println!("{n:>3} {:>9.2}V {:>14}", vdd.value(), p.to_string())
+                }
+                _ => println!("{n:>3} {:>10} {:>14}", "-", "infeasible"),
+            }
+        }
+        if let Some((n, p)) = trade.optimal(8, f) {
+            println!("optimum: N = {n} at {p}");
+        }
     }
 
     // --- Macro lumping and re-use: four decoder channels in a new system.

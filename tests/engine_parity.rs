@@ -3,9 +3,17 @@
 //! shipped design each of them must equal the scope-chain tree walker
 //! (`CompiledSheet::play_with_tree`), the oracle, bit for bit. The
 //! analyzer must order globals exactly as the engine does, so both
-//! report the same error first.
+//! report the same error first, and a bound-pruned sweep must play
+//! exactly what an unconstrained sweep plays.
+//!
+//! The ignored test is a timing gate, meaningful only in release:
+//! `cargo test --release --test engine_parity -- --ignored`.
 
-use powerplay_analysis::{analyze_with_ranges, Interval};
+use std::time::{Duration, Instant};
+
+use powerplay_analysis::{
+    analyze_with_ranges, sweep_constrained, Interval, PointOutcome, PowerConstraint,
+};
 use powerplay_json::Json;
 use powerplay_library::builtin::ucb_library;
 use powerplay_sheet::{whatif, CompiledSheet, ReplayState, Sheet};
@@ -35,7 +43,7 @@ fn play_matches_the_tree_walker() {
 
 #[test]
 fn vdd_sweep_matches_the_tree_walker_per_point() {
-    let values: Vec<f64> = (0..16).map(|i| 0.9 + 0.16 * f64::from(i)).collect();
+    let values: Vec<f64> = (0..64).map(|i| 1.0 + 0.05 * f64::from(i)).collect();
     for name in DESIGNS {
         let plan = load_plan(name);
         let curve = whatif::sweep_compiled(&plan, "vdd", &values)
@@ -115,4 +123,77 @@ fn analyzer_reports_the_global_error_a_play_reports() {
     let analyzed =
         analyze_with_ranges(&plan, &[("d".to_owned(), Interval::new(0.5, 2.0))]).unwrap_err();
     assert_eq!(analyzed, played);
+}
+
+#[test]
+fn constrained_sweep_prunes_soundly_and_plays_bit_identically() {
+    // 64 supply points under a budget that keeps only the decoder's
+    // low-power half, so the analyzer can prove the upper segments out
+    // without replaying them.
+    let plan = load_plan("luminance_grouped_lut");
+    let points: Vec<f64> = (0..64).map(|i| 1.0 + 0.036 * f64::from(i)).collect();
+    let budget = plan.play_with(&[("vdd", 2.0)]).unwrap().total_power();
+    let constraint = PowerConstraint::at_most(budget.value());
+
+    let sweep = sweep_constrained(&plan, "vdd", &points, &constraint).unwrap();
+    let full = whatif::sweep_compiled(&plan, "vdd", &points).unwrap();
+    assert_eq!(sweep.outcomes.len(), full.len());
+    assert!(
+        sweep.pruned * 10 >= points.len(),
+        "expected >= 10% of {} points pruned, got {}",
+        points.len(),
+        sweep.pruned
+    );
+    for ((value, outcome), (full_value, full_report)) in sweep.outcomes.iter().zip(&full) {
+        assert_eq!(value, full_value);
+        let concrete = full_report.total_power().value();
+        match outcome {
+            PointOutcome::Played(report) => assert_eq!(report, full_report, "vdd = {value}"),
+            PointOutcome::Pruned(proof) => {
+                assert!(
+                    !constraint.admits(concrete),
+                    "pruned vdd = {value} admits {concrete} W"
+                );
+                assert!(
+                    proof.contains(concrete),
+                    "proof {proof:?} misses {concrete} W at vdd = {value}"
+                );
+            }
+        }
+    }
+}
+
+/// Calls `play` in a loop for 300 ms, after a 30 ms warm-up, and
+/// returns calls per second.
+fn plays_per_sec(mut play: impl FnMut()) -> f64 {
+    let budget = Duration::from_millis(300);
+    let warmup = Instant::now();
+    while warmup.elapsed() < budget / 10 {
+        play();
+    }
+    let start = Instant::now();
+    let mut plays = 0u32;
+    while start.elapsed() < budget {
+        play();
+        plays += 1;
+    }
+    f64::from(plays) / start.elapsed().as_secs_f64()
+}
+
+#[test]
+#[ignore = "timing gate; run in release with --ignored"]
+fn bytecode_plays_at_least_as_fast_as_the_tree_walker() {
+    let plan = load_plan("infopad");
+    let overrides = [("vdd", 1.1)];
+    let tree = plays_per_sec(|| {
+        std::hint::black_box(plan.play_with_tree(&overrides).unwrap().total_power());
+    });
+    let bytecode = plays_per_sec(|| {
+        std::hint::black_box(plan.play_with(&overrides).unwrap().total_power());
+    });
+    println!("InfoPad plays/s: tree walk {tree:.0}, bytecode {bytecode:.0}");
+    assert!(
+        bytecode >= tree,
+        "bytecode replay ({bytecode:.0}/s) slower than the tree walker ({tree:.0}/s)"
+    );
 }

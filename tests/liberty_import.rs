@@ -1,15 +1,52 @@
 //! End-to-end Liberty ingestion: the gscl45nm-style fixture imports,
 //! every cell maps (or is skipped with a specific W119), the imported
-//! elements drive a design through `play` and `analyze`, and the CLI
-//! honours the lint/analyze exit-code contract.
+//! elements drive a design through `play` and `analyze`, the CLI
+//! honours the lint/analyze exit-code contract, malformed sources from
+//! the wild keep their diagnostics, and a re-import over the v1 API
+//! leaves the same registry live as a restart does.
 
 use std::process::Command;
 
-use powerplay::{PowerPlay, Sheet};
+use powerplay::{ucb_library, PowerPlay, Sheet};
 use powerplay_json::Json;
 use powerplay_lint::codes;
+use powerplay_web::app::PowerPlayApp;
+use powerplay_web::http::{Method, Request, Response, Status};
 
 const FIXTURE: &str = include_str!("fixtures/gscl45nm_mini.lib");
+
+// Two malformed sources from liberty-db's demo, verbatim: a stray `*`
+// after the library group, and a library preceded only by comments.
+const TEMPLATE_ERR1: &str = r#"
+    library (/home/jzzhou/project/liberate_demo/LIBRARY/debug_liberate_INV0_hspice) {
+    comment : "www";
+    }
+    *"#;
+const TEMPLATE_ERR2: &str = r#"/*
+SPDX-FileCopyrightText: 2022 Thomas Kramer <code@tkramer.ch>
+SPDX-FileCopyrightText: 2011 W. Rhett Davis, and Harun Demircioglu, North Carolina State University
+SPDX-FileCopyrightText: 2008 W. Rhett Davis, Michael Bucher, and Sunil Basavarajaiah, North Carolina State University (ncsu_basekit subtree), James Stine, and Ivan Castellanos, and Oklahoma State University (osu_soc subtree)
+
+
+SPDX-FileCopyrightText: 2007 W. Rhett Davis, Paul Franzon, Michael Bucher, and Sunil Basavarajaiah, North Carolina State University
+
+SPDX-License-Identifier: Apache-2.0
+*/
+
+/*
+    Test liberty file for the liberty parser.
+    This is copied from the FreePDK45 but stripped down to save space.
+*/
+        
+/*
+    delay model :       typ
+    check model :       typ
+    power model :       typ
+    capacitance model : typ
+    other model :       typ
+*/
+library(gscl45nm) {}
+    "#;
 
 fn fixture_path(name: &str) -> String {
     format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"))
@@ -171,4 +208,114 @@ fn cli_import_lib_fails_with_e017_on_broken_source() {
         .output()
         .expect("binary runs");
     assert_eq!(usage.status.code(), Some(2));
+}
+
+/// Imports `source` through the CLI from a temporary file and returns
+/// its exit code.
+fn cli_import_exit_code(tag: &str, source: &str) -> Option<i32> {
+    let path = std::env::temp_dir().join(format!("powerplay-{tag}-{}.lib", std::process::id()));
+    std::fs::write(&path, source).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_powerplay-cli"))
+        .args(["import-lib", path.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let _ = std::fs::remove_file(&path);
+    out.status.code()
+}
+
+#[test]
+fn stray_token_after_the_library_group_is_a_positioned_e017() {
+    let import = powerplay_liberty::import_str(TEMPLATE_ERR1, "err1.lib");
+    let diags = import.report.diagnostics();
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(diags[0].code, codes::UNPARSABLE_LIBRARY);
+    assert_eq!(diags[0].path, "err1.lib:5:5");
+    assert!(
+        diags[0]
+            .message
+            .ends_with("expected end of input after top-level group, found `*`"),
+        "{}",
+        diags[0].message
+    );
+    assert_eq!(import.cells_parsed, 0);
+    assert_eq!(cli_import_exit_code("err1", TEMPLATE_ERR1), Some(1));
+}
+
+#[test]
+fn comment_only_preamble_imports_an_empty_library() {
+    let import = powerplay_liberty::import_str(TEMPLATE_ERR2, "err2.lib");
+    assert!(
+        import.report.diagnostics().is_empty(),
+        "{:?}",
+        import.report
+    );
+    assert_eq!(import.library, "gscl45nm");
+    assert_eq!(import.cells_parsed, 0);
+    assert!(import.elements.is_empty());
+    assert_eq!(cli_import_exit_code("err2", TEMPLATE_ERR2), Some(0));
+}
+
+/// Liberty source of library `re_demo` with one leakage-only cell per
+/// name.
+fn re_demo(cells: &[&str]) -> Vec<u8> {
+    let cells: String = cells
+        .iter()
+        .map(|cell| {
+            format!(
+                "    cell ({cell}) {{\n        cell_leakage_power : 1.0;\n        \
+                 pin (A) {{ direction : input; capacitance : 0.001; }}\n    }}\n"
+            )
+        })
+        .collect();
+    format!("library (re_demo) {{\n    leakage_power_unit : \"1nW\";\n{cells}}}\n").into_bytes()
+}
+
+#[test]
+fn reimport_that_drops_a_cell_unregisters_it_as_a_restart_does() {
+    let dir = std::env::temp_dir().join(format!("powerplay-reimport-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let import = |app: &PowerPlayApp, cells: &[&str]| {
+        let mut req = Request::new(Method::Post, "/api/v1/libraries");
+        req.set_body(re_demo(cells), "text/plain");
+        let created = app.handle(&req);
+        assert_eq!(created.status(), Status::Created, "{}", created.body_text());
+    };
+    let element = |app: &PowerPlayApp, cell: &str| -> Status {
+        let path = format!("/api/v1/elements/re_demo/{cell}");
+        app.handle(&Request::new(Method::Get, &path)).status()
+    };
+    let play = |app: &PowerPlayApp| -> Response {
+        let path = "/api/v1/designs/u/uses_invb/play";
+        app.handle(&Request::new(Method::Post, path))
+    };
+
+    let app = PowerPlayApp::new(ucb_library(), dir.clone());
+    let mut sheet = Sheet::new("uses_invb");
+    sheet.set_global("vdd", "1.1").unwrap();
+    sheet.set_global("f", "1e9").unwrap();
+    sheet.add_element_row("inv", "re_demo/INVB", []).unwrap();
+    app.store().save("u", "uses_invb", &sheet, None).unwrap();
+    import(&app, &["INVA", "INVB"]);
+    assert_eq!(element(&app, "INVB"), Status::Ok);
+    let played = play(&app);
+    assert_eq!(played.status(), Status::Ok, "{}", played.body_text());
+
+    // The re-import drops INVB: it must be gone now, not at restart.
+    import(&app, &["INVA"]);
+    assert_eq!(element(&app, "INVA"), Status::Ok);
+    assert_eq!(element(&app, "INVB"), Status::NotFound);
+    let live = play(&app);
+    assert_ne!(live.status(), Status::Ok, "{}", live.body_text());
+
+    drop(app);
+    let reopened = PowerPlayApp::new(ucb_library(), dir.clone());
+    assert_eq!(element(&reopened, "INVA"), Status::Ok);
+    assert_eq!(element(&reopened, "INVB"), Status::NotFound);
+    let restarted = play(&reopened);
+    assert_eq!(
+        (restarted.status(), restarted.body_text()),
+        (live.status(), live.body_text())
+    );
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
 }
