@@ -7,12 +7,12 @@
 //! play in the segment, and pruning only happens when the analysis
 //! also proves no play in the segment can fail (so the concrete
 //! sweep's error semantics are preserved). Surviving points go
-//! through [`whatif::sweep_compiled`] unchanged, so their reports are
+//! through [`whatif::sweep_compiled`] unchanged, so their totals are
 //! bit-identical to an unconstrained sweep's.
 
 use powerplay_library::Registry;
 use powerplay_sheet::{whatif, CompiledSheet, EvaluateSheetError, Sheet, SheetReport};
-use powerplay_units::Voltage;
+use powerplay_units::{Power, Voltage};
 
 use crate::analyzer::{analysis_metrics, analyze_with_ranges};
 use crate::bounds::SheetBounds;
@@ -80,9 +80,9 @@ pub enum PointOutcome {
     /// Skipped: the proven total-power interval for its segment lies
     /// outside the constraint.
     Pruned(Interval),
-    /// Replayed; the report is bit-identical to an unconstrained
-    /// sweep's at this value.
-    Played(SheetReport),
+    /// Replayed; the total is bit-identical to an unconstrained sweep's
+    /// at this value.
+    Played(Power),
 }
 
 /// The result of a constrained, bound-pruned sweep.
@@ -102,13 +102,11 @@ impl ConstrainedSweep {
     /// The played points that satisfy the constraint, in input order —
     /// the sweep's useful output.
     #[must_use]
-    pub fn admitted(&self, constraint: &PowerConstraint) -> Vec<(f64, &SheetReport)> {
+    pub fn admitted(&self, constraint: &PowerConstraint) -> Vec<(f64, Power)> {
         self.outcomes
             .iter()
             .filter_map(|(v, o)| match o {
-                PointOutcome::Played(r) if constraint.admits(r.total_power().value()) => {
-                    Some((*v, r))
-                }
+                PointOutcome::Played(p) if constraint.admits(p.value()) => Some((*v, *p)),
                 _ => None,
             })
             .collect()
@@ -211,15 +209,15 @@ pub fn sweep_constrained(
         metrics.prunes_total.inc();
     }
 
-    let mut reports = whatif::sweep_compiled(plan, global, &survivors)?.into_iter();
+    let mut totals = whatif::sweep_compiled(plan, global, &survivors)?.into_iter();
     let outcomes = values
         .iter()
         .zip(&keep)
         .enumerate()
         .map(|(i, (&v, &k))| {
             let outcome = if k {
-                let (_, report) = reports.next().expect("one report per survivor");
-                PointOutcome::Played(report)
+                let (_, total) = totals.next().expect("one total per survivor");
+                PointOutcome::Played(total)
             } else {
                 PointOutcome::Pruned(pruned_iv[i].expect("pruned points carry their proof"))
             };

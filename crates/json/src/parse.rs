@@ -52,6 +52,7 @@ impl Json {
     /// ```
     pub fn parse(input: &str) -> Result<Json, ParseJsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -66,6 +67,8 @@ impl Json {
 }
 
 struct Parser<'a> {
+    /// The input, for copying string runs as `&str` slices.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -224,13 +227,16 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.error("control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar.
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one go. Those bytes are ASCII, so
+                    // the run ends on a char boundary.
                     let start = self.pos;
-                    let rest = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let ch = rest.chars().next().expect("peek saw a byte");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += run;
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }

@@ -54,7 +54,7 @@ use powerplay_units::{Area, Energy, Power, Time};
 
 use crate::engine::EvaluateSheetError;
 use crate::plan::{CompiledRow, CompiledRowKind, CompiledSheet, RowsPlan};
-use crate::report::{RowReport, SheetReport};
+use crate::report::{fold_sum, RowReport, SheetReport, SUM_IDENTITY};
 
 /// Bytecode-engine metrics, registered once in the process-global
 /// registry. All three series register together on first use so a
@@ -811,11 +811,11 @@ impl Lowerer {
     }
 
     /// `total_power` / `total_area` folds in row declaration order — the
-    /// same `f64::sum` fold the report performs from 0.0 (`total_area`
+    /// same fold from [`SUM_IDENTITY`] the report performs (`total_area`
     /// only over rows that have one, `None` when no row does).
     fn lower_totals(&mut self, rows: &[RowRecipe]) -> (u32, Option<u32>) {
-        let zero = self.konst(0.0);
-        let mut power = zero;
+        let identity = self.konst(SUM_IDENTITY);
+        let mut power = identity;
         for rec in rows {
             let dst = self.reg("");
             self.emit(Instr::Bin {
@@ -830,7 +830,7 @@ impl Lowerer {
         let area = if with_area.is_empty() {
             None
         } else {
-            let mut acc = zero;
+            let mut acc = identity;
             for slot in with_area {
                 let dst = self.reg("");
                 self.emit(Instr::Bin {
@@ -1145,6 +1145,22 @@ impl Program {
         resolved: Vec<(String, f64)>,
         regs: &mut Vec<f64>,
     ) -> Result<SheetReport, EvaluateSheetError> {
+        self.run_full(&resolved, regs)?;
+        let rows = self
+            .recipes
+            .iter()
+            .map(|rec| build_row(rec, &|slot: u32| regs[slot as usize]))
+            .collect();
+        Ok(SheetReport::new(name, resolved, rows))
+    }
+
+    /// [`Program::replay_full`] without the report: leaves the register
+    /// image of the play in `regs`.
+    pub(crate) fn run_full(
+        &self,
+        resolved: &[(String, f64)],
+        regs: &mut Vec<f64>,
+    ) -> Result<(), EvaluateSheetError> {
         let metrics = bytecode_metrics();
         let _timer = metrics.replay_seconds.start_timer();
         crate::plan::plan_metrics()
@@ -1154,13 +1170,7 @@ impl Program {
         self.seed_globals(resolved.iter().map(|(_, v)| *v), regs);
         let run = self.exec(0, self.code.len() as u32, regs);
         metrics.instrs_total.add(self.code.len() as u64);
-        run.map_err(|hit| self.materialize(hit))?;
-        let rows = self
-            .recipes
-            .iter()
-            .map(|rec| build_row(rec, &|slot: u32| regs[slot as usize]))
-            .collect();
-        Ok(SheetReport::new(name, resolved, rows))
+        run.map_err(|hit| self.materialize(hit))
     }
 
     /// Rebuilds row `i`'s report from register values supplied by `get`
@@ -1168,6 +1178,13 @@ impl Program {
     /// batch kernel).
     pub(crate) fn build_row_report(&self, i: usize, get: &impl Fn(u32) -> f64) -> RowReport {
         build_row(&self.recipes[i], get)
+    }
+
+    /// The sheet's total power from register values supplied by `get`:
+    /// the top-level rows' power registers folded in declaration order,
+    /// bit for bit [`SheetReport::total_power`] of the same play.
+    pub(crate) fn total_power(&self, get: impl Fn(u32) -> f64) -> Power {
+        Power::new(fold_sum(self.recipes.iter().map(|rec| get(rec.power))))
     }
 
     /// Human-readable listing of the lowered program: register file

@@ -41,6 +41,7 @@ use std::sync::{Arc, OnceLock};
 use powerplay_expr::{Expr, Scope};
 use powerplay_library::{LibraryElement, Registry};
 use powerplay_telemetry::{profile, Counter, Histogram};
+use powerplay_units::Power;
 
 use crate::bytecode::{bytecode_metrics, Program, TrapHit};
 use crate::engine::{toposort, EvaluateSheetError};
@@ -822,8 +823,8 @@ pub enum DeltaOutcome {
 }
 
 /// Mutable baseline for [`CompiledSheet::replay_delta`]: the last
-/// successful report plus reusable scratch. One per worker; reuse across
-/// points of a sweep is what makes delta replay allocation-free on the
+/// successful report plus reusable scratch. One per study; reuse across
+/// its probes is what makes delta replay allocation-free on the
 /// clean-row path.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayState {
@@ -870,7 +871,8 @@ impl ReplayState {
 }
 
 /// A batched bytecode sweep kernel: evaluates up to
-/// [`BatchKernel::WIDTH`] override points per instruction-dispatch pass.
+/// [`BatchKernel::WIDTH`] override points per instruction-dispatch pass
+/// and answers each point's total power.
 ///
 /// Built once per sweep by [`CompiledSheet::batch_kernel`], it replays a
 /// baseline (un-overridden) play, then derives a *value-independent*
@@ -882,24 +884,23 @@ impl ReplayState {
 /// [`BatchKernel::replay_chunk`] call resolves globals per lane with the
 /// scalar path (which owns override graph repair and global error
 /// precedence), seeds a slot-major SoA register file, and executes only
-/// the dirty rows' code spans across all lanes at once. Clean rows reuse
-/// the baseline report verbatim — they cannot differ, because none of
-/// their watched inputs can change.
+/// the dirty rows' code spans across all lanes at once. Clean rows keep
+/// the baseline's registers — they cannot differ, because none of their
+/// watched inputs can change — so every top-level power register holds
+/// the point's value and a lane's total is their fold.
 ///
-/// Results are bit-for-bit those of [`CompiledSheet::play_with_plan`]
-/// per point, including which error surfaces first.
+/// Results are bit-for-bit `total_power` of
+/// [`CompiledSheet::play_with_plan`] per point, including which error
+/// surfaces first.
 pub struct BatchKernel<'a> {
     plan: &'a CompiledSheet,
     oplan: &'a OverridePlan,
-    /// Value-independent dirty superset over top-level rows.
-    dirty: Vec<bool>,
-    /// Plan-order traversal of the dirty rows.
+    /// Plan-order traversal of the value-independent dirty superset of
+    /// top-level rows.
     dirty_order: Vec<usize>,
     /// Register image every lane starts from: the baseline play's, or
     /// the program's initial image when there is no baseline.
     image: Vec<f64>,
-    /// The baseline play clean rows are copied from.
-    baseline: Option<SheetReport>,
 }
 
 impl CompiledSheet {
@@ -914,10 +915,8 @@ impl CompiledSheet {
         let mut kernel = BatchKernel {
             plan: self,
             oplan: plan,
-            dirty: Vec::new(),
             dirty_order: Vec::new(),
             image: Vec::new(),
-            baseline: None,
         };
         // Without rows every lane fails in `prepare`, and nothing runs.
         let Ok(rows_plan) = &self.structure else {
@@ -928,17 +927,12 @@ impl CompiledSheet {
         // Baseline: the un-overridden play through the same program, so
         // its register image can seed the lanes. A plan that appends a
         // name has another register layout and no un-overridden value.
-        if plan.appended().is_empty() {
-            kernel.baseline = self
+        let baseline = plan.appended().is_empty()
+            && self
                 .prepare(&self.base, &[])
-                .ok()
-                .and_then(|(resolved, _, _)| {
-                    prog.replay_full(self.name.clone(), resolved, &mut kernel.image)
-                        .ok()
-                });
-        }
-        kernel.dirty = match (&kernel.baseline, &plan.inner) {
-            (Some(_), Ok(inner)) => self.sweep_dirty(plan, inner, rows_plan),
+                .is_ok_and(|(resolved, _, _)| prog.run_full(&resolved, &mut kernel.image).is_ok());
+        let dirty = match &plan.inner {
+            Ok(inner) if baseline => self.sweep_dirty(plan, inner, rows_plan),
             _ => {
                 prog.seed(&mut kernel.image);
                 vec![true; rows_plan.rows.len()]
@@ -948,7 +942,7 @@ impl CompiledSheet {
             .order
             .iter()
             .copied()
-            .filter(|&i| kernel.dirty[i])
+            .filter(|&i| dirty[i])
             .collect();
         kernel
     }
@@ -1012,15 +1006,15 @@ impl BatchKernel<'_> {
 
     /// Plays one point per element of `points` (each a values slice
     /// aligned with the kernel's override-plan names), batching all
-    /// lanes through each dirty row's code span in one dispatch pass.
+    /// lanes through each dirty row's code span in one dispatch pass,
+    /// and answers each point's total power or error.
     pub fn replay_chunk<P: AsRef<[f64]>>(
         &self,
         points: &[P],
-    ) -> Vec<Result<SheetReport, EvaluateSheetError>> {
+    ) -> Vec<Result<Power, EvaluateSheetError>> {
         let metrics = plan_metrics();
         let n = points.len();
-        let mut out: Vec<Option<Result<SheetReport, EvaluateSheetError>>> =
-            (0..n).map(|_| None).collect();
+        let mut out: Vec<Option<Result<Power, EvaluateSheetError>>> = vec![None; n];
 
         // Scalar global resolution and structure check per lane; a lane
         // that errors there is answered immediately and left out.
@@ -1070,21 +1064,11 @@ impl BatchKernel<'_> {
             }
             bytecode_metrics().instrs_total.add(instrs);
 
-            for (l, (idx, resolved)) in lanes.into_iter().enumerate() {
-                let result = match errs[l] {
+            for (l, (idx, _)) in lanes.into_iter().enumerate() {
+                out[idx] = Some(match errs[l] {
                     Some(hit) => Err(prog.materialize(hit)),
-                    None => {
-                        let get = |slot: u32| soa[slot as usize * m + l];
-                        let rows = (0..self.dirty.len())
-                            .map(|i| match &self.baseline {
-                                Some(base) if !self.dirty[i] => base.rows()[i].clone(),
-                                _ => prog.build_row_report(i, &get),
-                            })
-                            .collect();
-                        Ok(SheetReport::new(self.plan.name.clone(), resolved, rows))
-                    }
-                };
-                out[idx] = Some(result);
+                    None => Ok(prog.total_power(|slot| soa[slot as usize * m + l])),
+                });
             }
         }
 

@@ -165,6 +165,18 @@ impl RowReport {
     }
 }
 
+/// The identity every total folds from: −0.0, the additive identity of
+/// IEEE addition (`x + −0.0` is `x` for every `x`, +0.0 included), so an
+/// empty total is −0.0. Reports, the register program and the sweep
+/// kernel all fold through here, which keeps their totals equal bit for
+/// bit.
+pub(crate) const SUM_IDENTITY: f64 = -0.0;
+
+/// Sums `terms` in order from [`SUM_IDENTITY`].
+pub(crate) fn fold_sum(terms: impl Iterator<Item = f64>) -> f64 {
+    terms.fold(SUM_IDENTITY, |acc, term| acc + term)
+}
+
 /// The evaluated result of a whole sheet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SheetReport {
@@ -214,19 +226,17 @@ impl SheetReport {
         self.rows.iter().find(|r| r.name() == name)
     }
 
-    /// Total power: the sum of all row powers.
+    /// Total power: the sum of all row powers in row order, starting
+    /// from −0.0 (the total of a sheet without rows).
     pub fn total_power(&self) -> Power {
-        self.rows.iter().map(RowReport::power).sum()
+        Power::new(fold_sum(self.rows.iter().map(|r| r.power.value())))
     }
 
     /// Total area over rows that model area; `None` when none do.
     pub fn total_area(&self) -> Option<Area> {
-        let areas: Vec<Area> = self.rows.iter().filter_map(RowReport::area).collect();
-        if areas.is_empty() {
-            None
-        } else {
-            Some(areas.into_iter().sum())
-        }
+        let mut areas = self.rows.iter().filter_map(|r| r.area).peekable();
+        areas.peek()?;
+        Some(Area::new(fold_sum(areas.map(Area::value))))
     }
 
     /// The slowest delay-modeled row — the design's critical path at this

@@ -7,26 +7,26 @@
 //!
 //! Every helper compiles the sheet to a [`CompiledSheet`] once, hoists
 //! the override-name resolution into one [`crate::plan::OverridePlan`]
-//! per study, and runs the sheet's register program. Sweeps and
-//! Monte-Carlo studies always go through the batched kernel
-//! ([`CompiledSheet::batch_kernel`]): points are grouped into
-//! [`BatchKernel::WIDTH`]-lane chunks and every dirty row's code span is
-//! executed across all lanes per instruction-dispatch pass.
-//! Sensitivities and the timing search give each worker a reusable
-//! [`ReplayState`] and go through [`CompiledSheet::replay_delta`], so a
-//! point re-evaluates only the rows its changed globals actually reach.
-//! Identical sweep points are deduplicated before dispatch and answered
-//! from the first evaluation. Results are returned in input order and,
-//! per point, are bit-identical to the serial reference implementations
-//! (kept as `*_serial` oracles); on failure the error reported is the
-//! one the earliest point in input order produced.
+//! per study, and runs the sheet's register program serially on the
+//! caller's thread: a server already runs requests on a pool of its
+//! own. Sweeps and Monte-Carlo studies answer totals, not reports,
+//! through the batched kernel ([`CompiledSheet::batch_kernel`]): points
+//! are grouped into [`BatchKernel::WIDTH`]-lane chunks and every dirty
+//! row's code span is executed across all lanes per instruction-dispatch
+//! pass. Sensitivities and the timing search reuse one [`ReplayState`]
+//! and go through [`CompiledSheet::replay_delta`], so a point
+//! re-evaluates only the rows its changed globals actually reach.
+//! Identical sweep points are deduplicated and answered from the first
+//! evaluation. Results are returned in input order and, per point, are
+//! bit-identical to the serial reference implementations (kept as
+//! `*_serial` oracles); on failure the error reported is the one the
+//! earliest point in input order produced.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use powerplay_library::Registry;
-use powerplay_telemetry::{Counter, Gauge, Histogram};
+use powerplay_telemetry::Counter;
 use powerplay_units::{Power, Voltage};
 
 use crate::engine::EvaluateSheetError;
@@ -34,11 +34,9 @@ use crate::plan::{BatchKernel, CompiledSheet, ReplayState};
 use crate::report::SheetReport;
 use crate::sheet::Sheet;
 
-/// Worker-pool metrics, registered once in the process-global registry.
+/// What-if metrics, registered once in the process-global registry.
 struct WhatifMetrics {
-    task_seconds: Histogram,
     points_total: Counter,
-    queue_depth: Gauge,
     memo_hits_total: Counter,
     memo_misses_total: Counter,
 }
@@ -48,17 +46,9 @@ fn whatif_metrics() -> &'static WhatifMetrics {
     METRICS.get_or_init(|| {
         let g = powerplay_telemetry::global();
         WhatifMetrics {
-            task_seconds: g.histogram(
-                "powerplay_whatif_task_seconds",
-                "Time to evaluate one what-if point on the worker pool",
-            ),
             points_total: g.counter(
                 "powerplay_whatif_points_total",
-                "What-if points dispatched to the worker pool",
-            ),
-            queue_depth: g.gauge(
-                "powerplay_whatif_queue_depth",
-                "What-if points accepted but not yet claimed by a worker",
+                "What-if work items: 8-point sweep and Monte-Carlo chunks, sensitivity globals, timing probes",
             ),
             memo_hits_total: g.counter(
                 "powerplay_whatif_memo_hits_total",
@@ -72,98 +62,28 @@ fn whatif_metrics() -> &'static WhatifMetrics {
     })
 }
 
-/// Number of worker threads what-if helpers spread evaluation over.
-fn worker_count() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Maps `f` over `items` on a scoped worker pool, returning results in
-/// input order. Workers claim items from a shared counter, so an
-/// expensive item does not stall its neighbours; the `(index, result)`
-/// pairs are scattered back after the join, which keeps the output
-/// deterministic regardless of scheduling. Falls back to a plain serial
-/// map for a single item or a single-core host.
-fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_with(items, || (), |(), item| f(item))
-}
-
-/// [`parallel_map`] with per-worker mutable state: every worker builds
-/// one `S` with `init` when it starts and threads it through all the
-/// items it claims. This is how sweep workers reuse a [`ReplayState`]
-/// (and the delta baseline inside it) across points instead of paying a
-/// full replay and fresh allocations per point.
-///
-/// The per-point *results* must not depend on claim order for the output
-/// to stay deterministic — delta replay guarantees that (bit-for-bit
-/// equal to a full replay regardless of the baseline).
-fn parallel_map_with<T, R, S, I, F>(items: &[T], init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    let metrics = whatif_metrics();
-    metrics.points_total.add(items.len() as u64);
-    let workers = worker_count().min(items.len());
-    if workers <= 1 {
-        let mut state = init();
-        return items
-            .iter()
-            .map(|item| {
-                let _timer = metrics.task_seconds.start_timer();
-                f(&mut state, item)
-            })
-            .collect();
+/// Plays `points`, each a values slice aligned with `kernel`'s override
+/// names, through the kernel in [`BatchKernel::WIDTH`]-point chunks and
+/// returns their totals in order, or the first error in that order.
+fn batched_totals<P: AsRef<[f64]>>(
+    kernel: &BatchKernel<'_>,
+    points: &[P],
+) -> Result<Vec<Power>, EvaluateSheetError> {
+    let chunks = points.chunks(BatchKernel::WIDTH);
+    whatif_metrics().points_total.add(chunks.len() as u64);
+    let mut totals = Vec::with_capacity(points.len());
+    for chunk in chunks {
+        for total in kernel.replay_chunk(chunk) {
+            totals.push(total?);
+        }
     }
-    metrics.queue_depth.add(items.len() as i64);
-    let next = AtomicUsize::new(0);
-    let chunks: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = init();
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        metrics.queue_depth.sub(1);
-                        let timer = metrics.task_seconds.start_timer();
-                        out.push((i, f(&mut state, item)));
-                        timer.stop();
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("what-if worker panicked"))
-            .collect()
-    });
-
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    for (i, r) in chunks.into_iter().flatten() {
-        slots[i] = Some(r);
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every item claimed"))
-        .collect()
+    Ok(totals)
 }
 
 /// Evaluates the design once per value of `global`, returning
-/// `(value, report)` pairs. Points are evaluated in parallel from one
-/// compiled plan; the result order (and every report in it) is identical
-/// to [`sweep_global_serial`].
+/// `(value, total power)` pairs. Points are evaluated through the
+/// batched kernel from one compiled plan; the result order (and every
+/// total in it) is identical to [`sweep_global_serial`].
 ///
 /// # Errors
 ///
@@ -181,7 +101,7 @@ where
 /// sheet.set_global("f", "2MHz")?;
 /// sheet.add_element_row("M", "ucb/multiplier", [])?;
 /// let curve = whatif::sweep_global(&sheet, &lib, "vdd", &[1.0, 2.0, 3.0])?;
-/// assert!(curve[2].1.total_power() > curve[0].1.total_power());
+/// assert!(curve[2].1 > curve[0].1);
 /// # Ok(())
 /// # }
 /// ```
@@ -190,7 +110,7 @@ pub fn sweep_global(
     registry: &Registry,
     global: &str,
     values: &[f64],
-) -> Result<Vec<(f64, SheetReport)>, EvaluateSheetError> {
+) -> Result<Vec<(f64, Power)>, EvaluateSheetError> {
     let plan = CompiledSheet::compile(sheet, registry);
     sweep_compiled(&plan, global, values)
 }
@@ -213,16 +133,17 @@ pub fn sweep_compiled(
     plan: &CompiledSheet,
     global: &str,
     values: &[f64],
-) -> Result<Vec<(f64, SheetReport)>, EvaluateSheetError> {
+) -> Result<Vec<(f64, Power)>, EvaluateSheetError> {
     let metrics = whatif_metrics();
     let override_plan = plan.override_plan(&[global]);
 
     // Deduplicate points by exact bit pattern; duplicates are answered
-    // from the first occurrence's report after the join (deterministic,
-    // and identical to evaluating them — replay is a pure function of
-    // the override tuple).
+    // from the first occurrence's total (identical to evaluating them —
+    // replay is a pure function of the override tuple). Unique points
+    // keep first-occurrence order, so the first failing unique point is
+    // the first failing value in input order.
     let mut slot_by_bits: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut unique: Vec<f64> = Vec::new();
+    let mut unique: Vec<[f64; 1]> = Vec::new();
     let mut slot_of: Vec<usize> = Vec::with_capacity(values.len());
     for &value in values {
         match slot_by_bits.get(&value.to_bits()) {
@@ -234,42 +155,22 @@ pub fn sweep_compiled(
                 metrics.memo_misses_total.inc();
                 slot_by_bits.insert(value.to_bits(), unique.len());
                 slot_of.push(unique.len());
-                unique.push(value);
+                unique.push([value]);
             }
         }
     }
 
-    // Bit-for-bit the scalar reference per point.
-    let kernel = plan.batch_kernel(&override_plan);
-    let chunks: Vec<&[f64]> = unique.chunks(BatchKernel::WIDTH).collect();
-    let results: Vec<Result<SheetReport, EvaluateSheetError>> = parallel_map(&chunks, |chunk| {
-        let points: Vec<[f64; 1]> = chunk.iter().map(|&v| [v]).collect();
-        kernel.replay_chunk(&points)
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    if unique.len() == values.len() {
-        // No duplicates: hand the reports over without cloning.
-        return values
-            .iter()
-            .zip(results)
-            .map(|(&value, report)| Ok((value, report?)))
-            .collect();
-    }
-    values
+    let totals = batched_totals(&plan.batch_kernel(&override_plan), &unique)?;
+    Ok(values
         .iter()
-        .zip(&slot_of)
-        .map(|(&value, &slot)| match &results[slot] {
-            Ok(report) => Ok((value, report.clone())),
-            Err(err) => Err(err.clone()),
-        })
-        .collect()
+        .zip(slot_of)
+        .map(|(&value, slot)| (value, totals[slot]))
+        .collect())
 }
 
 /// Serial reference implementation of [`sweep_global`]: clone the sheet,
 /// mutate the global, re-play — once per value. Kept as the oracle the
-/// parallel path is tested against.
+/// batched path is tested against.
 ///
 /// # Errors
 ///
@@ -323,33 +224,28 @@ pub fn sensitivities_compiled(
 ) -> Result<Vec<(String, f64)>, EvaluateSheetError> {
     let base = plan.play()?;
     let p0 = base.total_power().value();
-    let probes: Vec<(String, f64)> = base
+    let probes: Vec<&(String, f64)> = base
         .globals()
         .iter()
         .filter(|(_, value)| *value != 0.0 && p0 != 0.0)
-        .cloned()
         .collect();
-    // One worker task per global; the up/down pair stays together so the
-    // first error for a global is its upward perturbation's, exactly as
-    // in the serial loop. The down perturbation replays incrementally
-    // from the up perturbation's state (same override name, so the
-    // cached per-name plan is reused too).
-    let results = parallel_map_with(&probes, ReplayState::new, |state, (name, value)| {
+    whatif_metrics().points_total.add(probes.len() as u64);
+    // One state for every probe, in order: each perturbation replays
+    // incrementally from the last one, and the up/down pair of a global
+    // reuses its cached per-name plan.
+    let mut state = ReplayState::new();
+    let mut out = Vec::with_capacity(probes.len());
+    for (name, value) in probes {
         let h = 0.01 * value;
-        let p_up = plan
-            .replay_delta(state, &[(name.as_str(), value + h)])?
-            .total_power()
-            .value();
-        let p_down = plan
-            .replay_delta(state, &[(name.as_str(), value - h)])?
-            .total_power()
-            .value();
+        let mut total = |x: f64| -> Result<f64, EvaluateSheetError> {
+            let report = plan.replay_delta(&mut state, &[(name.as_str(), x)])?;
+            Ok(report.total_power().value())
+        };
+        let p_up = total(value + h)?;
+        let p_down = total(value - h)?;
         let dp_dx = (p_up - p_down) / (2.0 * h);
-        Ok((name.clone(), dp_dx * value / p0))
-    });
-    let mut out = results
-        .into_iter()
-        .collect::<Result<Vec<_>, EvaluateSheetError>>()?;
+        out.push((name.clone(), dp_dx * value / p0));
+    }
     out.sort_by(|a, b| nan_last(-a.1.abs(), -b.1.abs()));
     Ok(out)
 }
@@ -358,19 +254,17 @@ pub fn sensitivities_compiled(
 /// modeled delay still fits one period of that row's access rate, and
 /// returns it with the resulting report.
 ///
-/// The search is a parallel multisection: each round probes one interior
-/// supply per worker concurrently and keeps the bracket between the
-/// highest failing and lowest passing probe, shrinking the interval by a
-/// factor of the worker count per round (on a single-core host this is
-/// exactly the classic bisection). The probe grid is fixed by the bounds
-/// and worker count, so the result is deterministic for a given host.
+/// The search is a bisection of 60 rounds over one [`ReplayState`]:
+/// each round probes the bracket's midpoint and keeps the half between
+/// the highest failing and lowest passing supply, so the answer depends
+/// only on the design and the bounds.
 ///
 /// Rows without delay models are unconstrained. Returns `None` when even
 /// `vdd_max` fails timing.
 ///
 /// # Errors
 ///
-/// Returns the [`EvaluateSheetError`] of the lowest-supply failing probe.
+/// Returns the [`EvaluateSheetError`] of the first failing probe.
 pub fn min_vdd_meeting_timing(
     sheet: &Sheet,
     registry: &Registry,
@@ -379,28 +273,24 @@ pub fn min_vdd_meeting_timing(
 ) -> Result<Option<(Voltage, SheetReport)>, EvaluateSheetError> {
     let plan = CompiledSheet::compile(sheet, registry);
     let override_plan = plan.override_plan(&["vdd"]);
-    let meets_timing = |report: &SheetReport| {
-        report
+    let mut state = ReplayState::new();
+    let mut probe = |vdd: f64| -> Result<(bool, SheetReport), EvaluateSheetError> {
+        let report = plan.replay_delta_with_plan(&override_plan, &mut state, &[vdd])?;
+        let ok = report
             .rows()
             .iter()
             .all(|row| match (row.delay(), row.rate()) {
                 (Some(delay), Some(rate)) if rate > 0.0 => delay.value() <= 1.0 / rate,
                 _ => true,
-            })
+            });
+        Ok((ok, report))
     };
-    let probe =
-        |state: &mut ReplayState, vdd: f64| -> Result<(bool, SheetReport), EvaluateSheetError> {
-            let report = plan.replay_delta_with_plan(&override_plan, state, &[vdd])?;
-            let ok = meets_timing(&report);
-            Ok((ok, report))
-        };
 
-    let mut bracket_state = ReplayState::new();
-    let (ok_max, report_max) = probe(&mut bracket_state, vdd_max.value())?;
+    let (ok_max, report_max) = probe(vdd_max.value())?;
     if !ok_max {
         return Ok(None);
     }
-    let (ok_min, report_min) = probe(&mut bracket_state, vdd_min.value())?;
+    let (ok_min, report_min) = probe(vdd_min.value())?;
     if ok_min {
         return Ok(Some((Voltage::new(vdd_min.value()), report_min)));
     }
@@ -408,38 +298,22 @@ pub fn min_vdd_meeting_timing(
     let mut lo = vdd_min.value();
     let mut hi = vdd_max.value();
     let mut best = (hi, report_max);
-    // `sections` subintervals per round; shrink until the bracket is as
-    // tight as 60 halvings would have made it.
-    let sections = worker_count().clamp(2, 16) as f64;
-    let rounds = (60.0 / sections.log2()).ceil() as usize;
-    for _ in 0..rounds {
-        let step = (hi - lo) / sections;
-        let probes: Vec<f64> = (1..sections as usize)
-            .map(|i| lo + step * i as f64)
-            .collect();
-        if probes.is_empty() || step == 0.0 {
+    // Timing degrades monotonically as the supply drops, so a passing
+    // midpoint bounds the answer from above and a failing one from
+    // below.
+    for _ in 0..60 {
+        let step = (hi - lo) / 2.0;
+        if step == 0.0 {
             break;
         }
-        let outcomes =
-            parallel_map_with(&probes, ReplayState::new, |state, &vdd| probe(state, vdd));
-        // Timing degrades monotonically as the supply drops, so the
-        // lowest passing probe bounds the answer from above and its left
-        // neighbour bounds it from below.
-        let mut passing = None;
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            let (ok, report) = outcome?;
-            if ok {
-                passing = Some((i, report));
-                break;
-            }
-        }
-        match passing {
-            Some((i, report)) => {
-                hi = probes[i];
-                lo = if i == 0 { lo } else { probes[i - 1] };
-                best = (hi, report);
-            }
-            None => lo = *probes.last().expect("probes nonempty"),
+        let mid = lo + step;
+        whatif_metrics().points_total.inc();
+        let (ok, report) = probe(mid)?;
+        if ok {
+            hi = mid;
+            best = (hi, report);
+        } else {
+            lo = mid;
         }
     }
     Ok(Some((Voltage::new(best.0), best.1)))
@@ -539,9 +413,9 @@ pub fn monte_carlo(
         .collect();
     let names: Vec<&str> = present.iter().map(|(name, _)| *name).collect();
     let override_plan = plan.override_plan(&names);
-    // Draw every trial's perturbations serially first — the RNG stream
-    // (and so the sampled distribution for a given seed) is independent
-    // of how the evaluations are later scheduled.
+    // Draw every trial's perturbations first, then evaluate them in
+    // chunks: the RNG stream (and so the sampled distribution for a
+    // given seed) is independent of the chunking.
     let mut rng = StdRng::seed_from_u64(seed);
     let trial_values: Vec<Vec<f64>> = (0..trials)
         .map(|_| {
@@ -554,13 +428,10 @@ pub fn monte_carlo(
                 .collect()
         })
         .collect();
-    let kernel = plan.batch_kernel(&override_plan);
-    let chunks: Vec<&[Vec<f64>]> = trial_values.chunks(BatchKernel::WIDTH).collect();
-    let mut samples = parallel_map(&chunks, |chunk| kernel.replay_chunk(chunk))
+    let mut samples: Vec<f64> = batched_totals(&plan.batch_kernel(&override_plan), &trial_values)?
         .into_iter()
-        .flatten()
-        .map(|r| r.map(|report| report.total_power().value()))
-        .collect::<Result<Vec<_>, EvaluateSheetError>>()?;
+        .map(Power::value)
+        .collect();
     samples.sort_by(|a, b| nan_last(*a, *b));
     Ok(MonteCarloSummary { samples })
 }
@@ -592,7 +463,7 @@ mod tests {
     fn vdd_sweep_is_quadratic_for_full_rail() {
         let lib = ucb_library();
         let curve = sweep_global(&sheet(), &lib, "vdd", &[1.0, 2.0, 4.0]).unwrap();
-        let p: Vec<f64> = curve.iter().map(|(_, r)| r.total_power().value()).collect();
+        let p: Vec<f64> = curve.iter().map(|(_, total)| total.value()).collect();
         assert!((p[1] / p[0] - 4.0).abs() < 1e-9);
         assert!((p[2] / p[1] - 4.0).abs() < 1e-9);
     }
@@ -601,7 +472,7 @@ mod tests {
     fn frequency_sweep_is_linear() {
         let lib = ucb_library();
         let curve = sweep_global(&sheet(), &lib, "f", &[1e6, 2e6, 4e6]).unwrap();
-        let p: Vec<f64> = curve.iter().map(|(_, r)| r.total_power().value()).collect();
+        let p: Vec<f64> = curve.iter().map(|(_, total)| total.value()).collect();
         assert!((p[1] / p[0] - 2.0).abs() < 1e-9);
         assert!((p[2] / p[1] - 2.0).abs() < 1e-9);
     }
@@ -694,22 +565,45 @@ mod tests {
         let _ = summary.quantile(1.5);
     }
 
-    #[test]
-    fn sweep_preserves_other_globals() {
-        let lib = ucb_library();
-        let curve = sweep_global(&sheet(), &lib, "vdd", &[1.5]).unwrap();
-        assert_eq!(curve[0].1.global("f"), Some(2e6));
-        assert_eq!(curve[0].1.global("vdd"), Some(1.5));
+    /// `(value, total bits)` per point of a sweep, or of the serial
+    /// oracle's reports: f64 `==` cannot tell +0.0 from −0.0.
+    fn total_bits(curve: &[(f64, Power)]) -> Vec<(f64, u64)> {
+        curve
+            .iter()
+            .map(|(v, p)| (*v, p.value().to_bits()))
+            .collect()
+    }
+
+    fn report_bits(curve: &[(f64, SheetReport)]) -> Vec<(f64, u64)> {
+        curve
+            .iter()
+            .map(|(v, r)| (*v, r.total_power().value().to_bits()))
+            .collect()
     }
 
     #[test]
-    fn parallel_sweep_matches_serial_bit_for_bit() {
+    fn sweep_preserves_other_globals() {
+        let lib = ucb_library();
+        let s = sheet();
+        let curve = sweep_global(&s, &lib, "vdd", &[1.5]).unwrap();
+        let mut at_vdd = s.clone();
+        at_vdd.set_global_value("vdd", 1.5);
+        let played = at_vdd.play(&lib).unwrap();
+        assert_eq!(played.global("f"), Some(2e6));
+        assert_eq!(
+            curve[0].1.value().to_bits(),
+            played.total_power().value().to_bits()
+        );
+    }
+
+    #[test]
+    fn batched_sweep_matches_serial_bit_for_bit() {
         let lib = ucb_library();
         let s = sheet();
         let values: Vec<f64> = (0..100).map(|i| 0.9 + 0.025 * i as f64).collect();
-        let parallel = sweep_global(&s, &lib, "vdd", &values).unwrap();
+        let batched = sweep_global(&s, &lib, "vdd", &values).unwrap();
         let serial = sweep_global_serial(&s, &lib, "vdd", &values).unwrap();
-        assert_eq!(parallel, serial);
+        assert_eq!(total_bits(&batched), report_bits(&serial));
     }
 
     #[test]
@@ -725,16 +619,9 @@ mod tests {
         s.add_element_row("W", "ucb/wire", [("length_mm", "vdd")])
             .unwrap();
         let values = [1.0, -4.0, -9.0];
-        let parallel = sweep_global(&s, &lib, "vdd", &values).unwrap_err();
+        let batched = sweep_global(&s, &lib, "vdd", &values).unwrap_err();
         let serial = sweep_global_serial(&s, &lib, "vdd", &values).unwrap_err();
-        assert_eq!(parallel, serial);
-    }
-
-    #[test]
-    fn parallel_map_preserves_input_order() {
-        let items: Vec<usize> = (0..257).collect();
-        let out = parallel_map(&items, |&i| i * 3);
-        assert_eq!(out, items.iter().map(|i| i * 3).collect::<Vec<_>>());
+        assert_eq!(batched, serial);
     }
 
     #[test]
@@ -750,7 +637,7 @@ mod tests {
         let memoized = sweep_compiled(&plan, "vdd", &values).unwrap();
         assert!(metrics.memo_hits_total.get() >= hits_before + 2);
         let reference = sweep_global_serial(&s, &lib, "vdd", &values).unwrap();
-        assert_eq!(memoized, reference);
+        assert_eq!(total_bits(&memoized), report_bits(&reference));
     }
 
     #[test]
@@ -777,6 +664,6 @@ mod tests {
         let plan = CompiledSheet::compile(&s, &lib);
         let a = sweep_compiled(&plan, "vdd", &[1.0, 2.0]).unwrap();
         let b = sweep_global(&s, &lib, "vdd", &[1.0, 2.0]).unwrap();
-        assert_eq!(a, b);
+        assert_eq!(total_bits(&a), total_bits(&b));
     }
 }

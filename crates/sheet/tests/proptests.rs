@@ -410,11 +410,14 @@ proptest! {
     }
 
     /// The batched sweep kernel answers every point bit-for-bit as the
-    /// tree walker would — reports and errors — chunk by chunk and end
-    /// to end through the what-if pipeline. Sweeps run over a declared
-    /// global (`vdd`) and over appended names (`ghost`, which resolves
-    /// the unknown-variable defects, and the unreferenced `x_new`), on
-    /// sound sheets and on every defect class above.
+    /// tree walker would — totals, compared by their bits, and errors —
+    /// chunk by chunk and end to end through the what-if pipeline.
+    /// Sweeps run over a declared global (`vdd`) and over appended names
+    /// (`ghost`, which resolves the unknown-variable defects, and the
+    /// unreferenced `x_new`), on sound sheets and on every defect class
+    /// above. A converter with a fixed load reads no `vdd`, so a `vdd`
+    /// sweep with a baseline leaves it clean and the lane total reads
+    /// its baseline register.
     #[test]
     fn batched_sweep_matches_tree_walker_per_point(
         sheet in arb_sheet(),
@@ -427,10 +430,17 @@ proptest! {
         values in prop::collection::vec(0.5f64..4.0, 1..20),
     ) {
         let library = lib();
+        let mut sheet = sheet;
+        sheet
+            .add_element_row("Fixed Conv", "ucb/dcdc", [("p_load", "0.25")])
+            .unwrap();
         let plan = CompiledSheet::compile(&with_defect(sheet, defect), &library);
         let tree: Vec<_> = values
             .iter()
-            .map(|&v| plan.play_with_tree(&[(name.as_str(), v)]))
+            .map(|&v| {
+                plan.play_with_tree(&[(name.as_str(), v)])
+                    .map(|report| report.total_power().value().to_bits())
+            })
             .collect();
 
         let override_plan = plan.override_plan(&[name.as_str()]);
@@ -439,20 +449,20 @@ proptest! {
         let batched: Vec<_> = points
             .chunks(BatchKernel::WIDTH)
             .flat_map(|chunk| kernel.replay_chunk(chunk))
+            .map(|total| total.map(|p| p.value().to_bits()))
             .collect();
         prop_assert_eq!(&batched, &tree);
 
-        // The sweep answers every report, or the first error in input
+        // The sweep answers every total, or the first error in input
         // order.
         let expected: Result<Vec<_>, _> = values
             .iter()
             .zip(tree)
-            .map(|(&v, played)| played.map(|report| (v, report)))
+            .map(|(&v, played)| played.map(|total| (v, total)))
             .collect();
-        prop_assert_eq!(
-            powerplay_sheet::whatif::sweep_compiled(&plan, &name, &values),
-            expected
-        );
+        let swept = powerplay_sheet::whatif::sweep_compiled(&plan, &name, &values)
+            .map(|curve| curve.into_iter().map(|(v, p)| (v, p.value().to_bits())).collect());
+        prop_assert_eq!(swept, expected);
     }
 
     /// Doubling the global rate doubles dynamic power for rate-derived

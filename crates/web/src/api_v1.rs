@@ -712,10 +712,10 @@ fn sweep_post(
         .map_err(|e| play_error(&e))?;
     let series: Json = curve
         .into_iter()
-        .map(|(value, report)| {
+        .map(|(value, total)| {
             Json::object([
                 ("value", Json::from(value)),
-                ("total_w", Json::from(report.total_power().value())),
+                ("total_w", Json::from(total.value())),
             ])
         })
         .collect();

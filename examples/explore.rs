@@ -21,8 +21,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("power vs supply for the Figure 3 decoder:");
     let vdds: Vec<f64> = (0..10).map(|i| 1.0 + 0.25 * i as f64).collect();
     let curve = whatif::sweep_global(&decoder, pp.registry(), "vdd", &vdds)?;
-    for (vdd, report) in &curve {
-        let uw = report.total_power().value() * 1e6;
+    for (vdd, total) in &curve {
+        let uw = total.value() * 1e6;
         println!("  {vdd:>5.2} V | {:<40} {uw:7.1} uW", bar(uw / 15.0));
     }
 

@@ -29,8 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // What-if: the supply knob (quadratic) and the rate knob (linear).
     println!("vdd sweep:");
-    for (vdd, report) in whatif::sweep_global(&mac, pp.registry(), "vdd", &[1.1, 1.5, 2.5, 3.3])? {
-        println!("  vdd = {vdd:>4} V -> {}", report.total_power());
+    for (vdd, total) in whatif::sweep_global(&mac, pp.registry(), "vdd", &[1.1, 1.5, 2.5, 3.3])? {
+        println!("  vdd = {vdd:>4} V -> {total}");
     }
 
     // Figure 4: the multiplier form's result excerpt, both input classes.

@@ -529,8 +529,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let curve = powerplay::whatif::sweep_global(&sheet, pp.registry(), global, &points)
         .map_err(|e| e.to_string())?;
     println!("{global:>12} {:>14}", "total power");
-    for (value, report) in curve {
-        println!("{value:>12} {:>14}", report.total_power().to_string());
+    for (value, total) in curve {
+        println!("{value:>12} {:>14}", total.to_string());
     }
     Ok(())
 }
