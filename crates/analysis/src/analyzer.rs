@@ -20,7 +20,7 @@ use std::sync::OnceLock;
 use powerplay_expr::{BinaryOp, Builtin, EvalError, Expr, UnaryOp};
 use powerplay_library::{ElementModel, EvaluateElementError, LibraryElement};
 use powerplay_lint::{codes, convention_dim, infer_dims, Diagnostic, DimInfo, LintReport};
-use powerplay_sheet::{CompiledSheet, EvaluateSheetError, RowKindView, RowView};
+use powerplay_sheet::{CompiledSheet, EvaluateSheetError, RowKindView, RowView, SUM_IDENTITY};
 use powerplay_telemetry::{Counter, Histogram};
 
 use crate::bounds::{Direction, InputBound, MonotoneInput, RowBounds, SheetBounds};
@@ -682,9 +682,9 @@ fn analyze_rows(
         out[i] = Some(bounds);
     }
 
-    // Total power sums row powers in declaration order, exactly as
-    // `SheetReport::total_power`.
-    let mut total = AbsValue::constant(Interval::point(0.0), ninputs);
+    // Total power sums row powers in declaration order from the
+    // engine's identity, exactly as `SheetReport::total_power`.
+    let mut total = AbsValue::constant(Interval::point(SUM_IDENTITY), ninputs);
     for p in abs_powers.iter() {
         let p = p.as_ref().expect("every row analyzed");
         total = v_add(&total, p);
@@ -758,7 +758,7 @@ fn analyze_row(
                         .rows
                         .iter()
                         .filter_map(|r| r.area)
-                        .fold(Interval::point(0.0), interval::add),
+                        .fold(Interval::point(SUM_IDENTITY), interval::add),
                 )
             } else {
                 None

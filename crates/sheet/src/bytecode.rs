@@ -35,13 +35,36 @@
 //!   or default without the name resolves exactly as the scope chain
 //!   resolves it (see [`crate::OverridePlan`]).
 //!
+//! # Value numbering
+//!
+//! Each value is computed once per program. Every pure instruction
+//! (`Neg`, `Bin`, `Call1`, `Call2`, `Sel`) goes through one table,
+//! shared by all rows and inlined sub-sheets of one lowering, that maps
+//! the operation and its operand registers to the register already
+//! holding that value; only a miss emits code. Operations on constants
+//! fold at lowering time through the interpreter's own arithmetic, and a
+//! formula whose value is a constant that passes the physical-value
+//! guard gets no `Check`. Checks and traps are never merged, dropped or
+//! moved otherwise, and pure instructions cannot trap, so every play
+//! still raises the tree walker's first error.
+//!
+//! The program is in SSA form: each register is written by at most one
+//! instruction, placed before every instruction that reads it. A row may
+//! therefore read a register an earlier row's span wrote. It reads it
+//! only through names its own formulas read in its own scope, so it
+//! watches every input of that register: when the value can change,
+//! both rows are dirty and the earlier one runs first; when only the
+//! later row is dirty, the register's inputs did not change and the
+//! baseline image still holds its value. Delta replay and the batched
+//! kernel stay exact on that argument.
+//!
 //! # Batching
 //!
-//! [`Program::exec_batch`] evaluates the same instruction for N sweep /
-//! Monte-Carlo points per dispatch (structure-of-arrays register file,
-//! lane-major per slot), amortizing dispatch N ways and exposing the
-//! per-slot loops to auto-vectorization. Per-lane trap state keeps error
-//! reporting identical to N serial replays.
+//! [`Program::exec_batch`] evaluates the same instruction for
+//! [`WIDTH`] sweep / Monte-Carlo points per dispatch over a lane image:
+//! one `[f64; WIDTH]` array per register, so each arithmetic instruction
+//! is one fixed-width loop the compiler can vectorize. Per-lane trap
+//! state keeps error reporting identical to serial replays.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -89,6 +112,14 @@ pub(crate) fn bytecode_metrics() -> &'static BytecodeMetrics {
     })
 }
 
+/// Lanes per batched dispatch: wide enough to amortize dispatch and
+/// fill SIMD registers, small enough to keep a sweep's lane image in
+/// cache.
+pub(crate) const WIDTH: usize = 8;
+
+/// One register across the lanes of a batched pass.
+pub(crate) type Lanes = [f64; WIDTH];
+
 /// One register-machine instruction. Operands are indices into the
 /// `f64` register file; there is no constant operand form — constants
 /// live in the pool ([`Program::init`]) and are memcpy'd into the file
@@ -126,6 +157,62 @@ pub(crate) enum Instr {
     /// Unconditional trap with `errors[err]`: a statically-decided
     /// error, placed where tree-walk order first reaches it.
     Trap { err: u32 },
+}
+
+impl Instr {
+    /// The register the instruction writes, if it writes one.
+    fn dst(self) -> Option<u32> {
+        match self {
+            Instr::Neg { dst, .. }
+            | Instr::Bin { dst, .. }
+            | Instr::Call1 { dst, .. }
+            | Instr::Call2 { dst, .. }
+            | Instr::Sel { dst, .. } => Some(dst),
+            Instr::Check { .. } | Instr::TrapIf { .. } | Instr::Trap { .. } => None,
+        }
+    }
+}
+
+/// A pure instruction without its destination: an operation and its
+/// operand registers, the key of the lowering's value-number table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Pure {
+    Neg(u32),
+    Bin(BinaryOp, u32, u32),
+    Call1(Builtin, u32),
+    Call2(Builtin, u32, u32),
+    /// `(cond, a, b)`.
+    Sel(u32, u32, u32),
+}
+
+impl Pure {
+    fn instr(self, dst: u32) -> Instr {
+        match self {
+            Pure::Neg(a) => Instr::Neg { dst, a },
+            Pure::Bin(op, a, b) => Instr::Bin { op, dst, a, b },
+            Pure::Call1(f, a) => Instr::Call1 { f, dst, a },
+            Pure::Call2(f, a, b) => Instr::Call2 { f, dst, a, b },
+            Pure::Sel(cond, a, b) => Instr::Sel { dst, cond, a, b },
+        }
+    }
+
+    /// The value at lowering time when the operands it reads are
+    /// constants, computed with the interpreter's arithmetic.
+    fn fold(self, konst: &[Option<f64>]) -> Option<f64> {
+        let k = |slot: u32| konst[slot as usize];
+        Some(match self {
+            Pure::Neg(a) => -k(a)?,
+            Pure::Bin(op, a, b) => apply_binary(op, k(a)?, k(b)?),
+            Pure::Call1(f, a) => f.apply1(k(a)?),
+            Pure::Call2(f, a, b) => f.apply2(k(a)?, k(b)?),
+            Pure::Sel(cond, a, b) => k(if k(cond)? != 0.0 { a } else { b })?,
+        })
+    }
+}
+
+/// The element formula guard: finite and not negative (−0.0 passes).
+fn is_physical(v: f64) -> bool {
+    v.is_finite() && v >= 0.0
 }
 
 /// A trap raised by the interpreter: which error template, and the
@@ -186,9 +273,13 @@ pub(crate) struct Program {
     /// The register file's initial image: constants pre-placed, all
     /// other slots zero. A replay memcpys this, then seeds globals.
     init: Vec<f64>,
-    /// Top-level globals → register slot: the declared ones in
-    /// declaration order, then the appended override names.
-    global_slots: Vec<u32>,
+    /// Which slots hold constants (their value is `init[slot]`); `init`
+    /// alone cannot tell a constant 0 from a temporary.
+    is_const: Vec<bool>,
+    /// Top-level global names: the declared ones in declaration order,
+    /// then the appended override names. Global `i` lives in register
+    /// `i`.
+    globals: Vec<Arc<str>>,
     /// Per top-level row (declaration index): the `[start, end)` code
     /// span that evaluates it. Emission follows plan order, so
     /// executing spans in plan order is executing the program in order.
@@ -196,8 +287,6 @@ pub(crate) struct Program {
     /// Per top-level row (declaration index): its report recipe.
     recipes: Vec<RowRecipe>,
     errors: Vec<ErrTemplate>,
-    /// Debug names per register (empty for temporaries).
-    names: Vec<String>,
     /// Rows at every level, for the rows-evaluated counter.
     rows_total: u64,
 }
@@ -262,12 +351,14 @@ struct ElemSlots {
 struct Lowerer {
     code: Vec<Instr>,
     init: Vec<f64>,
-    names: Vec<String>,
     /// Constant pool dedup: f64 bit pattern → slot.
     konsts: HashMap<u64, u32>,
     /// Known-constant slots, for compile-time folding (the fold uses
     /// the same dispatch as the interpreter, so it is bit-identical).
     const_val: Vec<Option<f64>>,
+    /// The value-number table: each pure operation already lowered →
+    /// the register holding its value.
+    values: HashMap<Pure, u32>,
     errors: Vec<ErrTemplate>,
     /// Enclosing sub-sheet row names, outermost first.
     nest: Vec<Arc<str>>,
@@ -279,9 +370,9 @@ impl Lowerer {
         Lowerer {
             code: Vec::new(),
             init: Vec::new(),
-            names: Vec::new(),
             konsts: HashMap::new(),
             const_val: Vec::new(),
+            values: HashMap::new(),
             errors: Vec::new(),
             nest: Vec::new(),
             rows_total: 0,
@@ -289,10 +380,9 @@ impl Lowerer {
     }
 
     /// Allocates a fresh register (zero-initialized, unknown value).
-    fn reg(&mut self, name: impl Into<String>) -> u32 {
+    fn reg(&mut self) -> u32 {
         let slot = self.init.len() as u32;
         self.init.push(0.0);
-        self.names.push(name.into());
         self.const_val.push(None);
         slot
     }
@@ -305,10 +395,33 @@ impl Lowerer {
         }
         let slot = self.init.len() as u32;
         self.init.push(value);
-        self.names.push(format!("={value}"));
         self.const_val.push(Some(value));
         self.konsts.insert(value.to_bits(), slot);
         slot
+    }
+
+    /// The register holding `op`'s value — the one pure-instruction
+    /// emitter. A constant when the operands `op` reads are constants;
+    /// else the register of an identical earlier operation; else a
+    /// fresh register, written by an instruction emitted here.
+    fn pure(&mut self, op: Pure) -> u32 {
+        if let Some(&slot) = self.values.get(&op) {
+            return slot;
+        }
+        let slot = match op.fold(&self.const_val) {
+            Some(value) => self.konst(value),
+            None => {
+                let dst = self.reg();
+                self.emit(op.instr(dst));
+                dst
+            }
+        };
+        self.values.insert(op, slot);
+        slot
+    }
+
+    fn bin(&mut self, op: BinaryOp, a: u32, b: u32) -> u32 {
+        self.pure(Pure::Bin(op, a, b))
     }
 
     fn emit(&mut self, instr: Instr) {
@@ -360,23 +473,12 @@ impl Lowerer {
             },
             Expr::Unary(UnaryOp::Neg, inner) => {
                 let a = self.lower_expr(inner, env, wrap)?;
-                if let Some(v) = self.const_val[a as usize] {
-                    return Ok(self.konst(-v));
-                }
-                let dst = self.reg("");
-                self.emit(Instr::Neg { dst, a });
-                Ok(dst)
+                Ok(self.pure(Pure::Neg(a)))
             }
             Expr::Binary(op, lhs, rhs) => {
                 let a = self.lower_expr(lhs, env, wrap)?;
                 let b = self.lower_expr(rhs, env, wrap)?;
-                if let (Some(l), Some(r)) = (self.const_val[a as usize], self.const_val[b as usize])
-                {
-                    return Ok(self.konst(apply_binary(*op, l, r)));
-                }
-                let dst = self.reg("");
-                self.emit(Instr::Bin { op: *op, dst, a, b });
-                Ok(dst)
+                Ok(self.bin(*op, a, b))
             }
             Expr::Call(name, args) => {
                 let Some(builtin) = Builtin::lookup(name) else {
@@ -394,35 +496,12 @@ impl Lowerer {
                 for (slot, arg) in slots.iter_mut().zip(args) {
                     *slot = self.lower_expr(arg, env, wrap)?;
                 }
-                let consts: Vec<Option<f64>> = slots[..arity]
-                    .iter()
-                    .map(|&s| self.const_val[s as usize])
-                    .collect();
-                if consts.iter().all(Option::is_some) {
-                    let values: Vec<f64> = consts.into_iter().map(Option::unwrap).collect();
-                    return Ok(self.konst(builtin.apply(&values)));
-                }
-                let dst = self.reg("");
-                match arity {
-                    1 => self.emit(Instr::Call1 {
-                        f: builtin,
-                        dst,
-                        a: slots[0],
-                    }),
-                    2 => self.emit(Instr::Call2 {
-                        f: builtin,
-                        dst,
-                        a: slots[0],
-                        b: slots[1],
-                    }),
-                    _ => self.emit(Instr::Sel {
-                        dst,
-                        cond: slots[0],
-                        a: slots[1],
-                        b: slots[2],
-                    }),
-                }
-                Ok(dst)
+                let [a, b, c] = slots;
+                Ok(self.pure(match arity {
+                    1 => Pure::Call1(builtin, a),
+                    2 => Pure::Call2(builtin, a, b),
+                    _ => Pure::Sel(a, b, c),
+                }))
             }
         }
     }
@@ -441,6 +520,12 @@ impl Lowerer {
             row: row.to_string(),
             source: EvaluateElementError::Eval { formula, source },
         })?;
+        // A constant that passes the guard passes it on every play; one
+        // that fails keeps its check, which traps where the tree walker
+        // fails.
+        if self.const_val[slot as usize].is_some_and(is_physical) {
+            return Ok(slot);
+        }
         let err = self.push_err(ErrTemplate::BadValue {
             nest: self.nest.clone(),
             row: row_name.clone(),
@@ -490,14 +575,7 @@ impl Lowerer {
         let static_i = match &model.static_current {
             Some(e) => {
                 let raw = self.lower_formula(row_name, "static_current", e, env)?;
-                let dst = self.reg("");
-                self.emit(Instr::Bin {
-                    op: BinaryOp::Add,
-                    dst,
-                    a: zero,
-                    b: raw,
-                });
-                Some(dst)
+                Some(self.bin(BinaryOp::Add, zero, raw))
             }
             None => None,
         };
@@ -513,14 +591,7 @@ impl Lowerer {
             let e_slot = self.lower_energy_fold(&switched, vdd, zero);
             let contrib = self.lower_power_template(e_slot, freq, vdd, i_eff);
             // `power += components.power(op)` from Power::ZERO.
-            let dst = self.reg("");
-            self.emit(Instr::Bin {
-                op: BinaryOp::Add,
-                dst,
-                a: zero,
-                b: contrib,
-            });
-            power = dst;
+            power = self.bin(BinaryOp::Add, zero, contrib);
             energy = Some(e_slot);
         } else if static_i.is_some() {
             // Static-only template: whether the template contributes at
@@ -528,13 +599,7 @@ impl Lowerer {
             // requires `vdd` (and reads `f` with a 0.0 default) when the
             // current is non-zero, so an unbound `vdd` traps behind the
             // same condition, and the contribution is gated by `Sel`.
-            let cond = self.reg("");
-            self.emit(Instr::Bin {
-                op: BinaryOp::Ne,
-                dst: cond,
-                a: i_eff,
-                b: zero,
-            });
+            let cond = self.bin(BinaryOp::Ne, i_eff, zero);
             let vdd = match env.lookup("vdd") {
                 Some(slot) => slot,
                 None => {
@@ -550,33 +615,13 @@ impl Lowerer {
             // `scope.get("f").unwrap_or(0.0)`.
             let freq = env.lookup("f").unwrap_or(zero);
             let contrib = self.lower_power_template(zero, freq, vdd, i_eff);
-            let summed = self.reg("");
-            self.emit(Instr::Bin {
-                op: BinaryOp::Add,
-                dst: summed,
-                a: zero,
-                b: contrib,
-            });
-            let dst = self.reg("");
-            self.emit(Instr::Sel {
-                dst,
-                cond,
-                a: summed,
-                b: zero,
-            });
-            power = dst;
+            let summed = self.bin(BinaryOp::Add, zero, contrib);
+            power = self.pure(Pure::Sel(cond, summed, zero));
         }
 
         if let Some(e) = &model.power_direct {
             let direct = self.lower_formula(row_name, "power_direct", e, env)?;
-            let dst = self.reg("");
-            self.emit(Instr::Bin {
-                op: BinaryOp::Add,
-                dst,
-                a: power,
-                b: direct,
-            });
-            power = dst;
+            power = self.bin(BinaryOp::Add, power, direct);
         }
         let area = match &model.area {
             Some(e) => Some(self.lower_formula(row_name, "area", e, env)?),
@@ -601,28 +646,9 @@ impl Lowerer {
         let mut acc = zero;
         for &(cap, swing) in switched {
             let sw = swing.unwrap_or(vdd);
-            let t1 = self.reg("");
-            self.emit(Instr::Bin {
-                op: BinaryOp::Mul,
-                dst: t1,
-                a: cap,
-                b: sw,
-            });
-            let t2 = self.reg("");
-            self.emit(Instr::Bin {
-                op: BinaryOp::Mul,
-                dst: t2,
-                a: t1,
-                b: vdd,
-            });
-            let next = self.reg("");
-            self.emit(Instr::Bin {
-                op: BinaryOp::Add,
-                dst: next,
-                a: acc,
-                b: t2,
-            });
-            acc = next;
+            let t1 = self.bin(BinaryOp::Mul, cap, sw);
+            let t2 = self.bin(BinaryOp::Mul, t1, vdd);
+            acc = self.bin(BinaryOp::Add, acc, t2);
         }
         acc
     }
@@ -630,28 +656,9 @@ impl Lowerer {
     /// EQ 1 at the operating point, in the exact operand order of
     /// `PowerComponents::power`: `energy * f + vdd * i`.
     fn lower_power_template(&mut self, energy: u32, freq: u32, vdd: u32, i_eff: u32) -> u32 {
-        let dynamic = self.reg("");
-        self.emit(Instr::Bin {
-            op: BinaryOp::Mul,
-            dst: dynamic,
-            a: energy,
-            b: freq,
-        });
-        let leak = self.reg("");
-        self.emit(Instr::Bin {
-            op: BinaryOp::Mul,
-            dst: leak,
-            a: vdd,
-            b: i_eff,
-        });
-        let dst = self.reg("");
-        self.emit(Instr::Bin {
-            op: BinaryOp::Add,
-            dst,
-            a: dynamic,
-            b: leak,
-        });
-        dst
+        let dynamic = self.bin(BinaryOp::Mul, energy, freq);
+        let leak = self.bin(BinaryOp::Mul, vdd, i_eff);
+        self.bin(BinaryOp::Add, dynamic, leak)
     }
 
     /// Lowers one row (element or inlined sub-sheet). Scope layers the
@@ -817,14 +824,7 @@ impl Lowerer {
         let identity = self.konst(SUM_IDENTITY);
         let mut power = identity;
         for rec in rows {
-            let dst = self.reg("");
-            self.emit(Instr::Bin {
-                op: BinaryOp::Add,
-                dst,
-                a: power,
-                b: rec.power,
-            });
-            power = dst;
+            power = self.bin(BinaryOp::Add, power, rec.power);
         }
         let with_area: Vec<u32> = rows.iter().filter_map(|r| r.area).collect();
         let area = if with_area.is_empty() {
@@ -832,14 +832,7 @@ impl Lowerer {
         } else {
             let mut acc = identity;
             for slot in with_area {
-                let dst = self.reg("");
-                self.emit(Instr::Bin {
-                    op: BinaryOp::Add,
-                    dst,
-                    a: acc,
-                    b: slot,
-                });
-                acc = dst;
+                acc = self.bin(BinaryOp::Add, acc, slot);
             }
             Some(acc)
         };
@@ -873,20 +866,19 @@ impl Program {
     pub(crate) fn lower(plan: &CompiledSheet, rows_plan: &RowsPlan, appended: &[&str]) -> Program {
         let mut lw = Lowerer::new();
         let mut env = Env::new();
-        // Top-level globals, declared then appended: one named register
-        // each, seeded per play from the scalar global resolution (which
-        // owns the override graph-repair logic).
+        // Top-level globals, declared then appended: registers 0.., each
+        // seeded per play from the scalar global resolution (which owns
+        // the override graph-repair logic).
         env.push_layer();
-        let names = plan
+        let globals: Vec<Arc<str>> = plan
             .globals
             .iter()
             .map(|g| g.name.clone())
-            .chain(appended.iter().map(|&name| Arc::from(name)));
-        let mut global_slots = Vec::with_capacity(plan.globals.len() + appended.len());
-        for name in names {
-            let slot = lw.reg(name.to_string());
-            env.insert_top(name, slot);
-            global_slots.push(slot);
+            .chain(appended.iter().map(|&name| Arc::from(name)))
+            .collect();
+        for name in &globals {
+            let slot = lw.reg();
+            env.insert_top(name.clone(), slot);
         }
         let power_layer = env.push_layer();
         lw.rows_total += rows_plan.order.len() as u64;
@@ -914,24 +906,29 @@ impl Program {
             row_spans[i] = (start, lw.code.len() as u32);
             recipes[i] = Some(rec);
         }
+        let is_const: Vec<bool> = lw.const_val.iter().map(Option::is_some).collect();
+        debug_assert!(
+            is_ssa(&lw.code, globals.len(), &is_const),
+            "a register is written twice, or a global or constant is written"
+        );
         Program {
             code: lw.code,
             init: lw.init,
-            global_slots,
+            is_const,
+            globals,
             row_spans,
             recipes: recipes
                 .into_iter()
                 .map(|r| r.expect("plan order covers every row"))
                 .collect(),
             errors: lw.errors,
-            names: lw.names,
             rows_total: lw.rows_total,
         }
     }
 
-    /// Registers in the file (scratch buffers must be at least this).
-    pub(crate) fn reg_count(&self) -> usize {
-        self.init.len()
+    /// The initial image: constants in place, all working slots zero.
+    pub(crate) fn init(&self) -> &[f64] {
+        &self.init
     }
 
     /// The `[start, end)` code span evaluating row `i` (declaration
@@ -940,26 +937,25 @@ impl Program {
         self.row_spans[i]
     }
 
-    /// Register slot of top-level global `i` (its index in the resolved
-    /// globals: declared, then appended).
-    pub(crate) fn global_slot(&self, i: usize) -> u32 {
-        self.global_slots[i]
-    }
-
-    /// Resets `regs` to the initial image (constants in place, all
-    /// working slots zero).
-    pub(crate) fn seed(&self, regs: &mut Vec<f64>) {
-        regs.clear();
-        regs.extend_from_slice(&self.init);
-    }
-
-    /// Writes the resolved top-level global values into their slots: the
-    /// declared globals, then the appended ones — the order of both the
-    /// resolved-globals vector and the program's global registers, so
-    /// this is a positional zip.
+    /// Writes the resolved top-level global values into their registers:
+    /// the declared globals, then the appended ones, in registers 0.. —
+    /// the order of the resolved-globals vector, so this is a positional
+    /// zip.
     pub(crate) fn seed_globals(&self, values: impl Iterator<Item = f64>, regs: &mut [f64]) {
-        for (&slot, value) in self.global_slots.iter().zip(values) {
-            regs[slot as usize] = value;
+        for (reg, value) in regs[..self.globals.len()].iter_mut().zip(values) {
+            *reg = value;
+        }
+    }
+
+    /// [`Program::seed_globals`] into lane `lane` of a lane image.
+    pub(crate) fn seed_lane_globals(
+        &self,
+        lane: usize,
+        values: impl Iterator<Item = f64>,
+        regs: &mut [Lanes],
+    ) {
+        for (reg, value) in regs[..self.globals.len()].iter_mut().zip(values) {
+            reg[lane] = value;
         }
     }
 
@@ -984,7 +980,7 @@ impl Program {
                 }
                 Instr::Check { src, err } => {
                     let v = regs[src as usize];
-                    if !v.is_finite() || v < 0.0 {
+                    if !is_physical(v) {
                         return Err(TrapHit { err, value: v });
                     }
                 }
@@ -999,112 +995,63 @@ impl Program {
         Ok(())
     }
 
-    /// Runs `code[start..end]` over `m` register files at once.
-    ///
-    /// `soa` is slot-major: lane `l` of slot `s` lives at `s * m + l`.
-    /// One instruction dispatch drives all `m` lanes, and the per-slot
-    /// inner loops are contiguous streams the compiler can vectorize.
-    /// A trapped lane records its *first* trap in `errs[l]` and is
-    /// skipped by subsequent trap checks; arithmetic still runs in
-    /// trapped lanes (the garbage results are never observed), which
-    /// keeps every inner loop branch-free.
+    /// Runs `code[start..end]` over the [`WIDTH`] lanes of a lane image
+    /// at once: one dispatch per instruction drives every lane, and each
+    /// arithmetic instruction is a fixed-width loop over two or three
+    /// `[f64; WIDTH]` arrays the compiler can vectorize. A trapped lane
+    /// records its *first* trap in `errs[l]` and is skipped by later trap
+    /// checks; arithmetic still runs in trapped lanes (the results are
+    /// never observed), which keeps every lane loop branch-free.
     pub(crate) fn exec_batch(
         &self,
         start: u32,
         end: u32,
-        soa: &mut [f64],
-        m: usize,
-        errs: &mut [Option<TrapHit>],
+        regs: &mut [Lanes],
+        errs: &mut [Option<TrapHit>; WIDTH],
     ) {
         for instr in &self.code[start as usize..end as usize] {
             match *instr {
-                Instr::Neg { dst, a } => {
-                    let (d, a) = (dst as usize * m, a as usize * m);
-                    for l in 0..m {
-                        soa[d + l] = -soa[a + l];
-                    }
-                }
+                Instr::Neg { dst, a } => regs[dst as usize] = regs[a as usize].map(|x| -x),
                 Instr::Bin { op, dst, a, b } => {
-                    let (d, a, b) = (dst as usize * m, a as usize * m, b as usize * m);
+                    let (a, b) = (regs[a as usize], regs[b as usize]);
                     // Hoist the operator dispatch out of the lane loop
                     // for the four hot arithmetic ops.
-                    match op {
-                        BinaryOp::Add => {
-                            for l in 0..m {
-                                soa[d + l] = soa[a + l] + soa[b + l];
-                            }
-                        }
-                        BinaryOp::Sub => {
-                            for l in 0..m {
-                                soa[d + l] = soa[a + l] - soa[b + l];
-                            }
-                        }
-                        BinaryOp::Mul => {
-                            for l in 0..m {
-                                soa[d + l] = soa[a + l] * soa[b + l];
-                            }
-                        }
-                        BinaryOp::Div => {
-                            for l in 0..m {
-                                soa[d + l] = soa[a + l] / soa[b + l];
-                            }
-                        }
-                        _ => {
-                            for l in 0..m {
-                                soa[d + l] = apply_binary(op, soa[a + l], soa[b + l]);
-                            }
-                        }
-                    }
+                    regs[dst as usize] = match op {
+                        BinaryOp::Add => lanes(|l| a[l] + b[l]),
+                        BinaryOp::Sub => lanes(|l| a[l] - b[l]),
+                        BinaryOp::Mul => lanes(|l| a[l] * b[l]),
+                        BinaryOp::Div => lanes(|l| a[l] / b[l]),
+                        _ => lanes(|l| apply_binary(op, a[l], b[l])),
+                    };
                 }
                 Instr::Call1 { f, dst, a } => {
-                    let (d, a) = (dst as usize * m, a as usize * m);
-                    for l in 0..m {
-                        soa[d + l] = f.apply1(soa[a + l]);
-                    }
+                    regs[dst as usize] = regs[a as usize].map(|x| f.apply1(x))
                 }
                 Instr::Call2 { f, dst, a, b } => {
-                    let (d, a, b) = (dst as usize * m, a as usize * m, b as usize * m);
-                    for l in 0..m {
-                        soa[d + l] = f.apply2(soa[a + l], soa[b + l]);
-                    }
+                    let (a, b) = (regs[a as usize], regs[b as usize]);
+                    regs[dst as usize] = lanes(|l| f.apply2(a[l], b[l]));
                 }
                 Instr::Sel { dst, cond, a, b } => {
-                    let (d, c, a, b) = (
-                        dst as usize * m,
-                        cond as usize * m,
-                        a as usize * m,
-                        b as usize * m,
-                    );
-                    for l in 0..m {
-                        soa[d + l] = if soa[c + l] != 0.0 {
-                            soa[a + l]
-                        } else {
-                            soa[b + l]
-                        };
-                    }
+                    let (c, a, b) = (regs[cond as usize], regs[a as usize], regs[b as usize]);
+                    regs[dst as usize] = lanes(|l| if c[l] != 0.0 { a[l] } else { b[l] });
                 }
                 Instr::Check { src, err } => {
-                    let s = src as usize * m;
-                    for l in 0..m {
-                        let v = soa[s + l];
-                        if (!v.is_finite() || v < 0.0) && errs[l].is_none() {
-                            errs[l] = Some(TrapHit { err, value: v });
+                    for (e, &v) in errs.iter_mut().zip(&regs[src as usize]) {
+                        if !is_physical(v) && e.is_none() {
+                            *e = Some(TrapHit { err, value: v });
                         }
                     }
                 }
                 Instr::TrapIf { cond, err } => {
-                    let c = cond as usize * m;
-                    for l in 0..m {
-                        if soa[c + l] != 0.0 && errs[l].is_none() {
-                            errs[l] = Some(TrapHit { err, value: 0.0 });
+                    for (e, &c) in errs.iter_mut().zip(&regs[cond as usize]) {
+                        if c != 0.0 && e.is_none() {
+                            *e = Some(TrapHit { err, value: 0.0 });
                         }
                     }
                 }
                 Instr::Trap { err } => {
-                    for e in errs.iter_mut().take(m) {
-                        if e.is_none() {
-                            *e = Some(TrapHit { err, value: 0.0 });
-                        }
+                    for e in errs.iter_mut().filter(|e| e.is_none()) {
+                        *e = Some(TrapHit { err, value: 0.0 });
                     }
                 }
             }
@@ -1166,16 +1113,15 @@ impl Program {
         crate::plan::plan_metrics()
             .rows_evaluated_total
             .add(self.rows_total);
-        self.seed(regs);
+        regs.clear();
+        regs.extend_from_slice(&self.init);
         self.seed_globals(resolved.iter().map(|(_, v)| *v), regs);
         let run = self.exec(0, self.code.len() as u32, regs);
         metrics.instrs_total.add(self.code.len() as u64);
         run.map_err(|hit| self.materialize(hit))
     }
 
-    /// Rebuilds row `i`'s report from register values supplied by `get`
-    /// (direct indexing for scalar replay, a strided lane view for the
-    /// batch kernel).
+    /// Rebuilds row `i`'s report from register values supplied by `get`.
     pub(crate) fn build_row_report(&self, i: usize, get: &impl Fn(u32) -> f64) -> RowReport {
         build_row(&self.recipes[i], get)
     }
@@ -1201,8 +1147,8 @@ impl Program {
             self.errors.len(),
         );
         let _ = writeln!(out, "registers:");
-        for (slot, name) in self.names.iter().enumerate() {
-            if !name.is_empty() {
+        for slot in 0..self.init.len() {
+            if let Some(name) = self.slot_name(slot) {
                 let _ = writeln!(out, "  r{slot:<5} {name}");
             }
         }
@@ -1256,13 +1202,38 @@ impl Program {
     }
 
     fn operand(&self, slot: u32) -> String {
-        let name = &self.names[slot as usize];
-        if name.is_empty() {
-            format!("r{slot}")
-        } else {
-            format!("r{slot}{name}")
+        match self.slot_name(slot as usize) {
+            Some(name) => format!("r{slot}{name}"),
+            None => format!("r{slot}"),
         }
     }
+
+    /// A global's name, `=value` for a constant, `None` for a temporary.
+    fn slot_name(&self, slot: usize) -> Option<String> {
+        if let Some(name) = self.globals.get(slot) {
+            Some(name.to_string())
+        } else if self.is_const[slot] {
+            Some(format!("={}", self.init[slot]))
+        } else {
+            None
+        }
+    }
+}
+
+/// Whether every register is written by at most one instruction, and no
+/// instruction writes a global or a constant: the program is SSA.
+fn is_ssa(code: &[Instr], globals: usize, is_const: &[bool]) -> bool {
+    let mut written = vec![false; is_const.len()];
+    code.iter().filter_map(|instr| instr.dst()).all(|dst| {
+        let d = dst as usize;
+        d >= globals && !is_const[d] && !std::mem::replace(&mut written[d], true)
+    })
+}
+
+/// One register's lanes, lane `l` computed by `f(l)`.
+#[inline(always)]
+fn lanes(f: impl FnMut(usize) -> f64) -> Lanes {
+    std::array::from_fn(f)
 }
 
 /// Rebuilds one row report from a recipe plus a register accessor.

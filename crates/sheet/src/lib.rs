@@ -59,6 +59,6 @@ pub use plan::{
     BatchKernel, CompiledSheet, DeltaOutcome, GlobalView, OverridePlan, ReplayState, RowKindView,
     RowView, RowsView, DELTA_FALLBACK_DEN, DELTA_FALLBACK_NUM,
 };
-pub use report::{RowReport, SheetReport};
+pub use report::{RowReport, SheetReport, SUM_IDENTITY};
 pub use row::{Row, RowModel};
 pub use sheet::Sheet;

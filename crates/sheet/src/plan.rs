@@ -43,7 +43,7 @@ use powerplay_library::{LibraryElement, Registry};
 use powerplay_telemetry::{profile, Counter, Histogram};
 use powerplay_units::Power;
 
-use crate::bytecode::{bytecode_metrics, Program, TrapHit};
+use crate::bytecode::{bytecode_metrics, Lanes, Program, TrapHit, WIDTH};
 use crate::engine::{toposort, EvaluateSheetError};
 use crate::report::{RowReport, SheetReport};
 use crate::row::{Row, RowModel};
@@ -880,14 +880,21 @@ impl ReplayState {
 /// name, directly or through non-overridden global formulas or
 /// `P_`/`A_` chains. Without a usable baseline (the plan appends a name,
 /// or the un-overridden play fails) every row is dirty and lanes start
-/// from the program's initial register image. Each
-/// [`BatchKernel::replay_chunk`] call resolves globals per lane with the
-/// scalar path (which owns override graph repair and global error
-/// precedence), seeds a slot-major SoA register file, and executes only
-/// the dirty rows' code spans across all lanes at once. Clean rows keep
-/// the baseline's registers — they cannot differ, because none of their
-/// watched inputs can change — so every top-level power register holds
-/// the point's value and a lane's total is their fold.
+/// from the program's initial register image.
+///
+/// The kernel owns one lane image for the whole sweep: a
+/// `[f64; WIDTH]` array per register, every lane holding the baseline's
+/// value when the kernel is built. Each [`BatchKernel::replay_chunk`]
+/// call resolves globals per lane with the scalar path (which owns
+/// override graph repair and global error precedence), writes only the
+/// lanes of the global registers, and executes only the dirty rows'
+/// code spans across all lanes at once. Clean rows' registers are never
+/// written, so they keep the baseline's values — which cannot differ,
+/// because none of their watched inputs can change — and the program is
+/// SSA, so every register a dirty span reads is a constant, a global, a
+/// clean row's, or one written earlier in the same pass. Every
+/// top-level power register then holds the point's value and a lane's
+/// total is their fold.
 ///
 /// Results are bit-for-bit `total_power` of
 /// [`CompiledSheet::play_with_plan`] per point, including which error
@@ -898,9 +905,10 @@ pub struct BatchKernel<'a> {
     /// Plan-order traversal of the value-independent dirty superset of
     /// top-level rows.
     dirty_order: Vec<usize>,
-    /// Register image every lane starts from: the baseline play's, or
-    /// the program's initial image when there is no baseline.
-    image: Vec<f64>,
+    /// The lane image: the baseline play's registers, or the program's
+    /// initial image when there is no baseline, in every lane; dirty
+    /// rows' registers are rewritten by each chunk.
+    lanes: Vec<Lanes>,
 }
 
 impl CompiledSheet {
@@ -916,7 +924,7 @@ impl CompiledSheet {
             plan: self,
             oplan: plan,
             dirty_order: Vec::new(),
-            image: Vec::new(),
+            lanes: Vec::new(),
         };
         // Without rows every lane fails in `prepare`, and nothing runs.
         let Ok(rows_plan) = &self.structure else {
@@ -927,17 +935,18 @@ impl CompiledSheet {
         // Baseline: the un-overridden play through the same program, so
         // its register image can seed the lanes. A plan that appends a
         // name has another register layout and no un-overridden value.
-        let baseline = plan.appended().is_empty()
-            && self
-                .prepare(&self.base, &[])
-                .is_ok_and(|(resolved, _, _)| prog.run_full(&resolved, &mut kernel.image).is_ok());
-        let dirty = match &plan.inner {
-            Ok(inner) if baseline => self.sweep_dirty(plan, inner, rows_plan),
-            _ => {
-                prog.seed(&mut kernel.image);
-                vec![true; rows_plan.rows.len()]
-            }
-        };
+        let dirty = with_scratch_regs(|regs| {
+            let baseline = plan.appended().is_empty()
+                && self
+                    .prepare(&self.base, &[])
+                    .is_ok_and(|(resolved, _, _)| prog.run_full(&resolved, regs).is_ok());
+            let (image, dirty) = match &plan.inner {
+                Ok(inner) if baseline => (&regs[..], self.sweep_dirty(plan, inner, rows_plan)),
+                _ => (prog.init(), vec![true; rows_plan.rows.len()]),
+            };
+            kernel.lanes = image.iter().map(|&value| [value; WIDTH]).collect();
+            dirty
+        });
         kernel.dirty_order = rows_plan
             .order
             .iter()
@@ -999,75 +1008,77 @@ impl CompiledSheet {
 }
 
 impl BatchKernel<'_> {
-    /// Natural chunk size for [`BatchKernel::replay_chunk`]: wide enough
-    /// to amortize dispatch and fill SIMD lanes, small enough to keep
-    /// the SoA register file in cache.
-    pub const WIDTH: usize = 8;
+    /// Points per [`BatchKernel::replay_chunk`] call at most: the lanes
+    /// of one dispatch pass.
+    pub const WIDTH: usize = WIDTH;
 
     /// Plays one point per element of `points` (each a values slice
-    /// aligned with the kernel's override-plan names), batching all
-    /// lanes through each dirty row's code span in one dispatch pass,
-    /// and answers each point's total power or error.
+    /// aligned with the kernel's override-plan names, at most
+    /// [`BatchKernel::WIDTH`] of them), batching all lanes through each
+    /// dirty row's code span in one dispatch pass over the kernel's lane
+    /// image, and answers each point's total power or error. A short
+    /// chunk fills its spare lanes with its last live lane, whose
+    /// results they repeat and which nobody reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `points` holds more than [`BatchKernel::WIDTH`] points.
     pub fn replay_chunk<P: AsRef<[f64]>>(
-        &self,
+        &mut self,
         points: &[P],
     ) -> Vec<Result<Power, EvaluateSheetError>> {
+        assert!(
+            points.len() <= WIDTH,
+            "a chunk holds at most {WIDTH} points"
+        );
         let metrics = plan_metrics();
-        let n = points.len();
-        let mut out: Vec<Option<Result<Power, EvaluateSheetError>>> = vec![None; n];
+        let mut out: Vec<Option<Result<Power, EvaluateSheetError>>> = vec![None; points.len()];
 
-        // Scalar global resolution and structure check per lane; a lane
-        // that errors there is answered immediately and left out.
-        let mut lanes: Vec<(usize, Resolved)> = Vec::with_capacity(n);
+        // Scalar global resolution and structure check per lane; a point
+        // that errors there is answered immediately and gets no lane.
+        let mut live: Vec<(usize, Resolved)> = Vec::with_capacity(points.len());
         let mut prog = None;
         for (idx, point) in points.iter().enumerate() {
             match self.plan.prepare(self.oplan, point.as_ref()) {
                 Ok((resolved, _, p)) => {
                     prog = Some(p);
-                    lanes.push((idx, resolved));
+                    live.push((idx, resolved));
                 }
                 Err(err) => out[idx] = Some(Err(err)),
             }
         }
 
         if let Some(prog) = prog {
-            let m = lanes.len();
+            let m = live.len();
             metrics.plays_total.add(m as u64);
             metrics
                 .rows_evaluated_total
                 .add((self.dirty_order.len() * m) as u64);
             bytecode_metrics().batch_width.observe_value(m as u64);
 
-            // Slot-major SoA register file: lane `l` of slot `s` at
-            // `s * m + l`. The starting image per slot, then each lane's
-            // own global values (declared, then appended: a positional
-            // zip with the program's global registers).
-            let mut soa = vec![0.0f64; prog.reg_count() * m];
-            for (slot, &value) in self.image.iter().enumerate() {
-                soa[slot * m..(slot + 1) * m].fill(value);
-            }
-            for (l, (_, resolved)) in lanes.iter().enumerate() {
-                for (gi, (_, value)) in resolved.iter().enumerate() {
-                    soa[prog.global_slot(gi) as usize * m + l] = *value;
-                }
+            // Each lane's own global values; spare lanes repeat the
+            // last live lane.
+            for l in 0..WIDTH {
+                let (_, resolved) = &live[l.min(m - 1)];
+                prog.seed_lane_globals(l, resolved.iter().map(|(_, v)| *v), &mut self.lanes);
             }
 
-            let mut errs: Vec<Option<TrapHit>> = vec![None; m];
+            let mut errs: [Option<TrapHit>; WIDTH] = [None; WIDTH];
             let mut instrs = 0u64;
             for &i in &self.dirty_order {
                 let (start, end) = prog.row_span(i);
                 instrs += u64::from(end - start) * m as u64;
-                prog.exec_batch(start, end, &mut soa, m, &mut errs);
-                if errs.iter().all(Option::is_some) {
+                prog.exec_batch(start, end, &mut self.lanes, &mut errs);
+                if errs[..m].iter().all(Option::is_some) {
                     break;
                 }
             }
             bytecode_metrics().instrs_total.add(instrs);
 
-            for (l, (idx, _)) in lanes.into_iter().enumerate() {
+            for (l, (idx, _)) in live.into_iter().enumerate() {
                 out[idx] = Some(match errs[l] {
                     Some(hit) => Err(prog.materialize(hit)),
-                    None => Ok(prog.total_power(|slot| soa[slot as usize * m + l])),
+                    None => Ok(prog.total_power(|slot| self.lanes[slot as usize][l])),
                 });
             }
         }

@@ -167,10 +167,10 @@ impl RowReport {
 
 /// The identity every total folds from: −0.0, the additive identity of
 /// IEEE addition (`x + −0.0` is `x` for every `x`, +0.0 included), so an
-/// empty total is −0.0. Reports, the register program and the sweep
-/// kernel all fold through here, which keeps their totals equal bit for
-/// bit.
-pub(crate) const SUM_IDENTITY: f64 = -0.0;
+/// empty total is −0.0. Reports, the register program, the sweep kernel
+/// and the interval analyzer all fold from here, which keeps their
+/// totals equal bit for bit.
+pub const SUM_IDENTITY: f64 = -0.0;
 
 /// Sums `terms` in order from [`SUM_IDENTITY`].
 pub(crate) fn fold_sum(terms: impl Iterator<Item = f64>) -> f64 {
@@ -317,7 +317,10 @@ impl fmt::Display for SheetReport {
                 .map(|e| e.to_string())
                 .unwrap_or_else(|| "-".to_owned());
             let share = if total.value() > 0.0 {
-                format::percent(row.power().value() / total.value())
+                // A −0.0 row (an empty sub-sheet) has a −0.0 share; it
+                // prints as 0.0%, like any other zero.
+                let share = row.power().value() / total.value();
+                format::percent(if share == 0.0 { 0.0 } else { share })
             } else {
                 "-".to_owned()
             };

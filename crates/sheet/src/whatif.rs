@@ -66,7 +66,7 @@ fn whatif_metrics() -> &'static WhatifMetrics {
 /// names, through the kernel in [`BatchKernel::WIDTH`]-point chunks and
 /// returns their totals in order, or the first error in that order.
 fn batched_totals<P: AsRef<[f64]>>(
-    kernel: &BatchKernel<'_>,
+    kernel: &mut BatchKernel<'_>,
     points: &[P],
 ) -> Result<Vec<Power>, EvaluateSheetError> {
     let chunks = points.chunks(BatchKernel::WIDTH);
@@ -160,7 +160,7 @@ pub fn sweep_compiled(
         }
     }
 
-    let totals = batched_totals(&plan.batch_kernel(&override_plan), &unique)?;
+    let totals = batched_totals(&mut plan.batch_kernel(&override_plan), &unique)?;
     Ok(values
         .iter()
         .zip(slot_of)
@@ -428,10 +428,11 @@ pub fn monte_carlo(
                 .collect()
         })
         .collect();
-    let mut samples: Vec<f64> = batched_totals(&plan.batch_kernel(&override_plan), &trial_values)?
-        .into_iter()
-        .map(Power::value)
-        .collect();
+    let mut samples: Vec<f64> =
+        batched_totals(&mut plan.batch_kernel(&override_plan), &trial_values)?
+            .into_iter()
+            .map(Power::value)
+            .collect();
     samples.sort_by(|a, b| nan_last(*a, *b));
     Ok(MonteCarloSummary { samples })
 }

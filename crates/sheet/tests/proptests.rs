@@ -415,9 +415,10 @@ proptest! {
     /// Sweeps run over a declared global (`vdd`) and over appended names
     /// (`ghost`, which resolves the unknown-variable defects, and the
     /// unreferenced `x_new`), on sound sheets and on every defect class
-    /// above. A converter with a fixed load reads no `vdd`, so a `vdd`
-    /// sweep with a baseline leaves it clean and the lane total reads
-    /// its baseline register.
+    /// above. A converter whose load reads `f` but no `vdd` is clean in
+    /// a `vdd` sweep with a baseline, and its power is computed at run
+    /// time (a constant load would fold to a constant), so the lane
+    /// total reads the register its baseline play wrote.
     #[test]
     fn batched_sweep_matches_tree_walker_per_point(
         sheet in arb_sheet(),
@@ -432,7 +433,7 @@ proptest! {
         let library = lib();
         let mut sheet = sheet;
         sheet
-            .add_element_row("Fixed Conv", "ucb/dcdc", [("p_load", "0.25")])
+            .add_element_row("Rate Conv", "ucb/dcdc", [("p_load", "f / 4e7")])
             .unwrap();
         let plan = CompiledSheet::compile(&with_defect(sheet, defect), &library);
         let tree: Vec<_> = values
@@ -444,7 +445,7 @@ proptest! {
             .collect();
 
         let override_plan = plan.override_plan(&[name.as_str()]);
-        let kernel = plan.batch_kernel(&override_plan);
+        let mut kernel = plan.batch_kernel(&override_plan);
         let points: Vec<[f64; 1]> = values.iter().map(|&v| [v]).collect();
         let batched: Vec<_> = points
             .chunks(BatchKernel::WIDTH)

@@ -14,7 +14,7 @@
 use std::time::{Duration, Instant};
 
 use powerplay_analysis::{
-    analyze_with_ranges, sweep_constrained, Interval, PointOutcome, PowerConstraint,
+    analyze, analyze_with_ranges, sweep_constrained, Interval, PointOutcome, PowerConstraint,
 };
 use powerplay_json::Json;
 use powerplay_library::builtin::ucb_library;
@@ -60,19 +60,130 @@ fn play_matches_the_tree_walker() {
 
 #[test]
 fn vdd_sweep_matches_the_tree_walker_per_point() {
-    let values: Vec<f64> = (0..64).map(|i| 1.0 + 0.05 * f64::from(i)).collect();
-    for name in DESIGNS {
-        let plan = load_plan(name);
-        let curve = whatif::sweep_compiled(&plan, "vdd", &values)
-            .unwrap_or_else(|e| panic!("{name}: sweep failed: {e}"));
-        assert_eq!(curve.len(), values.len(), "{name}");
-        for (value, total) in curve {
-            assert_eq!(
-                Ok(bits(total)),
-                total_bits(plan.play_with_tree(&[("vdd", value)])),
-                "{name} at vdd = {value}"
-            );
+    // 64 points fill eight chunks; 1, 7, 9 and 17 leave a short final
+    // chunk whose spare lanes repeat its last point.
+    for len in [64u32, 1, 7, 9, 17] {
+        let values: Vec<f64> = (0..len).map(|i| 1.0 + 0.05 * f64::from(i)).collect();
+        for name in DESIGNS {
+            let plan = load_plan(name);
+            let curve = whatif::sweep_compiled(&plan, "vdd", &values)
+                .unwrap_or_else(|e| panic!("{name}: sweep failed: {e}"));
+            assert_eq!(curve.len(), values.len(), "{name}");
+            for (value, total) in curve {
+                assert_eq!(
+                    Ok(bits(total)),
+                    total_bits(plan.play_with_tree(&[("vdd", value)])),
+                    "{name} at vdd = {value} in a {len}-point sweep"
+                );
+            }
         }
+    }
+}
+
+/// The instruction lines of a `disassemble()` listing, without their
+/// program counters, and the instruction count its header states.
+fn listing_code(listing: &str) -> (usize, Vec<&str>) {
+    let header = listing.lines().next().expect("a header line");
+    let count = header
+        .strip_prefix("program: ")
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("bad header {header:?}"));
+    let code = listing
+        .lines()
+        .skip_while(|line| *line != "code:")
+        .skip(1)
+        .map(|line| line.trim_start().split_once("  ").expect("pc, then code").1)
+        .collect();
+    (count, code)
+}
+
+#[test]
+fn programs_compute_each_value_once() {
+    for name in DESIGNS {
+        let listing = load_plan(name).disassemble();
+        let (count, code) = listing_code(&listing);
+        assert_eq!(count, code.len(), "{name}");
+        // A pure instruction reads `rD = op(operands)`; its right-hand
+        // side names the operation and every operand register.
+        let mut seen = std::collections::BTreeSet::new();
+        for line in &code {
+            if let Some((_, value)) = line.split_once(" = ") {
+                assert!(seen.insert(value), "{name}: `{value}` computed twice");
+            }
+            // A constant operand lists as `rN=value`.
+            if let Some(rest) = line.strip_prefix("check ") {
+                let operand = rest.split(' ').next().expect("an operand");
+                assert!(!operand.contains('='), "{name}: `{line}` checks a constant");
+            }
+        }
+        assert!(!seen.is_empty(), "{name}: no pure instruction listed");
+    }
+    let (count, _) = listing_code(&load_plan("infopad").disassemble());
+    assert!(count <= 138, "InfoPad lowers to {count} instructions");
+}
+
+/// A report's row powers and total, by their bits.
+fn report_bits(
+    played: Result<SheetReport, EvaluateSheetError>,
+) -> Result<Vec<u64>, EvaluateSheetError> {
+    played.map(|report| {
+        let mut out: Vec<u64> = report.rows().iter().map(|row| bits(row.power())).collect();
+        out.push(bits(report.total_power()));
+        out
+    })
+}
+
+#[test]
+fn a_dirty_row_reads_the_values_a_clean_row_computed() {
+    // Both rows compute `(vdd - vt)^2`, so the program computes it once,
+    // in the first row's span. Only the second row reads `k`: when `k`
+    // moves, the second row runs alone and reads that value from the
+    // baseline's registers.
+    let mut sheet = Sheet::new("shared");
+    for (global, value) in [("vdd", "1.5"), ("vt", "0.4"), ("k", "2"), ("f", "2MHz")] {
+        sheet.set_global(global, value).unwrap();
+    }
+    sheet
+        .add_element_row("A", "ucb/register", [("bits", "8 * (vdd - vt)^2")])
+        .unwrap();
+    let pows = |sheet: &Sheet| {
+        let listing = CompiledSheet::compile(sheet, &ucb_library()).disassemble();
+        listing.matches("Pow(").count()
+    };
+    let alone = pows(&sheet);
+    sheet
+        .add_element_row("B", "ucb/register", [("bits", "k + 4 * (vdd - vt)^2")])
+        .unwrap();
+    assert_eq!(pows(&sheet), alone, "the second row adds no `Pow`");
+    let plan = CompiledSheet::compile(&sheet, &ucb_library());
+
+    let mut state = ReplayState::new();
+    let sequence: [(&[(&str, f64)], usize); 4] = [
+        (&[], 2),
+        (&[("k", 3.0)], 1),
+        (&[("k", 3.0), ("vdd", 1.8)], 2),
+        (&[("k", 5.0), ("vdd", 1.8)], 1),
+    ];
+    for (overrides, dirty) in sequence {
+        let replayed = plan.replay_delta(&mut state, overrides);
+        assert_eq!(
+            report_bits(replayed),
+            report_bits(plan.play_with_tree(overrides)),
+            "{overrides:?}"
+        );
+        assert_eq!(state.last_dirty_rows(), Some(dirty), "{overrides:?}");
+    }
+
+    // A sweep of `k` runs only the second row over the lane image.
+    let values: Vec<f64> = (0..11).map(|i| 1.0 + f64::from(i)).collect();
+    let curve = whatif::sweep_compiled(&plan, "k", &values).unwrap();
+    for (value, total) in curve {
+        assert_eq!(
+            Ok(bits(total)),
+            total_bits(plan.play_with_tree(&[("k", value)])),
+            "k = {value}"
+        );
     }
 }
 
@@ -256,6 +367,65 @@ fn empty_sub_sheet_totals_as_the_tree_walker_does() {
     assert_eq!(total_bits(plan.play()), want);
     let swept = whatif::sweep_compiled(&plan, "vdd", &[1.5]).map(|curve| bits(curve[0].1));
     assert_eq!(swept, want);
+}
+
+#[test]
+fn analyzer_bounds_an_empty_sub_sheet_total_at_negative_zero() {
+    // The analyzer folds totals from the engine's identity, so an empty
+    // sub-sheet is bounded at exactly the −0.0 every play totals.
+    let mut lone = Sheet::new("lone-sub");
+    lone.set_global("vdd", "1.5").unwrap();
+    lone.add_subsheet_row("S", Sheet::new("nothing"));
+    let plan = CompiledSheet::compile(&lone, &ucb_library());
+    let played = plan.play().unwrap().total_power();
+    assert_eq!(bits(played), (-0.0f64).to_bits());
+    let bounds = analyze(&plan).unwrap();
+    let total = bounds.total_power;
+    assert_eq!(
+        (total.lo.to_bits(), total.hi.to_bits()),
+        (bits(played), bits(played)),
+        "{total:?}"
+    );
+
+    // Beside a wire whose length reads `1/P_s`, the denominator's range
+    // is that same −0.0. Interval division by a zero-width interval at
+    // zero stays conservative, so the wire keeps a finite bound.
+    let mut wired = lone;
+    wired.set_global("f", "2MHz").unwrap();
+    wired
+        .add_element_row("W", "ucb/wire", [("length_mm", "min(1, 1/P_s)")])
+        .unwrap();
+    let bounds = analyze(&CompiledSheet::compile(&wired, &ucb_library())).unwrap();
+    let notes = bounds.diagnostics.render_text();
+    assert!(
+        notes.contains("W114") && notes.contains("(range [-0, -0])"),
+        "{notes}"
+    );
+    let wire = &bounds.rows[1].power;
+    assert_eq!(wire.lo, 0.0, "{wire:?}");
+    assert!(wire.hi > 0.0 && wire.hi.is_finite(), "{wire:?}");
+}
+
+#[test]
+fn an_empty_sub_sheet_row_prints_a_zero_share() {
+    let mut sheet = Sheet::new("shares");
+    sheet.set_global("vdd", "1.5").unwrap();
+    sheet.set_global("f", "2MHz").unwrap();
+    sheet.add_subsheet_row("S", Sheet::new("nothing"));
+    sheet
+        .add_element_row("Reg", "ucb/register", [("bits", "16")])
+        .unwrap();
+    let report = CompiledSheet::compile(&sheet, &ucb_library())
+        .play()
+        .unwrap();
+    assert_eq!(bits(report.rows()[0].power()), (-0.0f64).to_bits());
+    let table = report.to_string();
+    let line = table
+        .lines()
+        .find(|line| line.starts_with(">S "))
+        .unwrap_or_else(|| panic!("no sub-sheet line in\n{table}"));
+    assert!(line.ends_with(" 0.0%"), "{line}");
+    assert!(!table.contains("-0.0%"), "{table}");
 }
 
 /// Calls `play` in a loop for 300 ms, after a 30 ms warm-up, and
