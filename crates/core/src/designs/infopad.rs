@@ -37,9 +37,9 @@ pub fn sheet() -> Sheet {
     let mut system = Sheet::new("InfoPad System");
     system.set_global("vdd", "1.5").expect("literal parses");
     system.set_global("f", "2MHz").expect("literal parses");
-    // Transmit duty cycle as a system knob: turning it dirties exactly
-    // the radio row (and the converters fed by it), which is the
-    // narrow-delta workload the incremental replay benchmarks exercise.
+    // Transmit duty cycle as a system knob: turning it reaches exactly
+    // the radio row (and the converters fed by it), so a sweep of it
+    // runs a small slice of the program.
     // (Deliberately not named `duty_tx` — a global shadowed by an
     // element parameter default would never reach the model.)
     system
@@ -229,26 +229,22 @@ mod tests {
     }
 
     #[test]
-    fn radio_duty_delta_replays_incrementally() {
-        use powerplay_sheet::{DeltaOutcome, ReplayState};
-        // The knob the incremental benchmarks turn: a radio_duty change
-        // must re-evaluate only the radio row and the converters fed by
-        // its power, not the whole system.
+    fn radio_duty_sweep_matches_play_with() {
+        // The knob that reaches only the radio row and the converters
+        // fed by its power: a sweep of it runs that slice of the
+        // program, and every total is a full play's, bit for bit.
         let pp = PowerPlay::new();
         let plan = compiled(pp.registry());
-        let mut state = ReplayState::new();
-        plan.replay_delta(&mut state, &[]).unwrap();
-        let delta = plan
-            .replay_delta(&mut state, &[("radio_duty", 0.25)])
-            .unwrap();
-        assert_eq!(state.last_outcome(), DeltaOutcome::Incremental);
-        let dirty = state.last_dirty_rows().unwrap();
-        assert!(
-            dirty < plan.row_count(),
-            "{dirty} of {} rows dirty",
-            plan.row_count()
-        );
-        assert_eq!(delta, plan.play_with(&[("radio_duty", 0.25)]).unwrap());
+        let values = [0.1, 0.25, 0.5, 0.9];
+        let curve = powerplay_sheet::whatif::sweep_compiled(&plan, "radio_duty", &values).unwrap();
+        for (duty, total) in curve {
+            let played = plan.play_with(&[("radio_duty", duty)]).unwrap();
+            assert_eq!(
+                total.value().to_bits(),
+                played.total_power().value().to_bits(),
+                "radio_duty = {duty}"
+            );
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! contiguous `Vec<Instr>` whose operands are `u32` register slots
 //! resolved at compile time. Replay is a tight interpreter loop over a
 //! single `f64` register file — zero hashing, zero string comparison,
-//! zero `Arc` cloning per instruction. Every play, delta replay and
-//! sweep runs a program; the tree walker
+//! zero `Arc` cloning per instruction. Every play and sweep runs a
+//! program; the tree walker
 //! ([`super::plan::CompiledSheet::play_with_tree`]) is the test oracle.
 //!
 //! # Bit-for-bit fidelity
@@ -49,19 +49,25 @@
 //! still raises the tree walker's first error.
 //!
 //! The program is in SSA form: each register is written by at most one
-//! instruction, placed before every instruction that reads it. A row may
-//! therefore read a register an earlier row's span wrote. It reads it
-//! only through names its own formulas read in its own scope, so it
-//! watches every input of that register: when the value can change,
-//! both rows are dirty and the earlier one runs first; when only the
-//! later row is dirty, the register's inputs did not change and the
-//! baseline image still holds its value. Delta replay and the batched
-//! kernel stay exact on that argument.
+//! instruction, placed before every instruction that reads it, so a row
+//! may read a register an earlier row's span wrote. The register program
+//! is therefore the record of what depends on what, the template's
+//! hidden reads of `vdd` and `f` included. A sweep runs the slice of it
+//! that the changed globals reach ([`Program::sweep_slice`]): every
+//! instruction that reads a changed global's register, or a register a
+//! kept instruction writes. A register outside the slice is a function
+//! of constants and unchanged globals only, so it holds the baseline
+//! play's value in every lane; a register inside it is written in the
+//! same pass before any kept instruction reads it. A baseline play that
+//! succeeded ran the whole program, so the program holds no `Trap` and
+//! every `Check` or `TrapIf` outside the slice read values that passed;
+//! the first check to fail in slice order is the first in program
+//! order.
 //!
 //! # Batching
 //!
-//! [`Program::exec_batch`] evaluates the same instruction for
-//! [`WIDTH`] sweep / Monte-Carlo points per dispatch over a lane image:
+//! [`Program::exec_batch`] evaluates the same instruction for [`WIDTH`] sweep,
+//! Monte-Carlo or sensitivity points per dispatch over a lane image:
 //! one `[f64; WIDTH]` array per register, so each arithmetic instruction
 //! is one fixed-width loop the compiler can vectorize. Per-lane trap
 //! state keeps error reporting identical to serial replays.
@@ -169,6 +175,19 @@ impl Instr {
             | Instr::Call2 { dst, .. }
             | Instr::Sel { dst, .. } => Some(dst),
             Instr::Check { .. } | Instr::TrapIf { .. } | Instr::Trap { .. } => None,
+        }
+    }
+
+    /// Whether the instruction reads a register `set` marks.
+    fn reads_any(self, set: &[bool]) -> bool {
+        let r = |slot: u32| set[slot as usize];
+        match self {
+            Instr::Neg { a, .. } | Instr::Call1 { a, .. } => r(a),
+            Instr::Bin { a, b, .. } | Instr::Call2 { a, b, .. } => r(a) || r(b),
+            Instr::Sel { cond, a, b, .. } => r(cond) || r(a) || r(b),
+            Instr::Check { src, .. } => r(src),
+            Instr::TrapIf { cond, .. } => r(cond),
+            Instr::Trap { .. } => false,
         }
     }
 }
@@ -931,12 +950,6 @@ impl Program {
         &self.init
     }
 
-    /// The `[start, end)` code span evaluating row `i` (declaration
-    /// index).
-    pub(crate) fn row_span(&self, i: usize) -> (u32, u32) {
-        self.row_spans[i]
-    }
-
     /// Writes the resolved top-level global values into their registers:
     /// the declared globals, then the appended ones, in registers 0.. —
     /// the order of the resolved-globals vector, so this is a positional
@@ -959,9 +972,9 @@ impl Program {
         }
     }
 
-    /// Runs `code[start..end]` over one register file.
-    pub(crate) fn exec(&self, start: u32, end: u32, regs: &mut [f64]) -> Result<(), TrapHit> {
-        for instr in &self.code[start as usize..end as usize] {
+    /// Runs the whole program over one register file.
+    fn exec(&self, regs: &mut [f64]) -> Result<(), TrapHit> {
+        for instr in &self.code {
             match *instr {
                 Instr::Neg { dst, a } => regs[dst as usize] = -regs[a as usize],
                 Instr::Bin { op, dst, a, b } => {
@@ -995,7 +1008,7 @@ impl Program {
         Ok(())
     }
 
-    /// Runs `code[start..end]` over the [`WIDTH`] lanes of a lane image
+    /// Runs `code` over the [`WIDTH`] lanes of a lane image
     /// at once: one dispatch per instruction drives every lane, and each
     /// arithmetic instruction is a fixed-width loop over two or three
     /// `[f64; WIDTH]` arrays the compiler can vectorize. A trapped lane
@@ -1003,13 +1016,11 @@ impl Program {
     /// checks; arithmetic still runs in trapped lanes (the results are
     /// never observed), which keeps every lane loop branch-free.
     pub(crate) fn exec_batch(
-        &self,
-        start: u32,
-        end: u32,
+        code: &[Instr],
         regs: &mut [Lanes],
         errs: &mut [Option<TrapHit>; WIDTH],
     ) {
-        for instr in &self.code[start as usize..end as usize] {
+        for instr in code {
             match *instr {
                 Instr::Neg { dst, a } => regs[dst as usize] = regs[a as usize].map(|x| -x),
                 Instr::Bin { op, dst, a, b } => {
@@ -1056,6 +1067,45 @@ impl Program {
                 }
             }
         }
+    }
+
+    /// The instructions a batched sweep runs, in program order, and the
+    /// number of top-level rows whose code span holds one of them.
+    /// `changed` flags the global registers a sweep can change, over a
+    /// lane image that holds a successful play's registers: the slice
+    /// keeps every instruction that reads a changed global or a register
+    /// a kept instruction writes. `None` stands for a lane image that
+    /// holds only [`Program::init`], which runs the whole program.
+    pub(crate) fn sweep_slice(&self, changed: Option<&[bool]>) -> (Vec<Instr>, u64) {
+        let kept: Vec<bool> = match changed {
+            None => vec![true; self.code.len()],
+            Some(changed) => {
+                let mut reached = vec![false; self.init.len()];
+                reached[..changed.len()].copy_from_slice(changed);
+                self.code
+                    .iter()
+                    .map(|instr| {
+                        let keep = instr.reads_any(&reached);
+                        if let Some(dst) = instr.dst().filter(|_| keep) {
+                            reached[dst as usize] = true;
+                        }
+                        keep
+                    })
+                    .collect()
+            }
+        };
+        let rows = self
+            .row_spans
+            .iter()
+            .filter(|&&(start, end)| kept[start as usize..end as usize].contains(&true))
+            .count();
+        let slice = self
+            .code
+            .iter()
+            .zip(&kept)
+            .filter_map(|(instr, &keep)| keep.then_some(*instr))
+            .collect();
+        (slice, rows as u64)
     }
 
     /// Rebuilds the full error a trap stands for, splicing in the
@@ -1116,14 +1166,9 @@ impl Program {
         regs.clear();
         regs.extend_from_slice(&self.init);
         self.seed_globals(resolved.iter().map(|(_, v)| *v), regs);
-        let run = self.exec(0, self.code.len() as u32, regs);
+        let run = self.exec(regs);
         metrics.instrs_total.add(self.code.len() as u64);
         run.map_err(|hit| self.materialize(hit))
-    }
-
-    /// Rebuilds row `i`'s report from register values supplied by `get`.
-    pub(crate) fn build_row_report(&self, i: usize, get: &impl Fn(u32) -> f64) -> RowReport {
-        build_row(&self.recipes[i], get)
     }
 
     /// The sheet's total power from register values supplied by `get`:

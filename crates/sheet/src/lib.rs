@@ -56,8 +56,7 @@ pub use engine::{toposort, EvaluateSheetError};
 pub use json_io::DecodeSheetError;
 pub use macros::LumpMacroError;
 pub use plan::{
-    BatchKernel, CompiledSheet, DeltaOutcome, GlobalView, OverridePlan, ReplayState, RowKindView,
-    RowView, RowsView, DELTA_FALLBACK_DEN, DELTA_FALLBACK_NUM,
+    BatchKernel, CompiledSheet, GlobalView, OverridePlan, RowKindView, RowView, RowsView,
 };
 pub use report::{RowReport, SheetReport, SUM_IDENTITY};
 pub use row::{Row, RowModel};

@@ -26,8 +26,10 @@
 //! names gets its own small [`OverridePlan`] (hoisted once per sweep);
 //! the expensive row plan never depends on overrides and is always
 //! reused. Rows always run as the sheet's register program (see
-//! [`crate::bytecode`]); the scope-chain tree walker is kept only as the
-//! oracle behind [`CompiledSheet::play_with_tree`].
+//! [`crate::bytecode`]), which is also the only record of what depends
+//! on what: a sweep's [`BatchKernel`] runs just the slice of it that the
+//! sweep's changed globals reach. The scope-chain tree walker is kept
+//! only as the oracle behind [`CompiledSheet::play_with_tree`].
 //!
 //! A plan snapshots the sheet and registry at compile time: recompile
 //! after editing rows, bindings, global *formulas*, or library
@@ -43,7 +45,7 @@ use powerplay_library::{LibraryElement, Registry};
 use powerplay_telemetry::{profile, Counter, Histogram};
 use powerplay_units::Power;
 
-use crate::bytecode::{bytecode_metrics, Lanes, Program, TrapHit, WIDTH};
+use crate::bytecode::{bytecode_metrics, Instr, Lanes, Program, TrapHit, WIDTH};
 use crate::engine::{toposort, EvaluateSheetError};
 use crate::report::{RowReport, SheetReport};
 use crate::row::{Row, RowModel};
@@ -59,11 +61,6 @@ pub(crate) struct PlanMetrics {
     replay_seconds: Histogram,
     plays_total: Counter,
     pub(crate) rows_evaluated_total: Counter,
-    delta_replay_seconds: Histogram,
-    delta_replays_total: Counter,
-    delta_fallbacks_total: Counter,
-    delta_memo_hits_total: Counter,
-    delta_dirty_rows: Histogram,
 }
 
 pub(crate) fn plan_metrics() -> &'static PlanMetrics {
@@ -86,26 +83,6 @@ pub(crate) fn plan_metrics() -> &'static PlanMetrics {
             rows_evaluated_total: g.counter(
                 "powerplay_sheet_rows_evaluated_total",
                 "Rows evaluated, sub-sheet rows included",
-            ),
-            delta_replay_seconds: g.histogram(
-                "powerplay_sheet_delta_replay_seconds",
-                "Time per incremental delta replay (memo hits included)",
-            ),
-            delta_replays_total: g.counter(
-                "powerplay_sheet_delta_replays_total",
-                "Incremental delta replays of compiled plans",
-            ),
-            delta_fallbacks_total: g.counter(
-                "powerplay_sheet_delta_fallbacks_total",
-                "Delta replays that fell back to a full replay (dirty frontier over threshold)",
-            ),
-            delta_memo_hits_total: g.counter(
-                "powerplay_sheet_delta_memo_hits_total",
-                "Delta replays answered from the previous report (no global changed)",
-            ),
-            delta_dirty_rows: g.value_histogram(
-                "powerplay_sheet_delta_dirty_rows",
-                "Top-level rows re-evaluated per delta replay",
             ),
         }
     })
@@ -173,18 +150,6 @@ pub(crate) struct RowsPlan {
     pub(crate) rows: Vec<CompiledRow>,
     /// Dependency-respecting evaluation order over `rows` indices.
     pub(crate) order: Vec<usize>,
-    /// Per-row *watched* name sets: every name whose value in the
-    /// enclosing scope can influence the row's report. An
-    /// over-approximation (union of binding free variables, element
-    /// model free variables minus declared parameters, the reserved `f`
-    /// rate, or a sub-sheet's external frees) — extra names only cause
-    /// extra re-evaluation, never a stale result.
-    watched: Vec<BTreeSet<String>>,
-    /// Inverted watch index: name → rows watching it (dirty seeding).
-    pub(crate) watchers: BTreeMap<String, Vec<usize>>,
-    /// Forward `P_`/`A_` edges: row → rows watching its outputs
-    /// (dirty propagation when a re-evaluated row's output changes).
-    pub(crate) dependents: Vec<Vec<usize>>,
 }
 
 /// Every name a play touches is interned here as a shared `Arc<str>`, so
@@ -264,48 +229,6 @@ impl CompiledSheet {
             structure: compile_rows(sheet, registry),
             globals,
         }
-    }
-
-    /// Number of top-level rows (0 when the sheet has a structural
-    /// error). Useful to compare against [`ReplayState::last_dirty_rows`].
-    pub fn row_count(&self) -> usize {
-        self.structure.as_ref().map(|p| p.rows.len()).unwrap_or(0)
-    }
-
-    /// Names this sheet may read from an enclosing scope when played as
-    /// a sub-sheet: global formula frees and row watched names, minus
-    /// the sheet's own global names and its internal `P_`/`A_` refs
-    /// (both always shadow the parent). Over-approximate by design.
-    fn external_free(&self) -> BTreeSet<String> {
-        let global_names: BTreeSet<&str> = self.globals.iter().map(|g| &*g.name).collect();
-        let mut out = BTreeSet::new();
-        for g in &self.globals {
-            out.extend(
-                g.free
-                    .iter()
-                    .filter(|v| !global_names.contains(v.as_str()))
-                    .cloned(),
-            );
-        }
-        if let Ok(plan) = &self.structure {
-            let internal_refs: BTreeSet<&str> = plan
-                .rows
-                .iter()
-                .flat_map(|r| [r.power_ref.as_deref(), r.area_ref.as_deref()])
-                .flatten()
-                .collect();
-            for w in &plan.watched {
-                out.extend(
-                    w.iter()
-                        .filter(|v| {
-                            !global_names.contains(v.as_str())
-                                && !internal_refs.contains(v.as_str())
-                        })
-                        .cloned(),
-                );
-            }
-        }
-        out
     }
 
     /// Evaluates the plan with no overrides — equivalent to
@@ -475,163 +398,6 @@ impl CompiledSheet {
         let (resolved, _, prog) = self.prepare(plan, values)?;
         with_scratch_regs(|regs| prog.replay_full(self.name.clone(), resolved, regs))
     }
-
-    /// Incremental replay: re-evaluates only the rows whose watched
-    /// names changed since the last successful replay recorded in
-    /// `state`, reusing the previous report for clean rows. Falls back
-    /// to a full replay when the potential dirty frontier exceeds
-    /// [`DELTA_FALLBACK_NUM`]/[`DELTA_FALLBACK_DEN`] of the rows.
-    ///
-    /// The result is bit-for-bit identical to
-    /// [`CompiledSheet::play_with`] with the same overrides. A global or
-    /// structural error leaves `state` as it was; an error while rows
-    /// run drops its baseline, so the next replay through it is a full
-    /// one. Sub-sheet rows are macro-lumped — a dirty sub-sheet row
-    /// replays its whole subtree.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`CompiledSheet::play_with`].
-    pub fn replay_delta(
-        &self,
-        state: &mut ReplayState,
-        overrides: &[(&str, f64)],
-    ) -> Result<SheetReport, EvaluateSheetError> {
-        let (names, values) = dedup_overrides(overrides);
-        let cached = state.override_plan.as_ref().filter(|p| {
-            p.plan_id == self.id && p.names.iter().map(String::as_str).eq(names.iter().copied())
-        });
-        let plan = match cached {
-            Some(p) => p.clone(),
-            None => {
-                let p = Arc::new(self.override_plan(&names));
-                state.override_plan = Some(p.clone());
-                p
-            }
-        };
-        self.replay_delta_with_plan(&plan, state, &values)
-    }
-
-    /// [`CompiledSheet::replay_delta`] with the override-name resolution
-    /// already hoisted into `plan` (see [`CompiledSheet::override_plan`]).
-    /// `values` align with [`OverridePlan::names`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`CompiledSheet::play_with`].
-    pub fn replay_delta_with_plan(
-        &self,
-        plan: &OverridePlan,
-        state: &mut ReplayState,
-        values: &[f64],
-    ) -> Result<SheetReport, EvaluateSheetError> {
-        let metrics = plan_metrics();
-        metrics.delta_replays_total.inc();
-        let _timer = metrics.delta_replay_seconds.start_timer();
-        let _span = profile::span_lazy(|| format!("delta-play {}", self.name));
-        let (resolved, rows_plan, prog) = self.prepare(plan, values)?;
-
-        // A usable baseline is the last report of this same program with
-        // the register image it left. Anything else (a first play,
-        // another program, an image an error left half-written) replays
-        // in full. The baseline is taken out while rows run, so an error
-        // leaves none behind.
-        let prev = match state.baseline.take() {
-            Some((p, report)) if Arc::ptr_eq(&p, prog) => report,
-            _ => return self.full_replay_for_delta(prog, resolved, state, DeltaOutcome::Full),
-        };
-
-        // Same program, so the same global names in the same positions.
-        let changed: Vec<&str> = resolved
-            .iter()
-            .zip(prev.globals())
-            .filter(|((_, value), (_, pv))| value.to_bits() != pv.to_bits())
-            .map(|((name, _), _)| name.as_str())
-            .collect();
-
-        // Memoized point: nothing changed, so the previous rows stand
-        // verbatim (the globals vector is rebuilt — its order follows
-        // this call's override plan, as a fresh play's would).
-        if changed.is_empty() {
-            metrics.delta_memo_hits_total.inc();
-            metrics.delta_dirty_rows.observe_value(0);
-            let report = SheetReport::new(self.name.clone(), resolved, prev.rows().to_vec());
-            state.commit(prog, &report, 0, DeltaOutcome::Memo);
-            return Ok(report);
-        }
-
-        // Seed the dirty set from the watch index.
-        state.dirty.clear();
-        state.dirty.resize(rows_plan.rows.len(), false);
-        for name in &changed {
-            if let Some(watchers) = rows_plan.watchers.get(*name) {
-                for &i in watchers {
-                    state.dirty[i] = true;
-                }
-            }
-        }
-
-        // Threshold decision on the transitive closure (an upper bound:
-        // the targeted walk below stops propagating when a re-evaluated
-        // row's outputs come back bit-identical).
-        let mut closure = state.dirty.clone();
-        let mut stack: Vec<usize> = closure
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &d)| d.then_some(i))
-            .collect();
-        let mut potential = stack.len();
-        while let Some(i) = stack.pop() {
-            for &d in &rows_plan.dependents[i] {
-                if !closure[d] {
-                    closure[d] = true;
-                    potential += 1;
-                    stack.push(d);
-                }
-            }
-        }
-        if potential * DELTA_FALLBACK_DEN > rows_plan.rows.len() * DELTA_FALLBACK_NUM {
-            metrics.delta_fallbacks_total.inc();
-            return self.full_replay_for_delta(prog, resolved, state, DeltaOutcome::Fallback);
-        }
-
-        // Targeted walk in plan order over the baseline's register image
-        // (clean rows cannot error — identical inputs ran successfully
-        // last time).
-        let (rows, evaluated) = delta_walk(
-            prog,
-            rows_plan,
-            &resolved,
-            &prev,
-            &mut state.dirty,
-            &mut state.regs,
-        )?;
-        metrics.rows_evaluated_total.add(evaluated as u64);
-        metrics.delta_dirty_rows.observe_value(evaluated as u64);
-        let report = SheetReport::new(self.name.clone(), resolved, rows);
-        state.commit(prog, &report, evaluated, DeltaOutcome::Incremental);
-        Ok(report)
-    }
-
-    /// The full replay shared by the no-baseline and over-threshold
-    /// branches of [`CompiledSheet::replay_delta_with_plan`]: runs the
-    /// whole program into the state's register file, which then mirrors
-    /// the new baseline.
-    fn full_replay_for_delta(
-        &self,
-        prog: &Arc<Program>,
-        resolved: Resolved,
-        state: &mut ReplayState,
-        outcome: DeltaOutcome,
-    ) -> Result<SheetReport, EvaluateSheetError> {
-        let metrics = plan_metrics();
-        metrics.plays_total.inc();
-        let report = prog.replay_full(self.name.clone(), resolved, &mut state.regs)?;
-        let rows = self.row_count();
-        state.commit(prog, &report, rows, outcome);
-        metrics.delta_dirty_rows.observe_value(rows as u64);
-        Ok(report)
-    }
 }
 
 /// Collapses `(name, value)` override pairs to one value per name, in
@@ -650,14 +416,6 @@ fn dedup_overrides<'a>(overrides: &[(&'a str, f64)]) -> (Vec<&'a str>, Vec<f64>)
     }
     (names, values)
 }
-
-/// Fall back to a full replay when the potential dirty frontier exceeds
-/// `DELTA_FALLBACK_NUM / DELTA_FALLBACK_DEN` of the top-level rows: past
-/// that point the targeted walk re-evaluates nearly everything anyway
-/// and the bookkeeping is pure overhead.
-pub const DELTA_FALLBACK_NUM: usize = 3;
-/// See [`DELTA_FALLBACK_NUM`].
-pub const DELTA_FALLBACK_DEN: usize = 4;
 
 /// The override-name resolution and reshaped global plan shared by every
 /// point of a sweep — built once by [`CompiledSheet::override_plan`].
@@ -684,8 +442,8 @@ impl OverridePlan {
     }
 
     /// The de-duplicated override names; values passed to
-    /// [`CompiledSheet::play_with_plan`] and
-    /// [`CompiledSheet::replay_delta_with_plan`] align with this order.
+    /// [`CompiledSheet::play_with_plan`] and points passed to
+    /// [`BatchKernel::replay_chunk`] align with this order.
     pub fn names(&self) -> &[String] {
         &self.names
     }
@@ -805,109 +563,50 @@ fn build_override_inner(
     })
 }
 
-/// How the last [`CompiledSheet::replay_delta`] answered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeltaOutcome {
-    /// No replay recorded yet.
-    #[default]
-    None,
-    /// No usable baseline (first play into this state, a different
-    /// program, or an error in the last replay): full evaluation.
-    Full,
-    /// Dirty frontier over threshold: full evaluation.
-    Fallback,
-    /// No global changed: previous rows reused verbatim.
-    Memo,
-    /// Targeted walk: only dirty rows re-evaluated.
-    Incremental,
-}
-
-/// Mutable baseline for [`CompiledSheet::replay_delta`]: the last
-/// successful report plus reusable scratch. One per study; reuse across
-/// its probes is what makes delta replay allocation-free on the
-/// clean-row path.
-#[derive(Debug, Clone, Default)]
-pub struct ReplayState {
-    /// The last successful report and the program whose register image
-    /// `regs` holds for it. Keyed by program identity: a plan that
-    /// appends names has its own register layout.
-    baseline: Option<(Arc<Program>, SheetReport)>,
-    override_plan: Option<Arc<OverridePlan>>,
-    dirty: Vec<bool>,
-    last_dirty_rows: Option<usize>,
-    last_outcome: DeltaOutcome,
-    /// Persistent register file; mirrors the baseline report.
-    regs: Vec<f64>,
-}
-
-impl ReplayState {
-    /// An empty state; the first replay through it is a full one.
-    pub fn new() -> ReplayState {
-        ReplayState::default()
-    }
-
-    /// Top-level rows re-evaluated by the most recent replay (the full
-    /// row count on `Full`/`Fallback`, 0 on `Memo`).
-    pub fn last_dirty_rows(&self) -> Option<usize> {
-        self.last_dirty_rows
-    }
-
-    /// How the most recent replay answered.
-    pub fn last_outcome(&self) -> DeltaOutcome {
-        self.last_outcome
-    }
-
-    fn commit(
-        &mut self,
-        prog: &Arc<Program>,
-        report: &SheetReport,
-        dirty: usize,
-        outcome: DeltaOutcome,
-    ) {
-        self.baseline = Some((prog.clone(), report.clone()));
-        self.last_dirty_rows = Some(dirty);
-        self.last_outcome = outcome;
-    }
-}
-
 /// A batched bytecode sweep kernel: evaluates up to
 /// [`BatchKernel::WIDTH`] override points per instruction-dispatch pass
 /// and answers each point's total power.
 ///
 /// Built once per sweep by [`CompiledSheet::batch_kernel`], it replays a
-/// baseline (un-overridden) play, then derives a *value-independent*
-/// dirty superset — every row whose inputs can depend on any override
-/// name, directly or through non-overridden global formulas or
-/// `P_`/`A_` chains. Without a usable baseline (the plan appends a name,
-/// or the un-overridden play fails) every row is dirty and lanes start
-/// from the program's initial register image.
+/// baseline (un-overridden) play and keeps the *slice* of the register
+/// program that the sweep's changed globals reach: the overridden
+/// globals and, to a fixpoint, every declared global whose formula reads
+/// one. The slice holds, in program order, every instruction that reads
+/// a changed global's register or a register a kept instruction writes.
+/// Without a usable baseline (the plan appends a name, or the
+/// un-overridden play fails) the slice is the whole program and lanes
+/// start from the program's initial register image.
 ///
 /// The kernel owns one lane image for the whole sweep: a
 /// `[f64; WIDTH]` array per register, every lane holding the baseline's
 /// value when the kernel is built. Each [`BatchKernel::replay_chunk`]
 /// call resolves globals per lane with the scalar path (which owns
 /// override graph repair and global error precedence), writes only the
-/// lanes of the global registers, and executes only the dirty rows'
-/// code spans across all lanes at once. Clean rows' registers are never
-/// written, so they keep the baseline's values — which cannot differ,
-/// because none of their watched inputs can change — and the program is
-/// SSA, so every register a dirty span reads is a constant, a global, a
-/// clean row's, or one written earlier in the same pass. Every
+/// lanes of the global registers, and runs the slice across all lanes
+/// at once. The program is SSA, so a register outside the slice is a
+/// function of constants and unchanged globals only and holds the
+/// baseline's value in every lane, and a register inside it is written
+/// in the same pass before any kept instruction reads it. Every
 /// top-level power register then holds the point's value and a lane's
 /// total is their fold.
 ///
 /// Results are bit-for-bit `total_power` of
 /// [`CompiledSheet::play_with_plan`] per point, including which error
-/// surfaces first.
+/// surfaces first: a baseline play that succeeded ran every
+/// instruction, so the program holds no `Trap` and every check outside
+/// the slice read values that passed; the first check to fail in slice
+/// order is the first in program order.
 pub struct BatchKernel<'a> {
     plan: &'a CompiledSheet,
     oplan: &'a OverridePlan,
-    /// Plan-order traversal of the value-independent dirty superset of
-    /// top-level rows.
-    dirty_order: Vec<usize>,
+    /// The instructions each chunk runs, in program order.
+    slice: Vec<Instr>,
+    /// Top-level rows whose code span holds a slice instruction, for
+    /// the rows-evaluated counter.
+    rows: u64,
     /// The lane image: the baseline play's registers, or the program's
-    /// initial image when there is no baseline, in every lane; dirty
-    /// rows' registers are rewritten by each chunk.
+    /// initial image when there is no baseline, in every lane; the
+    /// slice rewrites its registers in each chunk.
     lanes: Vec<Lanes>,
 }
 
@@ -923,7 +622,8 @@ impl CompiledSheet {
         let mut kernel = BatchKernel {
             plan: self,
             oplan: plan,
-            dirty_order: Vec::new(),
+            slice: Vec::new(),
+            rows: 0,
             lanes: Vec::new(),
         };
         // Without rows every lane fails in `prepare`, and nothing runs.
@@ -935,38 +635,30 @@ impl CompiledSheet {
         // Baseline: the un-overridden play through the same program, so
         // its register image can seed the lanes. A plan that appends a
         // name has another register layout and no un-overridden value.
-        let dirty = with_scratch_regs(|regs| {
+        with_scratch_regs(|regs| {
             let baseline = plan.appended().is_empty()
                 && self
                     .prepare(&self.base, &[])
                     .is_ok_and(|(resolved, _, _)| prog.run_full(&resolved, regs).is_ok());
-            let (image, dirty) = match &plan.inner {
-                Ok(inner) if baseline => (&regs[..], self.sweep_dirty(plan, inner, rows_plan)),
-                _ => (prog.init(), vec![true; rows_plan.rows.len()]),
+            let changed = match &plan.inner {
+                Ok(inner) if baseline => Some(self.sweep_changed(plan, inner)),
+                _ => None,
+            };
+            let image = if changed.is_some() {
+                &regs[..]
+            } else {
+                prog.init()
             };
             kernel.lanes = image.iter().map(|&value| [value; WIDTH]).collect();
-            dirty
+            (kernel.slice, kernel.rows) = prog.sweep_slice(changed.as_deref());
         });
-        kernel.dirty_order = rows_plan
-            .order
-            .iter()
-            .copied()
-            .filter(|&i| dirty[i])
-            .collect();
         kernel
     }
 
-    /// The rows a sweep over `plan`'s names can change: watchers of the
-    /// override names and of the non-overridden global formulas reading
-    /// them (to a fixpoint), closed over `P_`/`A_` dependents. Value
-    /// independent, so no bitwise pruning — extra rows only cost
-    /// execution.
-    fn sweep_dirty(
-        &self,
-        plan: &OverridePlan,
-        inner: &OverridePlanInner,
-        rows_plan: &RowsPlan,
-    ) -> Vec<bool> {
+    /// The declared globals a sweep over `plan`'s names can change, one
+    /// flag per global register: the override names and, to a fixpoint,
+    /// every non-overridden global whose formula reads a changed name.
+    fn sweep_changed(&self, plan: &OverridePlan, inner: &OverridePlanInner) -> Vec<bool> {
         let mut changed: BTreeSet<&str> = plan.names.iter().map(String::as_str).collect();
         loop {
             let mut grew = false;
@@ -983,27 +675,10 @@ impl CompiledSheet {
                 break;
             }
         }
-        let mut dirty = vec![false; rows_plan.rows.len()];
-        let mut stack: Vec<usize> = Vec::new();
-        for name in &changed {
-            if let Some(watchers) = rows_plan.watchers.get(*name) {
-                for &i in watchers {
-                    if !dirty[i] {
-                        dirty[i] = true;
-                        stack.push(i);
-                    }
-                }
-            }
-        }
-        while let Some(i) = stack.pop() {
-            for &d in &rows_plan.dependents[i] {
-                if !dirty[d] {
-                    dirty[d] = true;
-                    stack.push(d);
-                }
-            }
-        }
-        dirty
+        self.globals
+            .iter()
+            .map(|g| changed.contains(&*g.name))
+            .collect()
     }
 }
 
@@ -1014,11 +689,11 @@ impl BatchKernel<'_> {
 
     /// Plays one point per element of `points` (each a values slice
     /// aligned with the kernel's override-plan names, at most
-    /// [`BatchKernel::WIDTH`] of them), batching all lanes through each
-    /// dirty row's code span in one dispatch pass over the kernel's lane
-    /// image, and answers each point's total power or error. A short
-    /// chunk fills its spare lanes with its last live lane, whose
-    /// results they repeat and which nobody reads.
+    /// [`BatchKernel::WIDTH`] of them), running the kernel's slice
+    /// across all lanes in one dispatch pass over its lane image, and
+    /// answers each point's total power or error. A short chunk fills
+    /// its spare lanes with its last live lane, whose results they
+    /// repeat and which nobody reads.
     ///
     /// # Panics
     ///
@@ -1051,9 +726,7 @@ impl BatchKernel<'_> {
         if let Some(prog) = prog {
             let m = live.len();
             metrics.plays_total.add(m as u64);
-            metrics
-                .rows_evaluated_total
-                .add((self.dirty_order.len() * m) as u64);
+            metrics.rows_evaluated_total.add(self.rows * m as u64);
             bytecode_metrics().batch_width.observe_value(m as u64);
 
             // Each lane's own global values; spare lanes repeat the
@@ -1064,16 +737,10 @@ impl BatchKernel<'_> {
             }
 
             let mut errs: [Option<TrapHit>; WIDTH] = [None; WIDTH];
-            let mut instrs = 0u64;
-            for &i in &self.dirty_order {
-                let (start, end) = prog.row_span(i);
-                instrs += u64::from(end - start) * m as u64;
-                prog.exec_batch(start, end, &mut self.lanes, &mut errs);
-                if errs[..m].iter().all(Option::is_some) {
-                    break;
-                }
-            }
-            bytecode_metrics().instrs_total.add(instrs);
+            Program::exec_batch(&self.slice, &mut self.lanes, &mut errs);
+            bytecode_metrics()
+                .instrs_total
+                .add((self.slice.len() * m) as u64);
 
             for (l, (idx, _)) in live.into_iter().enumerate() {
                 out[idx] = Some(match errs[l] {
@@ -1121,60 +788,6 @@ fn set_row_outputs(row: &CompiledRow, report: &RowReport, power_layer: &mut Scop
             power_layer.set(area_ref, area.value());
         }
     }
-}
-
-/// The targeted walk of an incremental replay: dirty rows re-execute
-/// their code spans against the persistent register file (`regs`, a
-/// valid image of `prev`), clean rows reuse the previous report
-/// verbatim. A dirty row propagates to its dependents only when its
-/// power or area bits actually change. Registers seen by executed rows
-/// are identical to a full replay's by induction, so the result is
-/// bit-for-bit the same. On success `regs` mirrors the returned rows; on
-/// error it holds partial writes and must not be reused as a baseline.
-fn delta_walk(
-    prog: &Program,
-    plan: &RowsPlan,
-    resolved: &[(String, f64)],
-    prev: &SheetReport,
-    dirty: &mut [bool],
-    regs: &mut [f64],
-) -> Result<(Vec<RowReport>, usize), EvaluateSheetError> {
-    prog.seed_globals(resolved.iter().map(|(_, v)| *v), regs);
-    let mut reports: Vec<Option<RowReport>> = vec![None; plan.rows.len()];
-    let mut evaluated = 0usize;
-    let mut instrs = 0u64;
-    for &i in &plan.order {
-        let prev_row = &prev.rows()[i];
-        if !dirty[i] {
-            reports[i] = Some(prev_row.clone());
-            continue;
-        }
-        evaluated += 1;
-        let (start, end) = prog.row_span(i);
-        instrs += u64::from(end - start);
-        if let Err(hit) = prog.exec(start, end, regs) {
-            bytecode_metrics().instrs_total.add(instrs);
-            return Err(prog.materialize(hit));
-        }
-        let fresh = prog.build_row_report(i, &|slot: u32| regs[slot as usize]);
-        let power_changed = fresh.power().value().to_bits() != prev_row.power().value().to_bits();
-        let area_changed = fresh.area().map(|a| a.value().to_bits())
-            != prev_row.area().map(|a| a.value().to_bits());
-        if power_changed || area_changed {
-            for &d in &plan.dependents[i] {
-                dirty[d] = true;
-            }
-        }
-        reports[i] = Some(fresh);
-    }
-    bytecode_metrics().instrs_total.add(instrs);
-    Ok((
-        reports
-            .into_iter()
-            .map(|r| r.expect("every row evaluated"))
-            .collect(),
-        evaluated,
-    ))
 }
 
 /// Compiles the row layer: duplicate-ident check, then the `P_`/`A_`
@@ -1282,106 +895,7 @@ fn compile_rows(sheet: &Sheet, registry: &Registry) -> Result<RowsPlan, Evaluate
             }
         })
         .collect();
-    let WatchIndex {
-        watched,
-        watchers,
-        dependents,
-    } = build_watch_index(&rows, &index_of);
-    Ok(RowsPlan {
-        rows,
-        order,
-        watched,
-        watchers,
-        dependents,
-    })
-}
-
-/// The compile-time dirtiness machinery of a [`RowsPlan`], built by
-/// [`build_watch_index`].
-struct WatchIndex {
-    watched: Vec<BTreeSet<String>>,
-    watchers: BTreeMap<String, Vec<usize>>,
-    dependents: Vec<Vec<usize>>,
-}
-
-/// Per-row watched name sets, their inverted index, and the forward
-/// `P_`/`A_` dependency edges — the compile-time half of delta replay.
-///
-/// A row's watched set over-approximates every name it can read from the
-/// enclosing scope: free variables of its bindings, its element model's
-/// free variables (minus declared parameters — always shadowed by the
-/// seeded defaults) plus the reserved `f` rate the report captures, or a
-/// sub-sheet's external frees. Extra names cost extra re-evaluation;
-/// missing ones would cost correctness, so nothing else is subtracted.
-fn build_watch_index(rows: &[CompiledRow], index_of: &BTreeMap<&str, usize>) -> WatchIndex {
-    let watched: Vec<BTreeSet<String>> = rows
-        .iter()
-        .map(|row| {
-            let mut w = BTreeSet::new();
-            for (_, expr) in &row.bindings {
-                w.extend(expr.free_variables());
-            }
-            match &row.kind {
-                CompiledRowKind::Element(element) => {
-                    w.extend(element_model_free(element));
-                    w.retain(|v| !element.params().iter().any(|p| p.name == *v));
-                    // The report records the access rate from scope.
-                    w.insert("f".to_owned());
-                }
-                CompiledRowKind::SubSheet(sub) => {
-                    w.extend(sub.external_free());
-                }
-                // Evaluation always errors; dirtiness is irrelevant.
-                CompiledRowKind::Missing { .. } => {}
-            }
-            w
-        })
-        .collect();
-    let mut watchers: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); rows.len()];
-    for (i, w) in watched.iter().enumerate() {
-        for name in w {
-            watchers.entry(name.clone()).or_default().push(i);
-            let target = name.strip_prefix("P_").or_else(|| name.strip_prefix("A_"));
-            if let Some(&j) = target.and_then(|t| index_of.get(t)) {
-                if j != i {
-                    dependents[j].push(i);
-                }
-            }
-        }
-    }
-    for d in &mut dependents {
-        d.sort_unstable();
-        d.dedup();
-    }
-    WatchIndex {
-        watched,
-        watchers,
-        dependents,
-    }
-}
-
-/// Union of the free variables of every formula in an element's model.
-fn element_model_free(element: &LibraryElement) -> BTreeSet<String> {
-    let model = element.model();
-    let mut vars = BTreeSet::new();
-    for expr in [
-        model.cap_full.as_ref(),
-        model.static_current.as_ref(),
-        model.power_direct.as_ref(),
-        model.area.as_ref(),
-        model.delay.as_ref(),
-    ]
-    .into_iter()
-    .flatten()
-    {
-        vars.extend(expr.free_variables());
-    }
-    if let Some((cap, swing)) = &model.cap_partial {
-        vars.extend(cap.free_variables());
-        vars.extend(swing.free_variables());
-    }
-    vars
+    Ok(RowsPlan { rows, order })
 }
 
 /// Evaluates one compiled row against the scope holding globals and the
@@ -1646,5 +1160,48 @@ impl CompiledSheet {
             Ok(rows) => self.base.program(self, rows).disassemble(),
             Err(_) => "no bytecode program: top-level structure failed to compile\n".to_owned(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use powerplay_library::builtin::ucb_library;
+
+    use super::*;
+
+    #[test]
+    fn a_sweep_slice_runs_only_the_rows_its_global_reaches() {
+        // `duty` feeds Amp, whose power feeds Conv; Load never reads it,
+        // and Conv reads Load's power from the baseline image.
+        let mut sheet = Sheet::new("chained");
+        sheet.set_global_value("vdd", 1.5);
+        sheet.set_global_value("f", 1e6);
+        sheet.set_global_value("duty", 0.5);
+        sheet
+            .add_element_row("Load", "ucb/register", [("bits", "16")])
+            .unwrap();
+        sheet
+            .add_element_row("Amp", "ucb/dcdc", [("p_load", "duty * 2")])
+            .unwrap();
+        sheet
+            .add_element_row("Conv", "ucb/dcdc", [("p_load", "P_amp + P_load")])
+            .unwrap();
+        let plan = CompiledSheet::compile(&sheet, &ucb_library());
+
+        // An appended name has no baseline: its kernel runs everything.
+        let appended = plan.override_plan(&["x_new"]);
+        let whole = plan.batch_kernel(&appended);
+        assert_eq!(whole.rows, 3);
+
+        let duty = plan.override_plan(&["duty"]);
+        let mut kernel = plan.batch_kernel(&duty);
+        assert_eq!(kernel.rows, 2);
+        assert!(kernel.slice.len() < whole.slice.len());
+
+        // A lane that traps leaves nothing stale for the next chunk.
+        let total = |d: f64| plan.play_with(&[("duty", d)]).map(|r| r.total_power());
+        assert!(total(-1.0).is_err());
+        assert_eq!(kernel.replay_chunk(&[[-1.0]]), vec![total(-1.0)]);
+        assert_eq!(kernel.replay_chunk(&[[0.8]]), vec![total(0.8)]);
     }
 }

@@ -25,9 +25,9 @@ pub struct RowReport {
     area: Option<Area>,
     delay: Option<Time>,
     /// Shared, not boxed: sub-sheet trees can be large (the InfoPad's
-    /// Custom Hardware nests the whole Figure 3 decoder), and delta
-    /// replay re-emits clean rows verbatim every point — an `Arc` makes
-    /// that reuse a reference-count bump instead of a deep copy.
+    /// Custom Hardware nests the whole Figure 3 decoder), and an `Arc`
+    /// makes cloning a row report a reference-count bump instead of a
+    /// deep copy.
     sub: Option<Arc<SheetReport>>,
 }
 

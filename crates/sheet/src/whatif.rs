@@ -9,13 +9,13 @@
 //! the override-name resolution into one [`crate::plan::OverridePlan`]
 //! per study, and runs the sheet's register program serially on the
 //! caller's thread: a server already runs requests on a pool of its
-//! own. Sweeps and Monte-Carlo studies answer totals, not reports,
-//! through the batched kernel ([`CompiledSheet::batch_kernel`]): points
-//! are grouped into [`BatchKernel::WIDTH`]-lane chunks and every dirty
-//! row's code span is executed across all lanes per instruction-dispatch
-//! pass. Sensitivities and the timing search reuse one [`ReplayState`]
-//! and go through [`CompiledSheet::replay_delta`], so a point
-//! re-evaluates only the rows its changed globals actually reach.
+//! own. Sweeps, Monte-Carlo studies and sensitivities answer totals, not
+//! reports, through the batched kernel ([`CompiledSheet::batch_kernel`]):
+//! points are grouped into [`BatchKernel::WIDTH`]-lane chunks, and each
+//! chunk runs, across all lanes per instruction-dispatch pass, only the
+//! slice of the program its changed globals reach. Sensitivities send
+//! one two-point chunk per global. The timing search needs each probe's
+//! rows, so it plays each probe in full through one hoisted plan.
 //! Identical sweep points are deduplicated and answered from the first
 //! evaluation. Results are returned in input order and, per point, are
 //! bit-identical to the serial reference implementations (kept as
@@ -30,7 +30,7 @@ use powerplay_telemetry::Counter;
 use powerplay_units::{Power, Voltage};
 
 use crate::engine::EvaluateSheetError;
-use crate::plan::{BatchKernel, CompiledSheet, ReplayState};
+use crate::plan::{BatchKernel, CompiledSheet};
 use crate::report::SheetReport;
 use crate::sheet::Sheet;
 
@@ -224,26 +224,19 @@ pub fn sensitivities_compiled(
 ) -> Result<Vec<(String, f64)>, EvaluateSheetError> {
     let base = plan.play()?;
     let p0 = base.total_power().value();
-    let probes: Vec<&(String, f64)> = base
+    let probes = base
         .globals()
         .iter()
-        .filter(|(_, value)| *value != 0.0 && p0 != 0.0)
-        .collect();
-    whatif_metrics().points_total.add(probes.len() as u64);
-    // One state for every probe, in order: each perturbation replays
-    // incrementally from the last one, and the up/down pair of a global
-    // reuses its cached per-name plan.
-    let mut state = ReplayState::new();
-    let mut out = Vec::with_capacity(probes.len());
+        .filter(|(_, value)| *value != 0.0 && p0 != 0.0);
+    let mut out = Vec::new();
     for (name, value) in probes {
+        // One two-point chunk per global, through a kernel that runs
+        // only the slice of the program this global reaches.
         let h = 0.01 * value;
-        let mut total = |x: f64| -> Result<f64, EvaluateSheetError> {
-            let report = plan.replay_delta(&mut state, &[(name.as_str(), x)])?;
-            Ok(report.total_power().value())
-        };
-        let p_up = total(value + h)?;
-        let p_down = total(value - h)?;
-        let dp_dx = (p_up - p_down) / (2.0 * h);
+        let override_plan = plan.override_plan(&[name.as_str()]);
+        let mut kernel = plan.batch_kernel(&override_plan);
+        let totals = batched_totals(&mut kernel, &[[value + h], [value - h]])?;
+        let dp_dx = (totals[0].value() - totals[1].value()) / (2.0 * h);
         out.push((name.clone(), dp_dx * value / p0));
     }
     out.sort_by(|a, b| nan_last(-a.1.abs(), -b.1.abs()));
@@ -254,10 +247,10 @@ pub fn sensitivities_compiled(
 /// modeled delay still fits one period of that row's access rate, and
 /// returns it with the resulting report.
 ///
-/// The search is a bisection of 60 rounds over one [`ReplayState`]:
-/// each round probes the bracket's midpoint and keeps the half between
-/// the highest failing and lowest passing supply, so the answer depends
-/// only on the design and the bounds.
+/// The search is a bisection of 60 rounds, each a full play through one
+/// hoisted override plan: each round probes the bracket's midpoint and
+/// keeps the half between the highest failing and lowest passing
+/// supply, so the answer depends only on the design and the bounds.
 ///
 /// Rows without delay models are unconstrained. Returns `None` when even
 /// `vdd_max` fails timing.
@@ -273,9 +266,8 @@ pub fn min_vdd_meeting_timing(
 ) -> Result<Option<(Voltage, SheetReport)>, EvaluateSheetError> {
     let plan = CompiledSheet::compile(sheet, registry);
     let override_plan = plan.override_plan(&["vdd"]);
-    let mut state = ReplayState::new();
-    let mut probe = |vdd: f64| -> Result<(bool, SheetReport), EvaluateSheetError> {
-        let report = plan.replay_delta_with_plan(&override_plan, &mut state, &[vdd])?;
+    let probe = |vdd: f64| -> Result<(bool, SheetReport), EvaluateSheetError> {
+        let report = plan.play_with_plan(&override_plan, &[vdd])?;
         let ok = report
             .rows()
             .iter()

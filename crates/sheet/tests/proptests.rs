@@ -1,12 +1,10 @@
 //! Property tests for the sheet engine: evaluation-order invariance,
 //! persistence fidelity, and macro-lumping equivalence.
 
-use powerplay_expr::Scope;
+use powerplay_expr::{Expr, Scope};
 use powerplay_library::builtin::ucb_library;
-use powerplay_library::Registry;
-use powerplay_sheet::{
-    BatchKernel, CompiledSheet, DeltaOutcome, ReplayState, Row, RowKindView, RowModel, Sheet,
-};
+use powerplay_library::{ElementClass, ElementModel, LibraryElement, ParamDecl, Registry};
+use powerplay_sheet::{BatchKernel, CompiledSheet, Row, RowKindView, RowModel, Sheet};
 use proptest::prelude::*;
 
 /// A random small design over a handful of builtin elements, with
@@ -217,72 +215,6 @@ proptest! {
         prop_assert_eq!(plan.play(), broken.play(&library));
     }
 
-    /// Incremental replay is bit-for-bit the full replay, for every
-    /// override set in a random sequence applied through one reused
-    /// `ReplayState`. Sequences mix small deltas (one global) with
-    /// broad ones (`vdd` dirties every row, forcing the threshold
-    /// fallback), so the incremental, fallback, and memo paths all mix
-    /// with stale baselines from earlier points.
-    #[test]
-    fn replay_delta_matches_full_replay_across_sequences(
-        sheet in arb_sheet(),
-        sequence in prop::collection::vec(arb_overrides(), 1..6),
-    ) {
-        let library = lib();
-        let mut sheet = sheet;
-        // Chain a converter onto the first row's power so dirty
-        // propagation across `P_` references is exercised.
-        sheet
-            .add_element_row("Chained Conv", "ucb/dcdc", [("p_load", "P_row_0 * 1.25")])
-            .unwrap();
-        let plan = CompiledSheet::compile(&sheet, &library);
-        let mut state = ReplayState::new();
-        for overrides in &sequence {
-            let ov: Vec<(&str, f64)> = overrides.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-            prop_assert_eq!(plan.replay_delta(&mut state, &ov), plan.play_with(&ov));
-        }
-    }
-
-    /// Delta replay surfaces the exact same errors as a full replay on
-    /// defective sheets, and a `ReplayState` that saw an error keeps
-    /// serving correct results afterwards.
-    #[test]
-    fn replay_delta_matches_full_replay_on_defective_sheets(
-        sheet in arb_sheet(),
-        defect in 0u32..4,
-        sequence in prop::collection::vec(arb_overrides(), 1..5),
-    ) {
-        let library = lib();
-        let mut broken = sheet;
-        match defect {
-            0 => {
-                broken.set_global("a", "b + 1").unwrap();
-                broken.set_global("b", "a * 2").unwrap();
-            }
-            1 => {
-                broken.add_element_row("Ghost", "nowhere/nothing", []).unwrap();
-            }
-            2 => {
-                broken.add_element_row("Twin Row", "ucb/register", []).unwrap();
-                broken.add_element_row("twin-row", "ucb/register", []).unwrap();
-            }
-            _ => {
-                broken
-                    .add_element_row("Loop A", "ucb/dcdc", [("p_load", "P_loop_b")])
-                    .unwrap();
-                broken
-                    .add_element_row("Loop B", "ucb/dcdc", [("p_load", "P_loop_a")])
-                    .unwrap();
-            }
-        }
-        let plan = CompiledSheet::compile(&broken, &library);
-        let mut state = ReplayState::new();
-        for overrides in &sequence {
-            let ov: Vec<(&str, f64)> = overrides.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-            prop_assert_eq!(plan.replay_delta(&mut state, &ov), plan.play_with(&ov));
-        }
-    }
-
     /// The bytecode replay engine is bit-for-bit the scope-chain tree
     /// walker — report for report — for random designs with a nested
     /// sub-sheet row, a `P_` power chain, and random override sets.
@@ -383,48 +315,26 @@ proptest! {
         prop_assert_eq!(plan.play_with(&ov), plan.play_with_tree(&ov));
     }
 
-    /// Delta replay over the bytecode register file is bit-for-bit both
-    /// the full bytecode replay and the tree walker, across override
-    /// sequences that mix incremental, fallback, and memo paths with a
-    /// hierarchical row in play.
-    #[test]
-    fn bytecode_delta_matches_full_and_tree(
-        sheet in arb_sheet(),
-        sub in arb_sheet(),
-        sequence in prop::collection::vec(arb_overrides(), 1..6),
-    ) {
-        let library = lib();
-        let mut sheet = sheet;
-        sheet.add_subsheet_row("Subsystem", sub);
-        sheet
-            .add_element_row("Chained Conv", "ucb/dcdc", [("p_load", "P_row_0 * 1.25")])
-            .unwrap();
-        let plan = CompiledSheet::compile(&sheet, &library);
-        let mut state = ReplayState::new();
-        for overrides in &sequence {
-            let ov: Vec<(&str, f64)> = overrides.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-            let delta = plan.replay_delta(&mut state, &ov);
-            prop_assert_eq!(&delta, &plan.play_with(&ov));
-            prop_assert_eq!(delta, plan.play_with_tree(&ov));
-        }
-    }
-
     /// The batched sweep kernel answers every point bit-for-bit as the
     /// tree walker would — totals, compared by their bits, and errors —
     /// chunk by chunk and end to end through the what-if pipeline.
-    /// Sweeps run over a declared global (`vdd`) and over appended names
-    /// (`ghost`, which resolves the unknown-variable defects, and the
-    /// unreferenced `x_new`), on sound sheets and on every defect class
-    /// above. A converter whose load reads `f` but no `vdd` is clean in
-    /// a `vdd` sweep with a baseline, and its power is computed at run
-    /// time (a constant load would fold to a constant), so the lane
-    /// total reads the register its baseline play wrote.
+    /// Sweeps run over declared globals (`vdd`, `f`) and over appended
+    /// names (`ghost`, which resolves the unknown-variable defects, and
+    /// the unreferenced `x_new`), on sound sheets and on every defect
+    /// class above. A converter whose load reads `f` but no `vdd` stays
+    /// outside a `vdd` sweep's slice with a baseline, and its power is
+    /// computed at run time (a constant load would fold to a constant),
+    /// so the lane total reads the register its baseline play wrote. An
+    /// inline element reads `vdd` and `f` only through the EQ 1
+    /// template, and a second converter's load reads the first row's
+    /// `P_`, so slices cross rows through both.
     #[test]
     fn batched_sweep_matches_tree_walker_per_point(
         sheet in arb_sheet(),
         defect in 0u32..10,
         name in prop_oneof![
             Just("vdd".to_owned()),
+            Just("f".to_owned()),
             Just("ghost".to_owned()),
             Just("x_new".to_owned()),
         ],
@@ -434,6 +344,10 @@ proptest! {
         let mut sheet = sheet;
         sheet
             .add_element_row("Rate Conv", "ucb/dcdc", [("p_load", "f / 4e7")])
+            .unwrap();
+        sheet.add_row(Row::new("Template Only", RowModel::Inline(template_only_element())));
+        sheet
+            .add_element_row("Chained Conv", "ucb/dcdc", [("p_load", "P_row_0 * 1.25")])
             .unwrap();
         let plan = CompiledSheet::compile(&with_defect(sheet, defect), &library);
         let tree: Vec<_> = values
@@ -541,8 +455,24 @@ fn with_defect(sheet: Sheet, defect: u32) -> Sheet {
     broken
 }
 
+/// An inline element whose formulas never name `vdd` or `f`, so it
+/// reads both only through the EQ 1 template.
+fn template_only_element() -> LibraryElement {
+    LibraryElement::new(
+        "inline/template_only",
+        ElementClass::Computation,
+        "Reads vdd and f only through EQ 1.",
+        vec![ParamDecl::new("bits", 8.0, "bit-width")],
+        ElementModel {
+            cap_full: Some(Expr::parse("bits * 1p").unwrap()),
+            static_current: Some(Expr::parse("1u").unwrap()),
+            ..ElementModel::default()
+        },
+    )
+}
+
 /// A three-row sheet where the `duty` global feeds exactly one row,
-/// whose power feeds a converter — the delta replay showcase.
+/// whose power feeds a converter.
 fn chained_sheet() -> Sheet {
     let mut sheet = Sheet::new("chained");
     sheet.set_global_value("vdd", 1.5);
@@ -558,88 +488,6 @@ fn chained_sheet() -> Sheet {
         .add_element_row("Conv", "ucb/dcdc", [("p_load", "P_amp + P_load")])
         .unwrap();
     sheet
-}
-
-#[test]
-fn single_global_delta_touches_only_dependent_rows() {
-    let library = lib();
-    let sheet = chained_sheet();
-    let plan = CompiledSheet::compile(&sheet, &library);
-    let mut state = ReplayState::new();
-
-    let first = plan.replay_delta(&mut state, &[]).unwrap();
-    assert_eq!(state.last_outcome(), DeltaOutcome::Full);
-    assert_eq!(Ok(first), plan.play());
-
-    // `duty` feeds Amp; Amp's power feeds Conv; Load stays clean.
-    let delta = plan.replay_delta(&mut state, &[("duty", 0.8)]).unwrap();
-    assert_eq!(state.last_outcome(), DeltaOutcome::Incremental);
-    assert_eq!(state.last_dirty_rows(), Some(2));
-    assert!(state.last_dirty_rows().unwrap() < plan.row_count());
-    assert_eq!(Ok(delta), plan.play_with(&[("duty", 0.8)]));
-
-    // Same point again: memoized, zero rows evaluated.
-    let memo = plan.replay_delta(&mut state, &[("duty", 0.8)]).unwrap();
-    assert_eq!(state.last_outcome(), DeltaOutcome::Memo);
-    assert_eq!(state.last_dirty_rows(), Some(0));
-    assert_eq!(Ok(memo), plan.play_with(&[("duty", 0.8)]));
-}
-
-#[test]
-fn broad_delta_falls_back_to_full_replay() {
-    let library = lib();
-    let sheet = chained_sheet();
-    let plan = CompiledSheet::compile(&sheet, &library);
-    let mut state = ReplayState::new();
-    plan.replay_delta(&mut state, &[]).unwrap();
-
-    // `f` is watched by every element row (the report captures the
-    // access rate): the dirty closure covers the whole sheet and the
-    // threshold sends this through the full-replay path.
-    let report = plan.replay_delta(&mut state, &[("f", 2e6)]).unwrap();
-    assert_eq!(state.last_outcome(), DeltaOutcome::Fallback);
-    assert_eq!(Ok(report), plan.play_with(&[("f", 2e6)]));
-
-    // And the state remains a valid baseline for the next small delta.
-    let next = plan
-        .replay_delta(&mut state, &[("f", 2e6), ("duty", 0.1)])
-        .unwrap();
-    assert_eq!(state.last_outcome(), DeltaOutcome::Incremental);
-    assert_eq!(Ok(next), plan.play_with(&[("f", 2e6), ("duty", 0.1)]));
-}
-
-#[test]
-fn replay_state_survives_plan_swap() {
-    let library = lib();
-    let plan_a = CompiledSheet::compile(&chained_sheet(), &library);
-    let mut other = chained_sheet();
-    other.set_global_value("duty", 0.25);
-    let plan_b = CompiledSheet::compile(&other, &library);
-
-    // A state filled by one plan is rebuilt, not misread, by another.
-    let mut state = ReplayState::new();
-    plan_a.replay_delta(&mut state, &[]).unwrap();
-    let fresh = plan_b.replay_delta(&mut state, &[]).unwrap();
-    assert_eq!(state.last_outcome(), DeltaOutcome::Full);
-    assert_eq!(Ok(fresh), plan_b.play());
-}
-
-#[test]
-fn replay_after_a_failed_walk_is_full() {
-    let library = lib();
-    let plan = CompiledSheet::compile(&chained_sheet(), &library);
-    let mut state = ReplayState::new();
-    plan.replay_delta(&mut state, &[]).unwrap();
-
-    // A negative `duty` drives Amp's load non-physical: the targeted walk
-    // traps after writing registers, so the image is no baseline.
-    let failed = plan.replay_delta(&mut state, &[("duty", -1.0)]);
-    assert!(failed.is_err());
-    assert_eq!(failed, plan.play_with(&[("duty", -1.0)]));
-
-    let next = plan.replay_delta(&mut state, &[("duty", 0.8)]).unwrap();
-    assert_eq!(state.last_outcome(), DeltaOutcome::Full);
-    assert_eq!(Ok(next), plan.play_with(&[("duty", 0.8)]));
 }
 
 #[test]

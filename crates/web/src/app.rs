@@ -6,16 +6,15 @@
 //! the user is identified by a `user` parameter threaded through every
 //! URL — faithful to the 1996 CGI implementation, which had no cookies.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use powerplay_expr::Scope;
 use powerplay_json::Json;
 use powerplay_library::{ElementClass, ElementModel, LibraryElement, ParamDecl, Registry};
-use powerplay_sheet::{ReplayState, RowModel, Sheet, SheetReport};
+use powerplay_sheet::{RowModel, Sheet, SheetReport};
 use powerplay_store::{DesignStore, StoreChange};
 use powerplay_telemetry::{profile, Counter, Gauge, Histogram};
 use powerplay_units::format;
@@ -100,10 +99,6 @@ pub struct PowerPlayApp {
     /// change hook. `Arc` so stream-open callbacks can subscribe after
     /// the handler returned.
     pub(crate) events: Arc<EventHub>,
-    /// Per-design incremental-replay baselines for revision-event
-    /// reports: consecutive commits against an unchanged plan replay
-    /// only the dirty rows.
-    replay: Mutex<HashMap<(String, String), ReplayState>>,
     /// HTTP Basic credentials; `None` = open access (the public Berkeley
     /// instance), `Some` = "password-restricted access" per the paper's
     /// protection section.
@@ -125,7 +120,6 @@ impl PowerPlayApp {
             store,
             plan_cache: PlanCache::new(PLAN_CACHE_CAPACITY),
             events: Arc::new(EventHub::new()),
-            replay: Mutex::new(HashMap::new()),
             credentials: None,
         })
     }
@@ -192,7 +186,6 @@ impl PowerPlayApp {
             store,
             plan_cache: PlanCache::new(PLAN_CACHE_CAPACITY),
             events: Arc::new(EventHub::new()),
-            replay: Mutex::new(HashMap::new()),
             credentials: Some(credentials),
         })
     }
@@ -286,23 +279,13 @@ impl PowerPlayApp {
         }
     }
 
-    /// The delta-replayed report for a freshly committed revision, as
-    /// the JSON shape `/api/v1/.../play` answers with. Shares the plan
-    /// cache with every other consumer; the per-design [`ReplayState`]
-    /// means a commit whose compiled plan is already warm (a rollback
-    /// to a cached revision, a repeated save) re-evaluates only dirty
-    /// rows. An unevaluable design yields `None` — the event still
-    /// announces the revision.
+    /// The played report for a freshly committed revision, as the JSON
+    /// shape `/api/v1/.../play` answers with. Shares the plan cache with
+    /// every other consumer. An unevaluable design yields `None` — the
+    /// event still announces the revision.
     fn revision_report(&self, user: &str, design: &str, rev: u64, sheet: &Sheet) -> Option<Json> {
         let key = self.stored_key(user, design, rev);
-        let plan = self.plan_for(key, sheet);
-        let report = {
-            let mut states = self.replay.lock();
-            let state = states
-                .entry((user.to_owned(), design.to_owned()))
-                .or_default();
-            plan.replay_delta(state, &[]).ok()?
-        };
+        let report = self.plan_for(key, sheet).play().ok()?;
         let rows: Json = report
             .rows()
             .iter()

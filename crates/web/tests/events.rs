@@ -121,7 +121,7 @@ fn read_event(reader: &mut BufReader<TcpStream>) -> (String, Option<u64>, String
 
 /// The acceptance path: two concurrent subscribers on the real reactor
 /// both see every revision a third connection commits, in revision
-/// order, with the delta-replayed report on board.
+/// order, with the played report on board.
 #[test]
 fn two_subscribers_see_revisions_from_a_third_connection() {
     let (_app, server) = serve("fanout");
@@ -151,7 +151,7 @@ fn two_subscribers_see_revisions_from_a_third_connection() {
             assert_eq!(parsed["rev"].as_f64(), Some(expected as f64));
             assert_eq!(parsed["etag"].as_str().unwrap(), format!("\"{expected}\""));
             assert_eq!(parsed["author"].as_str(), Some("alice"));
-            // The delta-replayed report rides along, ready to render.
+            // The played report rides along, ready to render.
             assert!(parsed["report"]["total_w"].as_f64().unwrap() > 0.0);
         }
     }

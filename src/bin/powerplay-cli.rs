@@ -97,10 +97,8 @@ USAGE:
   powerplay-cli doc <element>               show an element's model
   powerplay-cli eval <element> [k=v ...]    evaluate (vdd=1.5 f=2e6 defaults)
   powerplay-cli play <design.json>          evaluate a design file
-  powerplay-cli profile <design.json> [--delta NAME=VALUE] [--disasm]
+  powerplay-cli profile <design.json> [--disasm]
                                             play once, print the span tree;
-                                            with --delta, compare a full vs
-                                            incremental replay of that change;
                                             with --disasm, print the compiled
                                             bytecode program (slots, constants,
                                             per-row code spans) instead
@@ -247,32 +245,15 @@ fn cmd_play(args: &[String]) -> Result<(), String> {
 
 fn cmd_profile(args: &[String]) -> Result<(), String> {
     let mut path: Option<&str> = None;
-    let mut delta: Option<(String, f64)> = None;
     let mut disasm = false;
-    let mut it = args.iter().map(String::as_str);
-    while let Some(arg) = it.next() {
-        match arg {
+    for arg in args {
+        match arg.as_str() {
             "--disasm" => disasm = true,
-            "--delta" => {
-                let spec = it
-                    .next()
-                    .ok_or_else(|| "--delta needs NAME=VALUE".to_string())?;
-                let (name, formula) = spec
-                    .split_once('=')
-                    .ok_or_else(|| format!("--delta expects NAME=VALUE, got `{spec}`"))?;
-                let value = Expr::parse(formula)
-                    .map_err(|e| format!("`{spec}`: {e}"))?
-                    .eval(&Scope::new())
-                    .map_err(|e| format!("`{spec}`: {e}"))?;
-                delta = Some((name.to_owned(), value));
-            }
             _ if path.is_none() => path = Some(arg),
             other => return Err(format!("unexpected argument `{other}`")),
         }
     }
-    let path = path.ok_or_else(|| {
-        "usage: profile <design.json> [--delta NAME=VALUE] [--disasm]".to_string()
-    })?;
+    let path = path.ok_or_else(|| "usage: profile <design.json> [--disasm]".to_string())?;
     let pp = PowerPlay::new();
     let sheet = load_design(path)?;
     if disasm {
@@ -283,49 +264,12 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         print!("{}", plan.disassemble());
         return Ok(());
     }
-    let Some((name, value)) = delta else {
-        let (result, tree) =
-            powerplay_telemetry::profile::capture(&format!("play {path}"), || pp.play(&sheet));
-        let report = result.map_err(|e| e.to_string())?;
-        print!("{}", tree.render());
-        println!();
-        println!("spans captured: {}", tree.span_count());
-        println!("total power:    {}", report.total_power());
-        return Ok(());
-    };
-
-    // Side-by-side span trees: the same single-global change, once as a
-    // full compiled replay and once as an incremental delta replay over
-    // a primed baseline — the "what does the dirty-set engine skip"
-    // view.
-    use powerplay_sheet::{CompiledSheet, ReplayState};
-    let plan = CompiledSheet::compile(&sheet, pp.registry());
-    let overrides = [(name.as_str(), value)];
-    let (full, full_tree) =
-        powerplay_telemetry::profile::capture(&format!("full replay {name}={value}"), || {
-            plan.play_with(&overrides)
-        });
-    full.map_err(|e| e.to_string())?;
-    let mut state = ReplayState::new();
-    plan.replay_delta(&mut state, &[])
-        .map_err(|e| e.to_string())?;
-    let (incremental, delta_tree) =
-        powerplay_telemetry::profile::capture(&format!("delta replay {name}={value}"), || {
-            plan.replay_delta(&mut state, &overrides)
-        });
-    let report = incremental.map_err(|e| e.to_string())?;
-    println!("--- full replay ---");
-    print!("{}", full_tree.render());
+    let (result, tree) =
+        powerplay_telemetry::profile::capture(&format!("play {path}"), || pp.play(&sheet));
+    let report = result.map_err(|e| e.to_string())?;
+    print!("{}", tree.render());
     println!();
-    println!("--- incremental replay ---");
-    print!("{}", delta_tree.render());
-    println!();
-    println!(
-        "outcome:        {:?} ({} of {} rows re-evaluated)",
-        state.last_outcome(),
-        state.last_dirty_rows().unwrap_or(0),
-        plan.row_count(),
-    );
+    println!("spans captured: {}", tree.span_count());
     println!("total power:    {}", report.total_power());
     Ok(())
 }

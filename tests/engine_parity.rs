@@ -1,25 +1,31 @@
 //! One evaluator in production: every play, sweep, Monte-Carlo trial,
-//! appended-global play and delta replay runs the sheet's register
+//! sensitivity probe and appended-global play runs the sheet's register
 //! program, and on every shipped design each of them must equal the
 //! scope-chain tree walker (`CompiledSheet::play_with_tree`), the
 //! oracle, bit for bit. Totals are compared by their bits, because f64
-//! `==` cannot tell +0.0 from −0.0. The analyzer must order globals
-//! exactly as the engine does, so both report the same error first, and
-//! a bound-pruned sweep must play exactly what an unconstrained sweep
-//! plays.
+//! `==` cannot tell +0.0 from −0.0. So must every study over a row that
+//! reads `vdd` and `f` only through the EQ 1 template, which no formula
+//! of the row names. The analyzer must order globals exactly as the
+//! engine does, so both report the same error first, and a bound-pruned
+//! sweep must play exactly what an unconstrained sweep plays.
 //!
 //! The ignored tests are timing gates, meaningful only in release:
 //! `cargo test --release --test engine_parity -- --ignored`.
 
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use powerplay_analysis::{
     analyze, analyze_with_ranges, sweep_constrained, Interval, PointOutcome, PowerConstraint,
 };
+use powerplay_expr::Expr;
 use powerplay_json::Json;
 use powerplay_library::builtin::ucb_library;
-use powerplay_sheet::{whatif, CompiledSheet, EvaluateSheetError, ReplayState, Sheet, SheetReport};
-use powerplay_units::Power;
+use powerplay_library::{ElementClass, ElementModel, LibraryElement, ParamDecl, Registry};
+use powerplay_sheet::{
+    whatif, CompiledSheet, EvaluateSheetError, Row, RowModel, Sheet, SheetReport,
+};
+use powerplay_units::{Power, Voltage};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -137,9 +143,9 @@ fn report_bits(
 #[test]
 fn a_dirty_row_reads_the_values_a_clean_row_computed() {
     // Both rows compute `(vdd - vt)^2`, so the program computes it once,
-    // in the first row's span. Only the second row reads `k`: when `k`
-    // moves, the second row runs alone and reads that value from the
-    // baseline's registers.
+    // in the first row's span. Only the second row reads `k`: a sweep of
+    // `k` runs a slice of the second row's code, which reads that value
+    // from the baseline's registers.
     let mut sheet = Sheet::new("shared");
     for (global, value) in [("vdd", "1.5"), ("vt", "0.4"), ("k", "2"), ("f", "2MHz")] {
         sheet.set_global(global, value).unwrap();
@@ -158,24 +164,6 @@ fn a_dirty_row_reads_the_values_a_clean_row_computed() {
     assert_eq!(pows(&sheet), alone, "the second row adds no `Pow`");
     let plan = CompiledSheet::compile(&sheet, &ucb_library());
 
-    let mut state = ReplayState::new();
-    let sequence: [(&[(&str, f64)], usize); 4] = [
-        (&[], 2),
-        (&[("k", 3.0)], 1),
-        (&[("k", 3.0), ("vdd", 1.8)], 2),
-        (&[("k", 5.0), ("vdd", 1.8)], 1),
-    ];
-    for (overrides, dirty) in sequence {
-        let replayed = plan.replay_delta(&mut state, overrides);
-        assert_eq!(
-            report_bits(replayed),
-            report_bits(plan.play_with_tree(overrides)),
-            "{overrides:?}"
-        );
-        assert_eq!(state.last_dirty_rows(), Some(dirty), "{overrides:?}");
-    }
-
-    // A sweep of `k` runs only the second row over the lane image.
     let values: Vec<f64> = (0..11).map(|i| 1.0 + f64::from(i)).collect();
     let curve = whatif::sweep_compiled(&plan, "k", &values).unwrap();
     for (value, total) in curve {
@@ -202,30 +190,39 @@ fn play_that_appends_a_global_matches_the_tree_walker() {
     }
 }
 
+/// Central differences of `play_with_tree` totals, computed as
+/// `whatif::sensitivities_compiled` computes them from its own totals:
+/// ±1% of each nonzero global. Keyed by global, by their bits.
+fn tree_sensitivities(plan: &CompiledSheet) -> BTreeMap<String, u64> {
+    let base = plan.play_with_tree(&[]).unwrap();
+    let p0 = base.total_power().value();
+    let total = |name: &str, x: f64| {
+        let played = plan.play_with_tree(&[(name, x)]);
+        played.unwrap().total_power().value()
+    };
+    base.globals()
+        .iter()
+        .filter(|(_, value)| *value != 0.0 && p0 != 0.0)
+        .map(|(name, value)| {
+            let h = 0.01 * value;
+            let dp_dx = (total(name, value + h) - total(name, value - h)) / (2.0 * h);
+            (name.clone(), (dp_dx * value / p0).to_bits())
+        })
+        .collect()
+}
+
+fn sensitivity_bits(plan: &CompiledSheet) -> BTreeMap<String, u64> {
+    let sens = whatif::sensitivities_compiled(plan).unwrap();
+    sens.into_iter()
+        .map(|(name, s)| (name, s.to_bits()))
+        .collect()
+}
+
 #[test]
-fn delta_replay_sequence_matches_the_tree_walker() {
+fn sensitivities_match_central_differences_of_the_tree_walker() {
     for name in DESIGNS {
         let plan = load_plan(name);
-        let base = plan.play().unwrap_or_else(|e| panic!("{name}: {e}"));
-        // Nudge each declared global in turn, repeat the point (a memo
-        // hit), then append a global (its own program) and return to
-        // the base program.
-        let mut sequence: Vec<Vec<(&str, f64)>> = vec![Vec::new()];
-        for (global, value) in base.globals() {
-            sequence.push(vec![(global.as_str(), value * 1.25)]);
-            sequence.push(vec![(global.as_str(), value * 1.25)]);
-        }
-        sequence.push(vec![("x_new", 1.0)]);
-        sequence.push(Vec::new());
-
-        let mut state = ReplayState::new();
-        for overrides in &sequence {
-            assert_eq!(
-                plan.replay_delta(&mut state, overrides),
-                plan.play_with_tree(overrides),
-                "{name} with {overrides:?}"
-            );
-        }
+        assert_eq!(sensitivity_bits(&plan), tree_sensitivities(&plan), "{name}");
     }
 }
 
@@ -293,47 +290,137 @@ fn constrained_sweep_prunes_soundly_and_plays_bit_identically() {
     }
 }
 
+/// Asserts that `monte_carlo` over `globals` samples exactly the
+/// tree walker's totals: its draw, replayed, is one factor per present
+/// global per trial from one seeded stream, and a name that is not a
+/// global draws nothing.
+fn assert_monte_carlo_matches_the_tree_walker(
+    sheet: &Sheet,
+    registry: &Registry,
+    globals: &[&str],
+) {
+    let (rel, trials, seed) = (0.2, 100, 1996);
+    let plan = CompiledSheet::compile(sheet, registry);
+    let name = sheet.name();
+    let base = plan.play().unwrap_or_else(|e| panic!("{name}: {e}"));
+    let present: Vec<(&str, f64)> = globals
+        .iter()
+        .filter_map(|g| base.global(g).map(|value| (*g, value)))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut expected: Vec<f64> = (0..trials)
+        .map(|_| {
+            let overrides: Vec<(&str, f64)> = present
+                .iter()
+                .map(|&(global, value)| {
+                    let factor: f64 = rng.gen_range(1.0 - rel..1.0 + rel);
+                    (global, value * factor)
+                })
+                .collect();
+            let played = plan.play_with_tree(&overrides);
+            played
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+                .total_power()
+                .value()
+        })
+        .collect();
+    expected.sort_by(f64::total_cmp);
+
+    let mc = whatif::monte_carlo(sheet, registry, globals, rel, trials, seed)
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    let got: Vec<u64> = mc.samples.iter().map(|p| p.to_bits()).collect();
+    let want: Vec<u64> = expected.iter().map(|p| p.to_bits()).collect();
+    assert_eq!(got, want, "{name}");
+}
+
 #[test]
 fn monte_carlo_matches_the_tree_walker_per_trial() {
-    // `monte_carlo`'s draw, replayed: one factor per present global per
-    // trial from one seeded stream; `absent` is not a global and draws
-    // nothing.
-    let (rel, trials, seed) = (0.2, 100, 1996);
     let globals = ["vdd", "f", "radio_duty", "absent"];
-    let registry = ucb_library();
     for name in DESIGNS {
-        let sheet = load_sheet(name);
-        let plan = CompiledSheet::compile(&sheet, &registry);
-        let base = plan.play().unwrap_or_else(|e| panic!("{name}: {e}"));
-        let present: Vec<(&str, f64)> = globals
-            .iter()
-            .filter_map(|g| base.global(g).map(|value| (*g, value)))
-            .collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut expected: Vec<f64> = (0..trials)
-            .map(|_| {
-                let overrides: Vec<(&str, f64)> = present
-                    .iter()
-                    .map(|&(global, value)| {
-                        let factor: f64 = rng.gen_range(1.0 - rel..1.0 + rel);
-                        (global, value * factor)
-                    })
-                    .collect();
-                let played = plan.play_with_tree(&overrides);
-                played
-                    .unwrap_or_else(|e| panic!("{name}: {e}"))
-                    .total_power()
-                    .value()
-            })
-            .collect();
-        expected.sort_by(f64::total_cmp);
-
-        let mc = whatif::monte_carlo(&sheet, &registry, &globals, rel, trials, seed)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let got: Vec<u64> = mc.samples.iter().map(|p| p.to_bits()).collect();
-        let want: Vec<u64> = expected.iter().map(|p| p.to_bits()).collect();
-        assert_eq!(got, want, "{name}");
+        assert_monte_carlo_matches_the_tree_walker(&load_sheet(name), &ucb_library(), &globals);
     }
+}
+
+/// `vdd` = 1.5 and `f` = 2 MHz, an inline element whose formulas never
+/// name `vdd` or `f` (`cap_full = bits * 1p`, `static_current = 1u`, no
+/// delay), so it reads both only through the EQ 1 template, and a
+/// `ucb/multiplier` beside it.
+fn template_only_sheet() -> Sheet {
+    let mut sheet = Sheet::new("template-only");
+    sheet.set_global("vdd", "1.5").unwrap();
+    sheet.set_global("f", "2MHz").unwrap();
+    let element = LibraryElement::new(
+        "inline/template_only",
+        ElementClass::Computation,
+        "Reads vdd and f only through EQ 1.",
+        vec![ParamDecl::new("bits", 8.0, "bit-width")],
+        ElementModel {
+            cap_full: Some(Expr::parse("bits * 1p").unwrap()),
+            static_current: Some(Expr::parse("1u").unwrap()),
+            ..ElementModel::default()
+        },
+    );
+    sheet.add_row(Row::new("Inline", RowModel::Inline(element)));
+    sheet.add_element_row("Mult", "ucb/multiplier", []).unwrap();
+    sheet
+}
+
+#[test]
+fn sweeps_reach_rows_that_read_vdd_only_through_the_template() {
+    let plan = CompiledSheet::compile(&template_only_sheet(), &ucb_library());
+    for (global, values) in [("vdd", [1.0, 2.0, 3.0]), ("f", [1e6, 2e6, 4e6])] {
+        let curve = whatif::sweep_compiled(&plan, global, &values).unwrap();
+        for (value, total) in curve {
+            assert_eq!(
+                Ok(bits(total)),
+                total_bits(plan.play_with_tree(&[(global, value)])),
+                "{global} = {value}"
+            );
+        }
+    }
+
+    // A bound-pruned sweep plays the survivors through the same kernel.
+    let points: Vec<f64> = (0..16).map(|i| 1.0 + 0.125 * f64::from(i)).collect();
+    let budget = plan.play_with_tree(&[("vdd", 2.0)]).unwrap().total_power();
+    let constraint = PowerConstraint::at_most(budget.value());
+    let sweep = sweep_constrained(&plan, "vdd", &points, &constraint).unwrap();
+    assert!(sweep.played > 0, "nothing played");
+    for (value, outcome) in &sweep.outcomes {
+        let tree = plan
+            .play_with_tree(&[("vdd", *value)])
+            .unwrap()
+            .total_power();
+        match outcome {
+            PointOutcome::Played(total) => assert_eq!(bits(*total), bits(tree), "vdd = {value}"),
+            PointOutcome::Pruned(proof) => {
+                assert!(!constraint.admits(tree.value()), "vdd = {value}");
+                assert!(proof.contains(tree.value()), "vdd = {value}");
+            }
+        }
+    }
+}
+
+#[test]
+fn monte_carlo_reaches_rows_that_read_vdd_only_through_the_template() {
+    assert_monte_carlo_matches_the_tree_walker(&template_only_sheet(), &ucb_library(), &["vdd"]);
+}
+
+#[test]
+fn sensitivities_and_min_vdd_reach_rows_that_read_vdd_only_through_the_template() {
+    let sheet = template_only_sheet();
+    let registry = ucb_library();
+    let plan = CompiledSheet::compile(&sheet, &registry);
+    assert_eq!(sensitivity_bits(&plan), tree_sensitivities(&plan));
+
+    let (vdd, report) =
+        whatif::min_vdd_meeting_timing(&sheet, &registry, Voltage::new(0.75), Voltage::new(3.3))
+            .unwrap()
+            .expect("2 MHz timing is reachable");
+    assert_eq!(
+        report_bits(Ok(report)),
+        report_bits(plan.play_with_tree(&[("vdd", vdd.value())])),
+        "at vdd = {vdd}"
+    );
 }
 
 #[test]

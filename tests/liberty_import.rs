@@ -10,6 +10,7 @@ use std::process::Command;
 use powerplay::{ucb_library, PowerPlay, Sheet};
 use powerplay_json::Json;
 use powerplay_lint::codes;
+use powerplay_sheet::whatif;
 use powerplay_web::app::PowerPlayApp;
 use powerplay_web::http::{Method, Request, Response, Status};
 
@@ -99,15 +100,14 @@ fn fixture_imports_with_every_cell_accounted_for() {
     assert!(inv.doc().contains(&format!("{:016x}", import.source_hash)));
 }
 
-#[test]
-fn imported_elements_drive_play_and_analyze() {
+/// The fixture's cells in a registry, and a toy datapath slice out of
+/// three of them.
+fn imported_slice() -> (PowerPlay, Sheet) {
     let import = powerplay_liberty::import_str(FIXTURE, "gscl45nm_mini.lib");
     let mut pp = PowerPlay::new();
     for element in import.elements {
         pp.registry_mut().insert(element);
     }
-
-    // A toy datapath slice out of the imported cells.
     let mut sheet = Sheet::new("slice");
     sheet.set_global("vdd", "1.1").unwrap();
     sheet.set_global("f", "500e6").unwrap();
@@ -120,7 +120,12 @@ fn imported_elements_drive_play_and_analyze() {
     sheet
         .add_element_row("dff", "gscl45nm_mini/DFFPOSX1", [("activity", "1.0")])
         .unwrap();
+    (pp, sheet)
+}
 
+#[test]
+fn imported_elements_drive_play_and_analyze() {
+    let (pp, sheet) = imported_slice();
     let report = pp.play(&sheet).expect("imported design plays");
     let total = report.total_power().value();
     assert!(
@@ -145,6 +150,43 @@ fn imported_elements_drive_play_and_analyze() {
         "{total} outside proven [{}, {}]",
         bounds.total_power.lo,
         bounds.total_power.hi
+    );
+}
+
+#[test]
+fn a_vdd_sweep_and_its_sensitivity_reach_imported_cells() {
+    // Imported cells read `vdd` only through the EQ 1 template: their
+    // formulas are `activity * C` and a constant leakage current.
+    let (pp, sheet) = imported_slice();
+    let plan = pp.compile(&sheet);
+    let tree_total = |vdd: f64| {
+        let played = plan.play_with_tree(&[("vdd", vdd)]);
+        played.expect("the oracle plays").total_power().value()
+    };
+    let curve = whatif::sweep_compiled(&plan, "vdd", &[0.9, 1.0, 1.1, 1.2]).expect("sweep runs");
+    for pair in curve.windows(2) {
+        assert!(pair[1].1 > pair[0].1, "power falls as vdd rises: {curve:?}");
+    }
+    for (vdd, total) in &curve {
+        assert_eq!(
+            total.value().to_bits(),
+            tree_total(*vdd).to_bits(),
+            "vdd = {vdd}"
+        );
+    }
+
+    let sens = whatif::sensitivities_compiled(&plan).expect("sensitivities run");
+    let s_vdd = sens
+        .iter()
+        .find(|(name, _)| name == "vdd")
+        .expect("S_vdd")
+        .1;
+    let (vdd, h) = (1.1, 0.01 * 1.1);
+    let expected = (tree_total(vdd + h) - tree_total(vdd - h)) / (2.0 * h) * vdd / tree_total(vdd);
+    assert_eq!(
+        s_vdd.to_bits(),
+        expected.to_bits(),
+        "S_vdd {s_vdd} vs {expected}"
     );
 }
 
