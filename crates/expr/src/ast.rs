@@ -101,6 +101,33 @@ impl Expr {
         Expr::Variable(name.into())
     }
 
+    /// Whether `other` is the same formula, with numbers compared by bit
+    /// pattern: unlike `==`, `0.0` and `-0.0` differ and a NaN equals
+    /// itself. Two identical formulas evaluate to the same bits in every
+    /// scope.
+    ///
+    /// ```
+    /// use powerplay_expr::Expr;
+    /// assert_eq!(Expr::number(0.0), Expr::number(-0.0));
+    /// assert!(!Expr::number(0.0).identical(&Expr::number(-0.0)));
+    /// ```
+    pub fn identical(&self, other: &Expr) -> bool {
+        match (self, other) {
+            (Expr::Number(a), Expr::Number(b)) => a.to_bits() == b.to_bits(),
+            (Expr::Variable(a), Expr::Variable(b)) => a == b,
+            (Expr::Unary(op, a), Expr::Unary(op_b, b)) => op == op_b && a.identical(b),
+            (Expr::Binary(op, a1, a2), Expr::Binary(op_b, b1, b2)) => {
+                op == op_b && a1.identical(b1) && a2.identical(b2)
+            }
+            (Expr::Call(f, args), Expr::Call(g, args_b)) => {
+                f == g
+                    && args.len() == args_b.len()
+                    && args.iter().zip(args_b).all(|(a, b)| a.identical(b))
+            }
+            _ => false,
+        }
+    }
+
     /// Collects every variable the formula references, in sorted order.
     ///
     /// The sheet engine uses this to build the dependency graph between

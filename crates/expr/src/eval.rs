@@ -203,17 +203,6 @@ impl<'parent> Scope<'parent> {
         }
     }
 
-    /// Creates a child scope pre-populated with `template`'s local
-    /// bindings — a wholesale table copy whose shared keys cost a
-    /// reference-count bump each, not a fresh allocation. Compiled
-    /// plans use this to seed element parameter defaults per play.
-    pub fn child_seeded<'a>(&'a self, template: &Scope<'_>) -> Scope<'a> {
-        Scope {
-            bindings: template.bindings.clone(),
-            parent: Some(self),
-        }
-    }
-
     /// Binds (or shadows) a variable in this scope level.
     pub fn set(&mut self, name: impl Into<Arc<str>>, value: f64) {
         self.bindings.insert(name.into(), value);
@@ -450,22 +439,6 @@ mod tests {
         s.set("zeta", 1.0);
         s.set("alpha", 2.0);
         assert_eq!(s.local_names(), ["alpha", "zeta"]);
-    }
-
-    #[test]
-    fn child_seeded_copies_template_and_chains_to_parent() {
-        let mut defaults = Scope::new();
-        defaults.set("bits", 8.0);
-        defaults.set("words", 256.0);
-        let mut globals = Scope::new();
-        globals.set("vdd", 1.5);
-
-        let mut seeded = globals.child_seeded(&defaults);
-        assert_eq!(seeded.get("bits"), Some(8.0));
-        assert_eq!(seeded.get("vdd"), Some(1.5));
-        seeded.set("bits", 4.0); // shadows the seeded default locally
-        assert_eq!(seeded.get("bits"), Some(4.0));
-        assert_eq!(defaults.get("bits"), Some(8.0), "template untouched");
     }
 
     #[test]

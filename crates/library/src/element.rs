@@ -239,6 +239,37 @@ impl LibraryElement {
         &self.model
     }
 
+    /// Whether `other` is the same element, with every number (parameter
+    /// defaults, formula literals) compared by bit pattern — see
+    /// [`Expr::identical`].
+    pub fn identical(&self, other: &LibraryElement) -> bool {
+        fn same(a: &Option<Expr>, b: &Option<Expr>) -> bool {
+            match (a, b) {
+                (Some(a), Some(b)) => a.identical(b),
+                (None, None) => true,
+                _ => false,
+            }
+        }
+        let (m, n) = (&self.model, &other.model);
+        self.name == other.name
+            && self.class == other.class
+            && self.doc == other.doc
+            && self.params.len() == other.params.len()
+            && self.params.iter().zip(&other.params).all(|(p, q)| {
+                p.name == q.name && p.default.to_bits() == q.default.to_bits() && p.doc == q.doc
+            })
+            && same(&m.cap_full, &n.cap_full)
+            && match (&m.cap_partial, &n.cap_partial) {
+                (Some((c, s)), Some((d, t))) => c.identical(d) && s.identical(t),
+                (None, None) => true,
+                _ => false,
+            }
+            && same(&m.static_current, &n.static_current)
+            && same(&m.power_direct, &n.power_direct)
+            && same(&m.area, &n.area)
+            && same(&m.delay, &n.delay)
+    }
+
     /// Variables the model needs that are neither declared parameters nor
     /// the reserved globals — useful to validate user-authored models.
     pub fn undeclared_variables(&self) -> Vec<String> {

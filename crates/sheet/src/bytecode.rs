@@ -3,14 +3,49 @@
 //! [`super::plan::CompiledSheet`] already amortizes graph analysis, but
 //! a tree walker would still resolve every variable reference through a
 //! `HashMap` scope chain on every play — per-reference hashing on the
-//! hottest path in the system. This module lowers the *entire* compiled
-//! row structure (sub-sheets inlined) into one flat [`Program`]: a
-//! contiguous `Vec<Instr>` whose operands are `u32` register slots
+//! hottest path in the system. This module lowers the compiled row
+//! structure (sub-sheets inlined) into one flat [`Program`]: a
+//! contiguous array of [`Instr`] whose operands are `u32` register slots
 //! resolved at compile time. Replay is a tight interpreter loop over a
 //! single `f64` register file — zero hashing, zero string comparison,
 //! zero `Arc` cloning per instruction. Every play and sweep runs a
 //! program; the tree walker
 //! ([`super::plan::CompiledSheet::play_with_tree`]) is the test oracle.
+//!
+//! # Fragments and the link
+//!
+//! Each top-level row is lowered on its own into a [`Fragment`]: its
+//! code, constants, report recipe and error templates over
+//! fragment-local registers, numbered through the fragment's own
+//! value-number table. A name the row does not bind — a top-level
+//! global, an appended override name, the `P_`/`A_` of a row earlier in
+//! plan order — is a fragment *input*. The fragment records every such
+//! name and whether it was found, because presence changes the code: an
+//! absent name traps, and `vdd` and `f` pick the template's branch.
+//! [`Program::link`] walks the rows in plan order and joins their
+//! fragments: each input maps to its register in the program, each
+//! constant to one pool deduplicated by bit pattern, and each pure
+//! instruction passes through one value-number table for the whole
+//! program. A fragment is reused — by the next revision's compile
+//! ([`super::plan::CompiledSheet::compile_from`]) or by a program that
+//! appends override names — wherever every name it recorded resolves the
+//! same way; otherwise the row is lowered again for that program. A
+//! fresh compile is the same link with nothing to reuse.
+//!
+//! The linked program is exactly the one a single lowering of all rows
+//! through one table would emit: the link makes the same decisions in
+//! the same order. A hit in a fragment's own table is a hit in the
+//! program's table (its operands map to the same values), constants are
+//! deduplicated by bits in both, and an operation whose operands became
+//! constants only in the program (an input bound to a folded row power)
+//! folds there through the interpreter's arithmetic, as it would have in
+//! one lowering. A `Check` of such a constant that passes the guard is
+//! dropped, as lowering drops it; every other check and trap is kept in
+//! order. A constant gets a pool register only when an instruction or a
+//! report recipe first reads it, so fold intermediates and shadowed
+//! parameter defaults take no register. The program keeps no copy of
+//! what the fragments hold: reports and errors are rebuilt through each
+//! row's fragment and a table mapping its recipe slots to registers.
 //!
 //! # Bit-for-bit fidelity
 //!
@@ -38,15 +73,16 @@
 //! # Value numbering
 //!
 //! Each value is computed once per program. Every pure instruction
-//! (`Neg`, `Bin`, `Call1`, `Call2`, `Sel`) goes through one table,
-//! shared by all rows and inlined sub-sheets of one lowering, that maps
-//! the operation and its operand registers to the register already
-//! holding that value; only a miss emits code. Operations on constants
-//! fold at lowering time through the interpreter's own arithmetic, and a
-//! formula whose value is a constant that passes the physical-value
-//! guard gets no `Check`. Checks and traps are never merged, dropped or
-//! moved otherwise, and pure instructions cannot trap, so every play
-//! still raises the tree walker's first error.
+//! (`Neg`, `Bin`, `Call1`, `Call2`, `Sel`) goes through a table that
+//! maps the operation and its operands to the value already computed;
+//! only a miss emits code. A fragment's table covers its row and the
+//! sub-sheets inlined in it, and the link's table the whole program.
+//! Operations on constants fold at compile time through the
+//! interpreter's own arithmetic, and a formula whose value is a constant
+//! that passes the physical-value guard gets no `Check`. Checks and
+//! traps are never merged, dropped or moved otherwise, and pure
+//! instructions cannot trap, so every play still raises the tree
+//! walker's first error.
 //!
 //! The program is in SSA form: each register is written by at most one
 //! instruction, placed before every instruction that reads it, so a row
@@ -72,6 +108,7 @@
 //! is one fixed-width loop the compiler can vectorize. Per-lane trap
 //! state keeps error reporting identical to serial replays.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
@@ -85,9 +122,12 @@ use crate::engine::EvaluateSheetError;
 use crate::plan::{CompiledRow, CompiledRowKind, CompiledSheet, RowsPlan};
 use crate::report::{fold_sum, RowReport, SheetReport, SUM_IDENTITY};
 
+const FRAGMENTS_HELP: &str = "Top-level rows linked into a register program, by whether the \
+     row's fragment was reused or lowered";
+
 /// Bytecode-engine metrics, registered once in the process-global
-/// registry. All three series register together on first use so a
-/// scrape after any bytecode replay sees the whole family.
+/// registry. All series register together on first use so a scrape
+/// after any bytecode replay sees the whole family.
 pub(crate) struct BytecodeMetrics {
     /// `powerplay_sheet_bytecode_instrs_total`.
     pub(crate) instrs_total: Counter,
@@ -95,6 +135,10 @@ pub(crate) struct BytecodeMetrics {
     pub(crate) replay_seconds: Histogram,
     /// `powerplay_sheet_bytecode_batch_width`.
     pub(crate) batch_width: Histogram,
+    /// `powerplay_sheet_fragments_total{outcome="reused"}`.
+    fragments_reused: Counter,
+    /// `powerplay_sheet_fragments_total{outcome="lowered"}`.
+    fragments_lowered: Counter,
 }
 
 pub(crate) fn bytecode_metrics() -> &'static BytecodeMetrics {
@@ -113,6 +157,16 @@ pub(crate) fn bytecode_metrics() -> &'static BytecodeMetrics {
             batch_width: g.value_histogram(
                 "powerplay_sheet_bytecode_batch_width",
                 "Lanes evaluated per batched bytecode dispatch pass",
+            ),
+            fragments_reused: g.counter_with(
+                "powerplay_sheet_fragments_total",
+                &[("outcome", "reused")],
+                FRAGMENTS_HELP,
+            ),
+            fragments_lowered: g.counter_with(
+                "powerplay_sheet_fragments_total",
+                &[("outcome", "lowered")],
+                FRAGMENTS_HELP,
             ),
         }
     })
@@ -178,22 +232,49 @@ impl Instr {
         }
     }
 
+    /// A pure instruction as its operation and destination; `None` for
+    /// checks and traps.
+    fn pure(self) -> Option<(Pure, u32)> {
+        Some(match self {
+            Instr::Neg { dst, a } => (Pure::Neg(a), dst),
+            Instr::Bin { op, dst, a, b } => (Pure::Bin(op, a, b), dst),
+            Instr::Call1 { f, dst, a } => (Pure::Call1(f, a), dst),
+            Instr::Call2 { f, dst, a, b } => (Pure::Call2(f, a, b), dst),
+            Instr::Sel { dst, cond, a, b } => (Pure::Sel(cond, a, b), dst),
+            Instr::Check { .. } | Instr::TrapIf { .. } | Instr::Trap { .. } => return None,
+        })
+    }
+
+    /// Calls `f` on each register the instruction reads.
+    fn for_each_read(self, mut f: impl FnMut(u32)) {
+        match self {
+            Instr::Neg { a, .. } | Instr::Call1 { a, .. } => f(a),
+            Instr::Bin { a, b, .. } | Instr::Call2 { a, b, .. } => {
+                f(a);
+                f(b);
+            }
+            Instr::Sel { cond, a, b, .. } => {
+                f(cond);
+                f(a);
+                f(b);
+            }
+            Instr::Check { src, .. } => f(src),
+            Instr::TrapIf { cond, .. } => f(cond),
+            Instr::Trap { .. } => {}
+        }
+    }
+
     /// Whether the instruction reads a register `set` marks.
     fn reads_any(self, set: &[bool]) -> bool {
-        let r = |slot: u32| set[slot as usize];
-        match self {
-            Instr::Neg { a, .. } | Instr::Call1 { a, .. } => r(a),
-            Instr::Bin { a, b, .. } | Instr::Call2 { a, b, .. } => r(a) || r(b),
-            Instr::Sel { cond, a, b, .. } => r(cond) || r(a) || r(b),
-            Instr::Check { src, .. } => r(src),
-            Instr::TrapIf { cond, .. } => r(cond),
-            Instr::Trap { .. } => false,
-        }
+        let mut any = false;
+        self.for_each_read(|slot| any |= set[slot as usize]);
+        any
     }
 }
 
 /// A pure instruction without its destination: an operation and its
-/// operand registers, the key of the lowering's value-number table.
+/// operands, the key of a value-number table. A fragment's operands are
+/// its local registers; the link's are value numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Pure {
     Neg(u32),
@@ -215,10 +296,21 @@ impl Pure {
         }
     }
 
+    /// The operation over operands `f` maps.
+    fn map(self, mut f: impl FnMut(u32) -> u32) -> Pure {
+        match self {
+            Pure::Neg(a) => Pure::Neg(f(a)),
+            Pure::Bin(op, a, b) => Pure::Bin(op, f(a), f(b)),
+            Pure::Call1(g, a) => Pure::Call1(g, f(a)),
+            Pure::Call2(g, a, b) => Pure::Call2(g, f(a), f(b)),
+            Pure::Sel(cond, a, b) => Pure::Sel(f(cond), f(a), f(b)),
+        }
+    }
+
     /// The value at lowering time when the operands it reads are
-    /// constants, computed with the interpreter's arithmetic.
-    fn fold(self, konst: &[Option<f64>]) -> Option<f64> {
-        let k = |slot: u32| konst[slot as usize];
+    /// constants (`k` gives an operand's constant value), computed with
+    /// the interpreter's arithmetic.
+    fn fold(self, k: impl Fn(u32) -> Option<f64>) -> Option<f64> {
         Some(match self {
             Pure::Neg(a) => -k(a)?,
             Pure::Bin(op, a, b) => apply_binary(op, k(a)?, k(b)?),
@@ -276,6 +368,35 @@ pub(crate) struct RowRecipe {
     sub: Option<Box<SheetRecipe>>,
 }
 
+impl RowRecipe {
+    /// Visits every slot the recipe reads, sub-sheet levels included.
+    fn slots_mut(&mut self, f: &mut impl FnMut(&mut u32)) {
+        for (_, slot) in &mut self.params {
+            f(slot);
+        }
+        for slot in [
+            &mut self.rate,
+            &mut self.energy,
+            &mut self.area,
+            &mut self.delay,
+        ]
+        .into_iter()
+        .flatten()
+        {
+            f(slot);
+        }
+        f(&mut self.power);
+        if let Some(sub) = &mut self.sub {
+            for (_, slot) in &mut sub.globals {
+                f(slot);
+            }
+            for row in &mut sub.rows {
+                row.slots_mut(f);
+            }
+        }
+    }
+}
+
 /// Report recipe for one (inlined) sub-sheet level.
 #[derive(Debug, Clone)]
 pub(crate) struct SheetRecipe {
@@ -285,27 +406,69 @@ pub(crate) struct SheetRecipe {
     rows: Vec<RowRecipe>,
 }
 
-/// A compiled sheet lowered to one flat register-machine program.
+/// One top-level row lowered on its own, over fragment-local registers
+/// and with its own value-number table: the unit a compile reuses and
+/// [`Program::link`] joins.
+#[derive(Debug)]
+pub(crate) struct Fragment {
+    code: Box<[Instr]>,
+    /// Local registers: the inputs, the constants and the registers the
+    /// code writes.
+    regs: u32,
+    /// The constants, by local register.
+    consts: Box<[(u32, f64)]>,
+    /// Every name the row resolved outside itself, in first-lookup
+    /// order, with the input register of each one found and `None` for
+    /// each one absent. Presence changes the code (an absent name traps,
+    /// and `vdd` and `f` pick the template's branch), so the fragment
+    /// fits a program only where each name resolves the same way.
+    lookups: Box<[(Arc<str>, Option<u32>)]>,
+    /// The report recipe. Its slots index `outputs`, not registers.
+    recipe: RowRecipe,
+    /// The local registers the recipe reads, one per recipe slot.
+    outputs: Box<[u32]>,
+    errors: Box<[ErrTemplate]>,
+    /// Lowering hit a static error: the code ends in its trap, and the
+    /// row publishes no `P_`/`A_` name.
+    poisoned: bool,
+    /// Sub-sheet rows lowered inside the row, for the rows-evaluated
+    /// counter.
+    nested_rows: u64,
+}
+
+/// One top-level row's place in a linked program.
+#[derive(Debug)]
+struct LinkedRow {
+    fragment: Arc<Fragment>,
+    /// The program register of each recipe slot (aligned with
+    /// [`Fragment::outputs`]).
+    regs: Box<[u32]>,
+    /// The `[start, end)` code span that evaluates the row.
+    span: (u32, u32),
+    /// The program's error index of the fragment's first template.
+    err_base: u32,
+    /// The row's power register.
+    power: u32,
+}
+
+/// A compiled sheet linked into one flat register-machine program.
 #[derive(Debug)]
 pub(crate) struct Program {
-    code: Vec<Instr>,
+    code: Box<[Instr]>,
     /// The register file's initial image: constants pre-placed, all
     /// other slots zero. A replay memcpys this, then seeds globals.
-    init: Vec<f64>,
+    init: Box<[f64]>,
     /// Which slots hold constants (their value is `init[slot]`); `init`
     /// alone cannot tell a constant 0 from a temporary.
-    is_const: Vec<bool>,
+    is_const: Box<[bool]>,
     /// Top-level global names: the declared ones in declaration order,
     /// then the appended override names. Global `i` lives in register
     /// `i`.
     globals: Vec<Arc<str>>,
-    /// Per top-level row (declaration index): the `[start, end)` code
-    /// span that evaluates it. Emission follows plan order, so
-    /// executing spans in plan order is executing the program in order.
-    row_spans: Vec<(u32, u32)>,
-    /// Per top-level row (declaration index): its report recipe.
-    recipes: Vec<RowRecipe>,
-    errors: Vec<ErrTemplate>,
+    /// Per top-level row, in declaration order. Linking follows plan
+    /// order, so executing spans in plan order is executing the program
+    /// in order.
+    rows: Vec<LinkedRow>,
     /// Rows at every level, for the rows-evaluated counter.
     rows_total: u64,
 }
@@ -367,14 +530,14 @@ struct ElemSlots {
     delay: Option<u32>,
 }
 
-struct Lowerer {
+/// Lowers one top-level row into a [`Fragment`].
+struct Lowerer<'o> {
     code: Vec<Instr>,
-    init: Vec<f64>,
+    /// Per local register: its value, when it is a constant. Constants
+    /// fold at lowering time through the interpreter's arithmetic.
+    const_val: Vec<Option<f64>>,
     /// Constant pool dedup: f64 bit pattern → slot.
     konsts: HashMap<u64, u32>,
-    /// Known-constant slots, for compile-time folding (the fold uses
-    /// the same dispatch as the interpreter, so it is bit-identical).
-    const_val: Vec<Option<f64>>,
     /// The value-number table: each pure operation already lowered →
     /// the register holding its value.
     values: HashMap<Pure, u32>,
@@ -382,40 +545,59 @@ struct Lowerer {
     /// Enclosing sub-sheet row names, outermost first.
     nest: Vec<Arc<str>>,
     rows_total: u64,
+    /// Resolves a name the row does not bind in the program the
+    /// fragment is lowered for: the program's own copy of the name when
+    /// it is found.
+    outside: &'o Outside<'o>,
+    lookups: Vec<(Arc<str>, Option<u32>)>,
 }
 
-impl Lowerer {
-    fn new() -> Lowerer {
+impl<'o> Lowerer<'o> {
+    fn new(outside: &'o Outside<'o>) -> Lowerer<'o> {
         Lowerer {
             code: Vec::new(),
-            init: Vec::new(),
-            konsts: HashMap::new(),
             const_val: Vec::new(),
+            konsts: HashMap::new(),
             values: HashMap::new(),
             errors: Vec::new(),
             nest: Vec::new(),
             rows_total: 0,
+            outside,
+            lookups: Vec::new(),
         }
     }
 
-    /// Allocates a fresh register (zero-initialized, unknown value).
+    /// Allocates a fresh register (unknown value).
     fn reg(&mut self) -> u32 {
-        let slot = self.init.len() as u32;
-        self.init.push(0.0);
         self.const_val.push(None);
-        slot
+        (self.const_val.len() - 1) as u32
     }
 
     /// A slot holding `value` in the constant pool (deduplicated by bit
     /// pattern, so `0.0` and `-0.0` keep distinct slots).
     fn konst(&mut self, value: f64) -> u32 {
-        if let Some(&slot) = self.konsts.get(&value.to_bits()) {
-            return slot;
+        let const_val = &mut self.const_val;
+        *self.konsts.entry(value.to_bits()).or_insert_with(|| {
+            const_val.push(Some(value));
+            (const_val.len() - 1) as u32
+        })
+    }
+
+    /// Resolves `name` through the row's own scope layers, then outside
+    /// the row, where a found name becomes an input register. Every
+    /// outside lookup is recorded, found or not.
+    fn lookup(&mut self, env: &Env, name: &str) -> Option<u32> {
+        if let Some(slot) = env.lookup(name) {
+            return Some(slot);
         }
-        let slot = self.init.len() as u32;
-        self.init.push(value);
-        self.const_val.push(Some(value));
-        self.konsts.insert(value.to_bits(), slot);
+        if let Some((_, slot)) = self.lookups.iter().find(|(n, _)| **n == *name) {
+            return *slot;
+        }
+        let (name, slot) = match (self.outside)(name) {
+            Some(found) => (found, Some(self.reg())),
+            None => (Arc::from(name), None),
+        };
+        self.lookups.push((name, slot));
         slot
     }
 
@@ -424,19 +606,18 @@ impl Lowerer {
     /// else the register of an identical earlier operation; else a
     /// fresh register, written by an instruction emitted here.
     fn pure(&mut self, op: Pure) -> u32 {
-        if let Some(&slot) = self.values.get(&op) {
-            return slot;
+        if let Some(value) = op.fold(|s| self.const_val[s as usize]) {
+            return self.konst(value);
         }
-        let slot = match op.fold(&self.const_val) {
-            Some(value) => self.konst(value),
-            None => {
-                let dst = self.reg();
-                self.emit(op.instr(dst));
-                dst
+        match self.values.entry(op) {
+            Entry::Occupied(slot) => *slot.get(),
+            Entry::Vacant(entry) => {
+                let dst = self.const_val.len() as u32;
+                self.const_val.push(None);
+                self.code.push(op.instr(dst));
+                *entry.insert(dst)
             }
-        };
-        self.values.insert(op, slot);
-        slot
+        }
     }
 
     fn bin(&mut self, op: BinaryOp, a: u32, b: u32) -> u32 {
@@ -486,7 +667,7 @@ impl Lowerer {
         use powerplay_expr::UnaryOp;
         match expr {
             Expr::Number(n) => Ok(self.konst(*n)),
-            Expr::Variable(name) => match env.lookup(name) {
+            Expr::Variable(name) => match self.lookup(env, name) {
                 Some(slot) => Ok(slot),
                 None => Err(self.trap(wrap(EvalError::UnknownVariable(name.clone())))),
             },
@@ -559,7 +740,7 @@ impl Lowerer {
     /// is not statically bound — the capacitive-element case where the
     /// tree walker errors unconditionally.
     fn lookup_or_trap(&mut self, row_name: &Arc<str>, var: &'static str, env: &Env) -> Lower<u32> {
-        match env.lookup(var) {
+        match self.lookup(env, var) {
             Some(slot) => Ok(slot),
             None => Err(self.trap(EvaluateSheetError::Element {
                 row: row_name.to_string(),
@@ -619,7 +800,7 @@ impl Lowerer {
             // current is non-zero, so an unbound `vdd` traps behind the
             // same condition, and the contribution is gated by `Sel`.
             let cond = self.bin(BinaryOp::Ne, i_eff, zero);
-            let vdd = match env.lookup("vdd") {
+            let vdd = match self.lookup(env, "vdd") {
                 Some(slot) => slot,
                 None => {
                     let err = self.wrap_nested(EvaluateSheetError::Element {
@@ -632,7 +813,7 @@ impl Lowerer {
                 }
             };
             // `scope.get("f").unwrap_or(0.0)`.
-            let freq = env.lookup("f").unwrap_or(zero);
+            let freq = self.lookup(env, "f").unwrap_or(zero);
             let contrib = self.lower_power_template(zero, freq, vdd, i_eff);
             let summed = self.bin(BinaryOp::Add, zero, contrib);
             power = self.pure(Pure::Sel(cond, summed, zero));
@@ -702,12 +883,8 @@ impl Lowerer {
         // Parameter defaults first, so bindings can shadow and reference
         // them (e.g. `bits = words / 4`).
         env.push_layer();
-        for name in &row.param_names {
-            let default = row
-                .defaults
-                .get(name)
-                .expect("defaults cover every declared parameter");
-            let slot = self.konst(default);
+        for (name, default) in &row.params {
+            let slot = self.konst(*default);
             env.insert_top(name.clone(), slot);
         }
         for (param, expr) in &row.bindings {
@@ -727,7 +904,7 @@ impl Lowerer {
                 let params: Vec<(Arc<str>, u32)> = row
                     .bindings
                     .iter()
-                    .filter_map(|(name, _)| env.lookup(name).map(|slot| (name.clone(), slot)))
+                    .filter_map(|(name, _)| self.lookup(env, name).map(|slot| (name.clone(), slot)))
                     .collect();
                 self.nest.push(row.name.clone());
                 let lowered = self.lower_subsheet(env, sub);
@@ -750,9 +927,9 @@ impl Lowerer {
             CompiledRowKind::Element(element) => {
                 let slots = self.lower_element(&row.name, element, env)?;
                 let params: Vec<(Arc<str>, u32)> = row
-                    .param_names
+                    .params
                     .iter()
-                    .filter_map(|name| env.lookup(name).map(|slot| (name.clone(), slot)))
+                    .filter_map(|(name, _)| self.lookup(env, name).map(|slot| (name.clone(), slot)))
                     .collect();
                 Ok(RowRecipe {
                     name: row.name.clone(),
@@ -760,7 +937,7 @@ impl Lowerer {
                     doc_link: row.doc_link.clone(),
                     element: row.element_name.clone(),
                     params,
-                    rate: env.lookup("f"),
+                    rate: self.lookup(env, "f"),
                     power: slots.power,
                     energy: slots.energy,
                     area: slots.area,
@@ -858,8 +1035,8 @@ impl Lowerer {
         (power, area)
     }
 
-    /// The recipe for a poisoned top-level row: its span is the trap
-    /// itself, so replay can never reach the recipe — it only keeps the
+    /// The recipe for a poisoned top-level row: its code ends in the
+    /// trap, so replay can never reach the recipe — it only keeps the
     /// decl-indexed tables dense.
     fn placeholder(&mut self, row: &CompiledRow) -> RowRecipe {
         RowRecipe {
@@ -878,71 +1055,324 @@ impl Lowerer {
     }
 }
 
-impl Program {
-    /// Lowers a compiled sheet, whose rows compiled to `rows_plan`, into
-    /// one flat program. `appended` lists the override names that append
-    /// globals, in the order the resolved-globals vector lists them.
-    pub(crate) fn lower(plan: &CompiledSheet, rows_plan: &RowsPlan, appended: &[&str]) -> Program {
-        let mut lw = Lowerer::new();
+impl Fragment {
+    /// Lowers one top-level row on its own. `outside` resolves the
+    /// names the row does not bind in the program the fragment is
+    /// lowered for.
+    pub(crate) fn lower(row: &CompiledRow, outside: &Outside<'_>) -> Fragment {
+        let mut lw = Lowerer::new(outside);
         let mut env = Env::new();
-        // Top-level globals, declared then appended: registers 0.., each
-        // seeded per play from the scalar global resolution (which owns
-        // the override graph-repair logic).
-        env.push_layer();
+        let (mut recipe, poisoned) = match lw.lower_row(&mut env, row) {
+            Ok(recipe) => (recipe, false),
+            // The trap emitted on poisoning *is* the rest of the row's
+            // code: replay reports the same first error the tree walker
+            // would, and nothing downstream of it ever executes.
+            Err(Poisoned) => (lw.placeholder(row), true),
+        };
+        // Number the recipe's slots densely, so a linked program maps
+        // each to its register in one small table.
+        let mut outputs: Vec<u32> = Vec::new();
+        let mut index = vec![NO_REG; lw.const_val.len()];
+        recipe.slots_mut(&mut |slot| {
+            let at = &mut index[*slot as usize];
+            if *at == NO_REG {
+                *at = outputs.len() as u32;
+                outputs.push(*slot);
+            }
+            *slot = *at;
+        });
+        // Keep the constants the code or the recipe reads; the rest
+        // (fold intermediates, shadowed defaults) never reach a program.
+        let mut read = vec![false; lw.const_val.len()];
+        for instr in &lw.code {
+            instr.for_each_read(|slot| read[slot as usize] = true);
+        }
+        for &slot in &outputs {
+            read[slot as usize] = true;
+        }
+        let consts = lw.const_val.iter().zip(read).enumerate();
+        Fragment {
+            code: lw.code.into(),
+            regs: lw.const_val.len() as u32,
+            consts: consts
+                .filter_map(|(slot, (value, read))| Some((slot as u32, (*value).filter(|_| read)?)))
+                .collect(),
+            lookups: lw.lookups.into(),
+            recipe,
+            outputs: outputs.into(),
+            errors: lw.errors.into(),
+            poisoned,
+            nested_rows: lw.rows_total,
+        }
+    }
+
+    /// Whether every name the fragment looked up outside its row
+    /// resolves the same way (found or absent) under `outside`.
+    fn fits(&self, outside: &Outside<'_>) -> bool {
+        self.lookups
+            .iter()
+            .all(|(name, slot)| outside(name).is_some() == slot.is_some())
+    }
+}
+
+/// A value number of the link with no register yet: a constant that no
+/// instruction or recipe has read.
+const NO_REG: u32 = u32::MAX;
+
+/// Resolves a name a row does not bind — a top-level global, an
+/// appended override name, the `P_`/`A_` of a row earlier in plan order
+/// — to the program's copy of the name, or `None` when it is absent.
+type Outside<'a> = dyn Fn(&str) -> Option<Arc<str>> + 'a;
+
+/// The link's registers. Value numbers stand for values; registers are
+/// allocated for the values the program holds: globals and temporaries
+/// when they are written, constants on their first read by an
+/// instruction or a recipe.
+struct Pool {
+    init: Vec<f64>,
+    is_const: Vec<bool>,
+    /// Per value number: its register, or [`NO_REG`].
+    reg_of: Vec<u32>,
+    /// Per value number: its value when it is a constant.
+    const_of: Vec<Option<f64>>,
+}
+
+impl Pool {
+    /// A fresh value written at run time (a global or a temporary),
+    /// with its register.
+    fn written(&mut self) -> u32 {
+        self.reg_of.push(self.init.len() as u32);
+        self.const_of.push(None);
+        self.init.push(0.0);
+        self.is_const.push(false);
+        (self.reg_of.len() - 1) as u32
+    }
+
+    /// A new constant value, with no register yet.
+    fn constant(&mut self, value: f64) -> u32 {
+        self.reg_of.push(NO_REG);
+        self.const_of.push(Some(value));
+        (self.reg_of.len() - 1) as u32
+    }
+
+    /// The register holding value `vn`, placing a constant in the pool
+    /// on its first read.
+    fn reg(&mut self, vn: u32) -> u32 {
+        let v = vn as usize;
+        if self.reg_of[v] == NO_REG {
+            self.reg_of[v] = self.init.len() as u32;
+            self.init
+                .push(self.const_of[v].expect("only constants lack a register"));
+            self.is_const.push(true);
+        }
+        self.reg_of[v]
+    }
+}
+
+/// Joins fragments into one program through one value-number table.
+struct Linker {
+    code: Vec<Instr>,
+    pool: Pool,
+    /// Constant dedup: f64 bit pattern → value number.
+    konsts: HashMap<u64, u32>,
+    /// Each pure operation over value numbers already linked → the
+    /// value number of its result.
+    values: HashMap<Pure, u32>,
+    /// Error templates of the fragments linked so far.
+    errors: u32,
+}
+
+impl Linker {
+    /// The value number of the constant `value`, deduplicated by bit
+    /// pattern.
+    fn konst(&mut self, value: f64) -> u32 {
+        let pool = &mut self.pool;
+        *self
+            .konsts
+            .entry(value.to_bits())
+            .or_insert_with(|| pool.constant(value))
+    }
+
+    /// [`Lowerer::pure`] over value numbers: the folded constant, else
+    /// an identical earlier operation's value, else a new value written
+    /// by an instruction emitted here.
+    fn pure(&mut self, op: Pure) -> u32 {
+        if let Some(value) = op.fold(|v| self.pool.const_of[v as usize]) {
+            return self.konst(value);
+        }
+        match self.values.entry(op) {
+            Entry::Occupied(vn) => *vn.get(),
+            Entry::Vacant(entry) => {
+                let pool = &mut self.pool;
+                let instr = op.map(|v| pool.reg(v));
+                let vn = pool.written();
+                self.code.push(instr.instr(pool.reg_of[vn as usize]));
+                *entry.insert(vn)
+            }
+        }
+    }
+
+    /// Appends one fragment: inputs mapped through `names`, constants
+    /// into the shared pool, pure instructions through the value-number
+    /// table, checks and traps kept in order (a check of a constant that
+    /// passes the guard is dropped, as lowering drops it). Returns the
+    /// row's place and the value numbers of its power and area.
+    fn link(
+        &mut self,
+        fragment: &Arc<Fragment>,
+        names: &HashMap<&str, (u32, &Arc<str>)>,
+    ) -> (LinkedRow, u32, Option<u32>) {
+        let mut vn = vec![NO_REG; fragment.regs as usize];
+        for &(slot, value) in fragment.consts.iter() {
+            vn[slot as usize] = self.konst(value);
+        }
+        for (name, slot) in fragment.lookups.iter() {
+            if let Some(slot) = slot {
+                vn[*slot as usize] = names[&**name].0;
+            }
+        }
+        let start = self.code.len() as u32;
+        let err_base = self.errors;
+        for &instr in fragment.code.iter() {
+            match instr {
+                Instr::Check { src, err } => {
+                    let src = vn[src as usize];
+                    if self.pool.const_of[src as usize].is_some_and(is_physical) {
+                        continue;
+                    }
+                    let src = self.pool.reg(src);
+                    self.code.push(Instr::Check {
+                        src,
+                        err: err_base + err,
+                    });
+                }
+                Instr::TrapIf { cond, err } => {
+                    let cond = self.pool.reg(vn[cond as usize]);
+                    self.code.push(Instr::TrapIf {
+                        cond,
+                        err: err_base + err,
+                    });
+                }
+                Instr::Trap { err } => self.code.push(Instr::Trap {
+                    err: err_base + err,
+                }),
+                pure => {
+                    let (op, dst) = pure.pure().expect("checks and traps matched above");
+                    vn[dst as usize] = self.pure(op.map(|local| vn[local as usize]));
+                }
+            }
+        }
+        self.errors += fragment.errors.len() as u32;
+        let regs: Box<[u32]> = fragment
+            .outputs
+            .iter()
+            .map(|&local| self.pool.reg(vn[local as usize]))
+            .collect();
+        let output = |slot: u32| vn[fragment.outputs[slot as usize] as usize];
+        let recipe = &fragment.recipe;
+        let row = LinkedRow {
+            fragment: Arc::clone(fragment),
+            span: (start, self.code.len() as u32),
+            err_base,
+            power: regs[recipe.power as usize],
+            regs,
+        };
+        (row, output(recipe.power), recipe.area.map(output))
+    }
+}
+
+impl Program {
+    /// Links a compiled sheet, whose rows compiled to `rows_plan`, into
+    /// one flat program. `appended` lists the override names that
+    /// append globals, in the order the resolved-globals vector lists
+    /// them. `seeds` offers a fragment per row (declaration index),
+    /// used when every name it looked up resolves the same way here;
+    /// any other row is lowered now.
+    pub(crate) fn link(
+        plan: &CompiledSheet,
+        rows_plan: &RowsPlan,
+        appended: &[&str],
+        seeds: &[Option<Arc<Fragment>>],
+    ) -> Program {
+        let metrics = bytecode_metrics();
+        let mut lk = Linker {
+            code: Vec::new(),
+            pool: Pool {
+                init: Vec::new(),
+                is_const: Vec::new(),
+                reg_of: Vec::new(),
+                const_of: Vec::new(),
+            },
+            konsts: HashMap::new(),
+            values: HashMap::new(),
+            errors: 0,
+        };
+        // Top-level globals, declared then appended: registers 0..,
+        // each seeded per play from the scalar global resolution (which
+        // owns the override graph-repair logic).
         let globals: Vec<Arc<str>> = plan
             .globals
             .iter()
             .map(|g| g.name.clone())
             .chain(appended.iter().map(|&name| Arc::from(name)))
             .collect();
+        // The names a row resolves outside itself: the globals, then the
+        // `P_`/`A_` names of rows linked so far, which shadow them.
+        let mut names: HashMap<&str, (u32, &Arc<str>)> = HashMap::new();
         for name in &globals {
-            let slot = lw.reg();
-            env.insert_top(name.clone(), slot);
+            let vn = lk.pool.written();
+            names.insert(name, (vn, name));
         }
-        let power_layer = env.push_layer();
-        lw.rows_total += rows_plan.order.len() as u64;
-        let n = rows_plan.rows.len();
-        let mut row_spans = vec![(0u32, 0u32); n];
-        let mut recipes: Vec<Option<RowRecipe>> = vec![None; n];
+        let mut rows: Vec<Option<LinkedRow>> = (0..rows_plan.rows.len()).map(|_| None).collect();
+        let mut rows_total = rows_plan.order.len() as u64;
         for &i in &rows_plan.order {
             let row = &rows_plan.rows[i];
-            let start = lw.code.len() as u32;
-            let rec = match lw.lower_row(&mut env, row) {
-                Ok(rec) => {
-                    if let Some(pref) = &row.power_ref {
-                        env.insert_at(power_layer, pref.clone(), rec.power);
-                    }
-                    if let (Some(aref), Some(area)) = (&row.area_ref, rec.area) {
-                        env.insert_at(power_layer, aref.clone(), area);
-                    }
-                    rec
+            let outside = |name: &str| names.get(name).map(|&(_, name)| Arc::clone(name));
+            let fragment = match seeds.get(i).and_then(Option::as_ref) {
+                Some(seed) if seed.fits(&outside) => {
+                    metrics.fragments_reused.inc();
+                    Arc::clone(seed)
                 }
-                // The trap emitted on poisoning *is* the row's program:
-                // replay reports the same first error the tree walker
-                // would, and nothing downstream of it ever executes.
-                Err(Poisoned) => lw.placeholder(row),
+                _ => {
+                    metrics.fragments_lowered.inc();
+                    Arc::new(Fragment::lower(row, &outside))
+                }
             };
-            row_spans[i] = (start, lw.code.len() as u32);
-            recipes[i] = Some(rec);
+            rows_total += fragment.nested_rows;
+            let (linked, power, area) = lk.link(&fragment, &names);
+            if !fragment.poisoned {
+                if let Some(pref) = &row.power_ref {
+                    names.insert(pref, (power, pref));
+                }
+                if let (Some(aref), Some(area)) = (&row.area_ref, area) {
+                    names.insert(aref, (area, aref));
+                }
+            }
+            rows[i] = Some(linked);
         }
-        let is_const: Vec<bool> = lw.const_val.iter().map(Option::is_some).collect();
+        drop(names);
         debug_assert!(
-            is_ssa(&lw.code, globals.len(), &is_const),
+            is_ssa(&lk.code, globals.len(), &lk.pool.is_const),
             "a register is written twice, or a global or constant is written"
         );
         Program {
-            code: lw.code,
-            init: lw.init,
-            is_const,
+            code: lk.code.into(),
+            init: lk.pool.init.into(),
+            is_const: lk.pool.is_const.into(),
             globals,
-            row_spans,
-            recipes: recipes
+            rows: rows
                 .into_iter()
                 .map(|r| r.expect("plan order covers every row"))
                 .collect(),
-            errors: lw.errors,
-            rows_total: lw.rows_total,
+            rows_total,
         }
+    }
+
+    /// Each top-level row's fragment, in declaration order: what a
+    /// program with other global names, or the next revision's compile,
+    /// offers [`Program::link`] as seeds.
+    pub(crate) fn fragments(&self) -> impl Iterator<Item = &Arc<Fragment>> {
+        self.rows.iter().map(|row| &row.fragment)
     }
 
     /// The initial image: constants in place, all working slots zero.
@@ -1095,9 +1525,9 @@ impl Program {
             }
         };
         let rows = self
-            .row_spans
+            .rows
             .iter()
-            .filter(|&&(start, end)| kept[start as usize..end as usize].contains(&true))
+            .filter(|row| kept[row.span.0 as usize..row.span.1 as usize].contains(&true))
             .count();
         let slice = self
             .code
@@ -1111,7 +1541,15 @@ impl Program {
     /// Rebuilds the full error a trap stands for, splicing in the
     /// runtime value for physical-value checks.
     pub(crate) fn materialize(&self, hit: TrapHit) -> EvaluateSheetError {
-        match &self.errors[hit.err as usize] {
+        let (row, local) = self
+            .rows
+            .iter()
+            .find_map(|row| {
+                let local = hit.err.checked_sub(row.err_base)? as usize;
+                (local < row.fragment.errors.len()).then_some((row, local))
+            })
+            .expect("every trap names a template of a linked row");
+        match &row.fragment.errors[local] {
             ErrTemplate::Fixed(err) => err.clone(),
             ErrTemplate::BadValue { nest, row, formula } => {
                 let mut err = EvaluateSheetError::Element {
@@ -1144,9 +1582,13 @@ impl Program {
     ) -> Result<SheetReport, EvaluateSheetError> {
         self.run_full(&resolved, regs)?;
         let rows = self
-            .recipes
+            .rows
             .iter()
-            .map(|rec| build_row(rec, &|slot: u32| regs[slot as usize]))
+            .map(|row| {
+                build_row(&row.fragment.recipe, &|slot: u32| {
+                    regs[row.regs[slot as usize] as usize]
+                })
+            })
             .collect();
         Ok(SheetReport::new(name, resolved, rows))
     }
@@ -1175,7 +1617,7 @@ impl Program {
     /// the top-level rows' power registers folded in declaration order,
     /// bit for bit [`SheetReport::total_power`] of the same play.
     pub(crate) fn total_power(&self, get: impl Fn(u32) -> f64) -> Power {
-        Power::new(fold_sum(self.recipes.iter().map(|rec| get(rec.power))))
+        Power::new(fold_sum(self.rows.iter().map(|row| get(row.power))))
     }
 
     /// Human-readable listing of the lowered program: register file
@@ -1183,13 +1625,14 @@ impl Program {
     /// instruction stream — the debugging story for the engine.
     pub(crate) fn disassemble(&self) -> String {
         let mut out = String::new();
+        let traps = self.code.iter().filter(|instr| instr.pure().is_none());
         let _ = writeln!(
             out,
             "program: {} instrs, {} regs, {} rows, {} error templates",
             self.code.len(),
             self.init.len(),
-            self.recipes.len(),
-            self.errors.len(),
+            self.rows.len(),
+            traps.count(),
         );
         let _ = writeln!(out, "registers:");
         for slot in 0..self.init.len() {
@@ -1198,13 +1641,14 @@ impl Program {
             }
         }
         let _ = writeln!(out, "row spans:");
-        for (i, rec) in self.recipes.iter().enumerate() {
-            let (start, end) = self.row_spans[i];
+        for row in &self.rows {
+            let (start, end) = row.span;
+            let rec = &row.fragment.recipe;
             let _ = writeln!(
                 out,
                 "  [{start:>5}..{end:>5}) {:<24} power r{} {}",
                 rec.name,
-                rec.power,
+                row.power,
                 if rec.sub.is_some() { "(sub-sheet)" } else { "" },
             );
         }
@@ -1316,5 +1760,45 @@ fn build_row(rec: &RowRecipe, get: &impl Fn(u32) -> f64) -> RowReport {
             rec.area.map(|s| Area::new(get(s))),
             rec.delay.map(|s| Time::new(get(s))),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use powerplay_json::Json;
+    use powerplay_library::builtin::ucb_library;
+
+    use super::*;
+    use crate::Sheet;
+
+    #[test]
+    fn every_constant_register_is_read() {
+        for design in [
+            include_str!("../../../examples/designs/infopad.json"),
+            include_str!("../../../examples/designs/luminance_direct_lut.json"),
+            include_str!("../../../examples/designs/luminance_grouped_lut.json"),
+        ] {
+            let sheet = Sheet::from_json(&Json::parse(design).unwrap()).unwrap();
+            let plan = CompiledSheet::compile(&sheet, &ucb_library());
+            let program = plan.base_program().expect("shipped designs compile");
+            let mut read = vec![false; program.init.len()];
+            for instr in program.code.iter() {
+                instr.for_each_read(|slot| read[slot as usize] = true);
+            }
+            for row in &program.rows {
+                for &slot in row.regs.iter() {
+                    read[slot as usize] = true;
+                }
+            }
+            let consts = program.is_const.iter().filter(|&&c| c).count();
+            assert!(consts > 0, "{}: no constant register", sheet.name());
+            for (slot, _) in program.is_const.iter().enumerate().filter(|(_, &c)| c) {
+                assert!(
+                    read[slot],
+                    "{}: constant r{slot} is never read",
+                    sheet.name()
+                );
+            }
+        }
     }
 }

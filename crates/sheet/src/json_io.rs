@@ -77,6 +77,7 @@ impl Sheet {
                 sheet.add_row(row_from_json(r)?);
             }
         }
+        sheet.shrink_to_fit();
         Ok(sheet)
     }
 }

@@ -34,7 +34,13 @@
 //! A plan snapshots the sheet and registry at compile time: recompile
 //! after editing rows, bindings, global *formulas*, or library
 //! contents. Changing global *values* is what [`CompiledSheet::play_with`]
-//! is for.
+//! is for. A recompile after an edit goes through
+//! [`CompiledSheet::compile_from`] with the previous revision's plan:
+//! top-level rows whose content did not change are shared with it, each
+//! with the register-program fragment it was lowered to once, and only
+//! the changed rows are compiled and lowered again before the link joins
+//! every row's fragment into the new program (see [`crate::bytecode`]).
+//! A fresh compile is the same path with nothing to reuse.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,7 +51,7 @@ use powerplay_library::{LibraryElement, Registry};
 use powerplay_telemetry::{profile, Counter, Histogram};
 use powerplay_units::Power;
 
-use crate::bytecode::{bytecode_metrics, Instr, Lanes, Program, TrapHit, WIDTH};
+use crate::bytecode::{bytecode_metrics, Fragment, Instr, Lanes, Program, TrapHit, WIDTH};
 use crate::engine::{toposort, EvaluateSheetError};
 use crate::report::{RowReport, SheetReport};
 use crate::row::{Row, RowModel};
@@ -53,7 +59,7 @@ use crate::sheet::Sheet;
 
 /// Engine-layer metrics, registered once in the process-global registry.
 /// Only the *top-level* compile/play entry points record here; sub-sheet
-/// compilation goes through [`CompiledSheet::compile_impl`] and sub-sheet
+/// compilation goes through `CompiledSheet::compile_with` and sub-sheet
 /// rows run inside their parent's program, so a hierarchical design
 /// counts as one compile and one play (rows are counted at every level).
 pub(crate) struct PlanMetrics {
@@ -126,6 +132,8 @@ fn with_scratch_regs<T>(f: impl FnOnce(&mut Vec<f64>) -> T) -> T {
 pub struct CompiledSheet {
     /// Process-unique identity (clones share it — same content).
     id: u64,
+    /// The registry generation the rows resolved their elements in.
+    generation: u64,
     pub(crate) name: Arc<str>,
     pub(crate) globals: Vec<CompiledGlobal>,
     /// The plan of the un-overridden sheet. Its program cell holds the
@@ -134,6 +142,10 @@ pub struct CompiledSheet {
     base: OverridePlan,
     /// Row plan, or the structural error the engine would report.
     pub(crate) structure: Result<RowsPlan, EvaluateSheetError>,
+    /// The register image of the un-overridden play through the base
+    /// program, run on first use by a sweep kernel; `None` when that
+    /// play fails.
+    baseline: OnceLock<Option<Box<[f64]>>>,
 }
 
 #[derive(Debug, Clone)]
@@ -147,7 +159,9 @@ pub(crate) struct CompiledGlobal {
 
 #[derive(Debug, Clone)]
 pub(crate) struct RowsPlan {
-    pub(crate) rows: Vec<CompiledRow>,
+    /// Rows in declaration order, shared with the plan of the revision
+    /// they were compiled for when their content has not changed since.
+    pub(crate) rows: Vec<Arc<CompiledRow>>,
     /// Dependency-respecting evaluation order over `rows` indices.
     pub(crate) order: Vec<usize>,
 }
@@ -164,14 +178,9 @@ pub(crate) struct CompiledRow {
     /// `P_<ident>` / `A_<ident>`, formatted once at compile time.
     pub(crate) power_ref: Option<Arc<str>>,
     pub(crate) area_ref: Option<Arc<str>>,
-    /// Element parameter defaults, prebuilt so each play seeds the row's
-    /// scope with one table copy instead of per-parameter inserts.
-    pub(crate) defaults: Scope<'static>,
-    /// `(name, default)` pairs sorted by name, precomputed so the
-    /// diagnostics path ([`RowView::param_defaults`]) never re-sorts.
-    defaults_sorted: Vec<(Arc<str>, f64)>,
-    /// Element parameter names in declaration order (report column).
-    pub(crate) param_names: Vec<Arc<str>>,
+    /// Element parameters in declaration order with their defaults:
+    /// seeded before the bindings run, and the report's columns.
+    pub(crate) params: Vec<(Arc<str>, f64)>,
     /// The element's display name, interned for the report.
     pub(crate) element_name: Option<Arc<str>>,
     pub(crate) kind: CompiledRowKind,
@@ -196,21 +205,65 @@ impl CompiledSheet {
     /// recorded in the plan and returned by the play methods at the
     /// point evaluation would have reached them.
     pub fn compile(sheet: &Sheet, registry: &Registry) -> CompiledSheet {
+        Self::compile_from(None, sheet, registry)
+    }
+
+    /// [`CompiledSheet::compile`] that reuses what `prev`, the plan of an
+    /// earlier revision, already compiled. A top-level row whose content
+    /// (name, bindings, element path or inline element, sub-sheet
+    /// contents) is exactly what `prev` compiled for a row of the same
+    /// name or position, numbers compared by bit pattern, is shared with
+    /// `prev`, and so is the register-program fragment it was lowered
+    /// to, unless a name the fragment resolves outside the row resolves
+    /// differently now. Nothing is reused from a plan compiled against
+    /// another registry generation. The result is the plan a fresh
+    /// compile builds, bit for bit; `compile` is `compile_from(None, …)`.
+    pub fn compile_from(
+        prev: Option<&CompiledSheet>,
+        sheet: &Sheet,
+        registry: &Registry,
+    ) -> CompiledSheet {
         let _timer = plan_metrics().compile_seconds.start_timer();
-        let plan = Self::compile_impl(sheet, registry);
-        // Lower the whole hierarchy (sub-sheets inlined) into one flat
+        let prev = prev.filter(|p| p.generation == registry.generation());
+        let (plan, reused) = Self::compile_with(
+            sheet,
+            registry,
+            prev.and_then(|p| p.structure.as_ref().ok()),
+        );
+        // Link the whole hierarchy (sub-sheets inlined) into one flat
         // register-machine program now, so compiling pays for it rather
         // than the first play. A sub-plan's rows are spans inside its
-        // parent's program; played on its own, it lowers on first play.
+        // parent's program; played on its own, it links on first play.
         if let Ok(rows) = &plan.structure {
-            plan.base.program(&plan, rows);
+            let prev_fragments: Vec<&Arc<Fragment>> = prev
+                .and_then(|p| p.base.program.get())
+                .map(|program| program.fragments().collect())
+                .unwrap_or_default();
+            let seeds: Vec<Option<Arc<Fragment>>> = reused
+                .iter()
+                .map(|from| {
+                    from.and_then(|j| prev_fragments.get(j))
+                        .map(|f| Arc::clone(f))
+                })
+                .collect();
+            let program = Program::link(&plan, rows, &[], &seeds);
+            plan.base
+                .program
+                .set(Arc::new(program))
+                .expect("a new plan has no program yet");
         }
         plan
     }
 
-    /// [`CompiledSheet::compile`] minus the metrics, so sub-sheet
-    /// recursion inside `compile_rows` doesn't count extra compiles.
-    pub(crate) fn compile_impl(sheet: &Sheet, registry: &Registry) -> CompiledSheet {
+    /// The plan of `sheet`, sharing each row of `prev` whose content is
+    /// unchanged; also returns, per row, the index in `prev` of the row
+    /// it shares. Outside the compile metrics, so a nested sheet's
+    /// compile does not count as one.
+    fn compile_with(
+        sheet: &Sheet,
+        registry: &Registry,
+        prev: Option<&RowsPlan>,
+    ) -> (CompiledSheet, Vec<Option<usize>>) {
         let _span = profile::span_lazy(|| format!("compile {}", sheet.name()));
         let globals: Vec<CompiledGlobal> = sheet
             .globals()
@@ -222,13 +275,20 @@ impl CompiledSheet {
             })
             .collect();
         let id = PLAN_IDS.fetch_add(1, Ordering::Relaxed);
-        CompiledSheet {
+        let (structure, reused) = match compile_rows(sheet, registry, prev) {
+            Ok((rows, reused)) => (Ok(rows), reused),
+            Err(err) => (Err(err), Vec::new()),
+        };
+        let plan = CompiledSheet {
             id,
+            generation: registry.generation(),
             name: Arc::from(sheet.name()),
             base: OverridePlan::new(id, Vec::new(), &globals),
-            structure: compile_rows(sheet, registry),
+            structure,
             globals,
-        }
+            baseline: OnceLock::new(),
+        };
+        (plan, reused)
     }
 
     /// Evaluates the plan with no overrides — equivalent to
@@ -424,7 +484,7 @@ pub struct OverridePlan {
     plan_id: u64,
     names: Vec<String>,
     inner: Result<OverridePlanInner, EvaluateSheetError>,
-    /// This plan's register program, lowered on first use. A plan that
+    /// This plan's register program, linked on first use. A plan that
     /// appends no name leaves it empty, except the sheet's base plan,
     /// whose cell holds the program all such plans share (see
     /// [`OverridePlan::program`]).
@@ -471,22 +531,31 @@ impl OverridePlan {
     /// The register program plays through this plan run. A plan that
     /// appends no name shares the sheet's program, held by its base
     /// plan. One that does gets its own, with a global register per
-    /// appended name after the declared ones, lowered on its first play:
-    /// building a plan lowers nothing, so the oracle and the analyzer
-    /// can build plans they never play.
+    /// appended name after the declared ones, linked on its first play
+    /// from the base program's fragments (a row whose fragment looked up
+    /// an appended name, and found it absent, is lowered again): building
+    /// a plan links nothing, so the oracle and the analyzer can build
+    /// plans they never play.
     fn program<'a>(&'a self, sheet: &'a CompiledSheet, rows: &RowsPlan) -> &'a Arc<Program> {
         let appended = self.appended();
-        let cell = if appended.is_empty() {
-            &sheet.base.program
-        } else {
-            &self.program
-        };
-        cell.get_or_init(|| {
+        if appended.is_empty() {
+            return sheet
+                .base
+                .program
+                .get_or_init(|| Arc::new(Program::link(sheet, rows, &[], &[])));
+        }
+        self.program.get_or_init(|| {
             let names: Vec<&str> = appended
                 .iter()
                 .map(|&slot| self.names[slot].as_str())
                 .collect();
-            Arc::new(Program::lower(sheet, rows, &names))
+            let seeds: Vec<Option<Arc<Fragment>>> = sheet
+                .base
+                .program
+                .get()
+                .map(|base| base.fragments().map(|f| Some(Arc::clone(f))).collect())
+                .unwrap_or_default();
+            Arc::new(Program::link(sheet, rows, &names, &seeds))
         })
     }
 }
@@ -567,8 +636,9 @@ fn build_override_inner(
 /// [`BatchKernel::WIDTH`] override points per instruction-dispatch pass
 /// and answers each point's total power.
 ///
-/// Built once per sweep by [`CompiledSheet::batch_kernel`], it replays a
-/// baseline (un-overridden) play and keeps the *slice* of the register
+/// Built once per sweep by [`CompiledSheet::batch_kernel`], it starts
+/// from the un-overridden play's register image, which the plan plays
+/// once and keeps, and runs only the *slice* of the register
 /// program that the sweep's changed globals reach: the overridden
 /// globals and, to a fixpoint, every declared global whose formula reads
 /// one. The slice holds, in program order, every instruction that reads
@@ -632,27 +702,36 @@ impl CompiledSheet {
         };
         let prog = plan.program(self, rows_plan);
 
-        // Baseline: the un-overridden play through the same program, so
-        // its register image can seed the lanes. A plan that appends a
-        // name has another register layout and no un-overridden value.
-        with_scratch_regs(|regs| {
-            let baseline = plan.appended().is_empty()
-                && self
-                    .prepare(&self.base, &[])
-                    .is_ok_and(|(resolved, _, _)| prog.run_full(&resolved, regs).is_ok());
-            let changed = match &plan.inner {
-                Ok(inner) if baseline => Some(self.sweep_changed(plan, inner)),
-                _ => None,
-            };
-            let image = if changed.is_some() {
-                &regs[..]
-            } else {
-                prog.init()
-            };
-            kernel.lanes = image.iter().map(|&value| [value; WIDTH]).collect();
-            (kernel.slice, kernel.rows) = prog.sweep_slice(changed.as_deref());
-        });
+        // Baseline: the un-overridden play's register image, kept once
+        // per plan, seeds the lanes. A plan that appends a name has
+        // another register layout and no un-overridden value.
+        let baseline = if plan.appended().is_empty() {
+            self.baseline()
+        } else {
+            None
+        };
+        let (image, changed) = match (&plan.inner, baseline) {
+            (Ok(inner), Some(image)) => (image, Some(self.sweep_changed(plan, inner))),
+            _ => (prog.init(), None),
+        };
+        kernel.lanes = image.iter().map(|&value| [value; WIDTH]).collect();
+        (kernel.slice, kernel.rows) = prog.sweep_slice(changed.as_deref());
         kernel
+    }
+
+    /// The register image of the un-overridden play through the base
+    /// program, played on first use and kept with the plan; `None` when
+    /// that play fails.
+    fn baseline(&self) -> Option<&[f64]> {
+        self.baseline
+            .get_or_init(|| {
+                let (resolved, _, prog) = self.prepare(&self.base, &[]).ok()?;
+                with_scratch_regs(|regs| {
+                    prog.run_full(&resolved, regs).ok()?;
+                    Some(regs.as_slice().into())
+                })
+            })
+            .as_deref()
     }
 
     /// The declared globals a sweep over `plan`'s names can change, one
@@ -794,8 +873,14 @@ fn set_row_outputs(row: &CompiledRow, report: &RowReport, power_layer: &mut Scop
 /// reference graph in one linear pass over precomputed free variables
 /// (the engine's original scan formatted two candidate names per row
 /// *pair* — quadratic in rows), then element resolution to shared
-/// handles.
-fn compile_rows(sheet: &Sheet, registry: &Registry) -> Result<RowsPlan, EvaluateSheetError> {
+/// handles. A row of `prev` at the same position, or else of the same
+/// name, whose content is unchanged is shared instead of compiled; the
+/// second result names, per row, the index in `prev` it shares.
+fn compile_rows(
+    sheet: &Sheet,
+    registry: &Registry,
+    prev: Option<&RowsPlan>,
+) -> Result<(RowsPlan, Vec<Option<usize>>), EvaluateSheetError> {
     let idents: Vec<String> = sheet.rows().iter().map(Row::ident).collect();
     {
         let mut seen = BTreeSet::new();
@@ -844,39 +929,59 @@ fn compile_rows(sheet: &Sheet, registry: &Registry) -> Result<RowsPlan, Evaluate
         )
     })?;
 
-    let rows: Vec<CompiledRow> = sheet
+    let mut by_name: Option<BTreeMap<&str, usize>> = None;
+    let mut reused: Vec<Option<usize>> = Vec::with_capacity(sheet.rows().len());
+    let rows: Vec<Arc<CompiledRow>> = sheet
         .rows()
         .iter()
         .zip(&idents)
-        .map(|(row, ident)| {
+        .enumerate()
+        .map(|(i, (row, ident))| {
+            if let Some(prev) = prev {
+                let at = |j: usize| Some(j).filter(|&j| same_row(&prev.rows[j], row, registry));
+                let found = (i < prev.rows.len()).then(|| at(i)).flatten().or_else(|| {
+                    let names = by_name.get_or_insert_with(|| {
+                        prev.rows
+                            .iter()
+                            .enumerate()
+                            .map(|(j, r)| (&*r.name, j))
+                            .collect()
+                    });
+                    names
+                        .get(row.name())
+                        .copied()
+                        .filter(|&j| j != i)
+                        .and_then(at)
+                });
+                reused.push(found);
+                if let Some(j) = found {
+                    return Arc::clone(&prev.rows[j]);
+                }
+            } else {
+                reused.push(None);
+            }
             let kind = match row.model() {
                 RowModel::Element(path) => match registry.get_shared(path) {
                     Some(element) => CompiledRowKind::Element(element),
                     None => CompiledRowKind::Missing { path: path.clone() },
                 },
                 RowModel::Inline(element) => CompiledRowKind::Element(Arc::new(element.clone())),
-                RowModel::SubSheet(sub) => {
-                    CompiledRowKind::SubSheet(Box::new(CompiledSheet::compile_impl(sub, registry)))
-                }
+                RowModel::SubSheet(sub) => CompiledRowKind::SubSheet(Box::new(
+                    CompiledSheet::compile_with(sub, registry, None).0,
+                )),
             };
-            let mut defaults = Scope::new();
-            let mut param_names = Vec::new();
-            let mut element_name = None;
-            if let CompiledRowKind::Element(element) = &kind {
-                param_names.reserve_exact(element.params().len());
-                for p in element.params() {
-                    let name: Arc<str> = Arc::from(p.name.as_str());
-                    defaults.set(name.clone(), p.default);
-                    param_names.push(name);
-                }
-                element_name = Some(Arc::from(element.name()));
-            }
-            let mut defaults_sorted: Vec<(Arc<str>, f64)> = param_names
-                .iter()
-                .map(|n| (n.clone(), defaults.get(n).expect("default just set")))
-                .collect();
-            defaults_sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            CompiledRow {
+            let (params, element_name) = match &kind {
+                CompiledRowKind::Element(element) => (
+                    element
+                        .params()
+                        .iter()
+                        .map(|p| (Arc::from(p.name.as_str()), p.default))
+                        .collect(),
+                    Some(Arc::from(element.name())),
+                ),
+                _ => (Vec::new(), None),
+            };
+            Arc::new(CompiledRow {
                 name: Arc::from(row.name()),
                 power_ref: (!ident.is_empty()).then(|| Arc::from(format!("P_{ident}"))),
                 area_ref: (!ident.is_empty()).then(|| Arc::from(format!("A_{ident}"))),
@@ -887,15 +992,63 @@ fn compile_rows(sheet: &Sheet, registry: &Registry) -> Result<RowsPlan, Evaluate
                     .iter()
                     .map(|(param, expr)| (Arc::from(param.as_str()), expr.clone()))
                     .collect(),
-                defaults,
-                defaults_sorted,
-                param_names,
+                params,
                 element_name,
                 kind,
-            }
+            })
         })
         .collect();
-    Ok(RowsPlan { rows, order })
+    Ok((RowsPlan { rows, order }, reused))
+}
+
+/// Whether `compiled` is exactly what compiling `row` against `registry`
+/// builds: the same name, link and bindings, numbers compared by bit
+/// pattern, and the same element or sub-sheet. A path row compiled to
+/// the very element the registry holds there now; an inline row to an
+/// identical element.
+fn same_row(compiled: &CompiledRow, row: &Row, registry: &Registry) -> bool {
+    *compiled.name == *row.name()
+        && compiled.doc_link.as_deref() == row.doc_link()
+        && compiled.bindings.len() == row.bindings().len()
+        && compiled
+            .bindings
+            .iter()
+            .zip(row.bindings())
+            .all(|((param, expr), (name, formula))| **param == **name && expr.identical(formula))
+        && match (&compiled.kind, row.model()) {
+            (CompiledRowKind::Element(element), RowModel::Element(path)) => registry
+                .get_shared(path)
+                .is_some_and(|current| Arc::ptr_eq(&current, element)),
+            (CompiledRowKind::Missing { path: missing }, RowModel::Element(path)) => {
+                missing == path && registry.get(path).is_none()
+            }
+            (CompiledRowKind::Element(element), RowModel::Inline(inline)) => {
+                element.identical(inline)
+            }
+            (CompiledRowKind::SubSheet(sub), RowModel::SubSheet(sheet)) => {
+                same_sheet(sub, sheet, registry)
+            }
+            _ => false,
+        }
+}
+
+/// [`same_row`] for a nested sheet: name, globals and every row.
+fn same_sheet(compiled: &CompiledSheet, sheet: &Sheet, registry: &Registry) -> bool {
+    *compiled.name == *sheet.name()
+        && compiled.globals.len() == sheet.globals().len()
+        && compiled
+            .globals
+            .iter()
+            .zip(sheet.globals())
+            .all(|(g, (name, expr))| *g.name == **name && g.expr.identical(expr))
+        && compiled.structure.as_ref().is_ok_and(|plan| {
+            plan.rows.len() == sheet.rows().len()
+                && plan
+                    .rows
+                    .iter()
+                    .zip(sheet.rows())
+                    .all(|(compiled, row)| same_row(compiled, row, registry))
+        })
 }
 
 /// Evaluates one compiled row against the scope holding globals and the
@@ -914,10 +1067,12 @@ fn evaluate_compiled_row(
         });
     }
 
-    // Element parameter defaults first (pre-flattened into the row's
-    // template at compile time), so bindings can shadow them and
+    // Element parameter defaults first, so bindings can shadow them and
     // reference them (e.g. `bits = words / 4`).
-    let mut param_scope = outer.child_seeded(&row.defaults);
+    let mut param_scope = outer.child();
+    for (name, default) in &row.params {
+        param_scope.set(name.clone(), *default);
+    }
     for (param, expr) in &row.bindings {
         let value = expr
             .eval(&param_scope)
@@ -959,9 +1114,9 @@ fn evaluate_compiled_row(
                         source,
                     })?;
             let params: Vec<(Arc<str>, f64)> = row
-                .param_names
+                .params
                 .iter()
-                .filter_map(|name| param_scope.get(name).map(|v| (name.clone(), v)))
+                .filter_map(|(name, _)| param_scope.get(name).map(|v| (name.clone(), v)))
                 .collect();
             Ok(RowReport::for_element(
                 row.name.clone(),
@@ -1095,14 +1250,14 @@ impl<'a> RowView<'a> {
     /// Element parameter defaults seeded before bindings run, as
     /// `(name, default)` pairs sorted by name.
     pub fn param_defaults(&self) -> Vec<(&'a str, f64)> {
-        // Sorted once at compile time — no per-call allocation of a
-        // fresh name table and re-sort (this runs on diagnostics paths
-        // for every row of every lint pass).
-        self.row
-            .defaults_sorted
+        let mut defaults: Vec<(&str, f64)> = self
+            .row
+            .params
             .iter()
             .map(|(name, value)| (&**name, *value))
-            .collect()
+            .collect();
+        defaults.sort_by(|a, b| a.0.cmp(b.0));
+        defaults
     }
 
     /// What the row instantiates.
@@ -1156,10 +1311,17 @@ impl CompiledSheet {
     /// instruction stream. Returns a one-line notice when the sheet has
     /// no program (top-level structural error).
     pub fn disassemble(&self) -> String {
-        match &self.structure {
-            Ok(rows) => self.base.program(self, rows).disassemble(),
-            Err(_) => "no bytecode program: top-level structure failed to compile\n".to_owned(),
+        match self.base_program() {
+            Some(program) => program.disassemble(),
+            None => "no bytecode program: top-level structure failed to compile\n".to_owned(),
         }
+    }
+
+    /// The register program of the un-overridden sheet, linked on first
+    /// use; `None` when the top-level structure failed to compile.
+    pub(crate) fn base_program(&self) -> Option<&Arc<Program>> {
+        let rows = self.structure.as_ref().ok()?;
+        Some(self.base.program(self, rows))
     }
 }
 

@@ -100,6 +100,11 @@ impl Row {
         Ok(self)
     }
 
+    /// Drops the bindings list's spare capacity.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.bindings.shrink_to_fit();
+    }
+
     /// Documentation hyperlink target, if any.
     pub fn doc_link(&self) -> Option<&str> {
         self.doc_link.as_deref()

@@ -82,6 +82,17 @@ impl Sheet {
         }
     }
 
+    /// Drops the spare capacity building left in the sheet's lists, so
+    /// a decoded sheet, which the store keeps, holds no more than its
+    /// content.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.globals.shrink_to_fit();
+        self.rows.shrink_to_fit();
+        for row in &mut self.rows {
+            row.shrink_to_fit();
+        }
+    }
+
     pub(crate) fn replace_globals(&mut self, globals: Vec<(String, Expr)>) {
         self.globals = globals;
     }

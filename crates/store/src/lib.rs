@@ -349,7 +349,9 @@ impl DesignStore {
     /// `expected` is the optimistic-concurrency guard: `Some(rev)`
     /// requires the design's current revision to be exactly `rev`
     /// (`Some(0)` = "must not exist yet"); `None` saves
-    /// unconditionally. Returns the new revision.
+    /// unconditionally. Returns the new revision. The store keeps the
+    /// sheet it is handed: the change hook and later loads see this
+    /// `Arc`, not a copy.
     ///
     /// # Errors
     ///
@@ -360,7 +362,7 @@ impl DesignStore {
         &self,
         user: &str,
         design: &str,
-        sheet: &Sheet,
+        sheet: Arc<Sheet>,
         expected: Option<u64>,
     ) -> Result<u64, StoreError> {
         let shard = self
@@ -758,7 +760,7 @@ impl Shard {
             let sheet = Sheet::from_json(&json)
                 .map_err(|e| StoreError::Corrupt(format!("legacy design `{design}`: {e}")))?;
             // Import is recovery, not live traffic: never notify.
-            self.save_inner(&design, &sheet, None, false)?;
+            self.save_inner(&design, Arc::new(sheet), None, false)?;
         }
         Ok(())
     }
@@ -766,7 +768,7 @@ impl Shard {
     fn save(
         self: &Arc<Self>,
         design: &str,
-        sheet: &Sheet,
+        sheet: Arc<Sheet>,
         expected: Option<u64>,
     ) -> Result<u64, StoreError> {
         self.save_inner(design, sheet, expected, true)
@@ -775,7 +777,7 @@ impl Shard {
     fn save_inner(
         self: &Arc<Self>,
         design: &str,
-        sheet: &Sheet,
+        sheet: Arc<Sheet>,
         expected: Option<u64>,
         notify: bool,
     ) -> Result<u64, StoreError> {
@@ -812,8 +814,7 @@ impl Shard {
                 .or_insert_with(|| DesignRecord {
                     revisions: Vec::new(),
                 });
-            record.revisions.push((rev, Arc::new(sheet.clone())));
-            let committed = Arc::clone(&record.revisions.last().expect("just pushed").1);
+            record.revisions.push((rev, Arc::clone(&sheet)));
             trim_history(record, self.config.history_limit);
             state.erased.remove(design);
             over_threshold = state.wal_bytes > self.config.compact_threshold_bytes;
@@ -826,7 +827,7 @@ impl Shard {
                         user: &self.user,
                         design,
                         rev,
-                        sheet: &committed,
+                        sheet: &sheet,
                     });
                 }
             }
@@ -943,9 +944,9 @@ impl Shard {
         rev: u64,
         expected: Option<u64>,
     ) -> Result<u64, StoreError> {
-        // Clone the target revision under the read lock, then go
-        // through the ordinary save path (which re-checks `expected`
-        // under the write lock, so the guard cannot be raced).
+        // Take the target revision under the read lock, then go through
+        // the ordinary save path (which re-checks `expected` under the
+        // write lock, so the guard cannot be raced).
         let sheet = {
             let state = self.state.read();
             let record = state
@@ -964,7 +965,7 @@ impl Shard {
                     .1,
             )
         };
-        self.save(design, &sheet, expected)
+        self.save(design, sheet, expected)
     }
 
     /// Appends one framed record to the WAL and fsyncs it — the commit
@@ -1268,6 +1269,10 @@ mod tests {
         DesignStore::open(temp_root(tag)).unwrap()
     }
 
+    fn shared(vdd: &str) -> Arc<Sheet> {
+        Arc::new(sheet(vdd))
+    }
+
     fn sheet(vdd: &str) -> Sheet {
         let mut sheet = Sheet::new("Luminance");
         sheet.set_global("vdd", vdd).unwrap();
@@ -1281,8 +1286,8 @@ mod tests {
     #[test]
     fn save_load_roundtrip_with_revisions() {
         let store = store("roundtrip");
-        assert_eq!(store.save("alice", "lum", &sheet("1.5"), None).unwrap(), 1);
-        assert_eq!(store.save("alice", "lum", &sheet("1.2"), None).unwrap(), 2);
+        assert_eq!(store.save("alice", "lum", shared("1.5"), None).unwrap(), 1);
+        assert_eq!(store.save("alice", "lum", shared("1.2"), None).unwrap(), 2);
         let (rev, loaded) = store.load("alice", "lum").unwrap().unwrap();
         assert_eq!(rev, 2);
         assert_eq!(*loaded, sheet("1.2"));
@@ -1303,9 +1308,9 @@ mod tests {
     #[test]
     fn optimistic_concurrency_conflicts() {
         let store = store("occ");
-        assert_eq!(store.save("a", "d", &sheet("1.5"), Some(0)).unwrap(), 1);
+        assert_eq!(store.save("a", "d", shared("1.5"), Some(0)).unwrap(), 1);
         // Re-create with must-not-exist fails.
-        let err = store.save("a", "d", &sheet("1.5"), Some(0)).unwrap_err();
+        let err = store.save("a", "d", shared("1.5"), Some(0)).unwrap_err();
         assert!(matches!(
             err,
             StoreError::Conflict {
@@ -1315,9 +1320,9 @@ mod tests {
             }
         ));
         // Save against the right revision wins, a stale one loses.
-        assert_eq!(store.save("a", "d", &sheet("1.2"), Some(1)).unwrap(), 2);
+        assert_eq!(store.save("a", "d", shared("1.2"), Some(1)).unwrap(), 2);
         assert!(matches!(
-            store.save("a", "d", &sheet("0.9"), Some(1)),
+            store.save("a", "d", shared("0.9"), Some(1)),
             Err(StoreError::Conflict {
                 expected: 1,
                 actual: 2,
@@ -1339,9 +1344,9 @@ mod tests {
     #[test]
     fn listing_and_deletion_keep_revisions_monotonic() {
         let store = store("list");
-        store.save("bob", "a", &sheet("1.5"), None).unwrap();
-        store.save("bob", "a", &sheet("1.2"), None).unwrap();
-        store.save("bob", "b", &sheet("1.5"), None).unwrap();
+        store.save("bob", "a", shared("1.5"), None).unwrap();
+        store.save("bob", "a", shared("1.2"), None).unwrap();
+        store.save("bob", "b", shared("1.5"), None).unwrap();
         let listed = store.list("bob").unwrap();
         assert_eq!(
             listed,
@@ -1365,7 +1370,7 @@ mod tests {
         assert!(store.load("bob", "a").unwrap().is_none());
         // A re-created design continues the revision sequence, so
         // revision-based ETags can never collide across a delete.
-        assert_eq!(store.save("bob", "a", &sheet("0.9"), Some(0)).unwrap(), 3);
+        assert_eq!(store.save("bob", "a", shared("0.9"), Some(0)).unwrap(), 3);
 
         // ... including across a reopen.
         let cold = DesignStore::open(store.root().to_owned()).unwrap();
@@ -1375,8 +1380,8 @@ mod tests {
     #[test]
     fn rollback_appends_a_new_revision() {
         let store = store("rollback");
-        store.save("a", "d", &sheet("1.5"), None).unwrap();
-        store.save("a", "d", &sheet("3.0"), None).unwrap();
+        store.save("a", "d", shared("1.5"), None).unwrap();
+        store.save("a", "d", shared("3.0"), None).unwrap();
         let rev = store.rollback("a", "d", 1, Some(2)).unwrap();
         assert_eq!(rev, 3);
         let (_, loaded) = store.load("a", "d").unwrap().unwrap();
@@ -1402,7 +1407,7 @@ mod tests {
         let store = DesignStore::open_with(temp_root("bounded"), config).unwrap();
         for i in 0..10 {
             store
-                .save("a", "d", &sheet(&format!("1.{i}")), None)
+                .save("a", "d", shared(&format!("1.{i}")), None)
                 .unwrap();
         }
         assert_eq!(store.revisions("a", "d").unwrap().unwrap(), [10, 9, 8]);
@@ -1413,9 +1418,9 @@ mod tests {
     #[test]
     fn compaction_preserves_state_and_truncates_wal() {
         let store = store("compact");
-        store.save("a", "d", &sheet("1.5"), None).unwrap();
-        store.save("a", "d", &sheet("1.2"), None).unwrap();
-        store.save("a", "gone", &sheet("1.0"), None).unwrap();
+        store.save("a", "d", shared("1.5"), None).unwrap();
+        store.save("a", "d", shared("1.2"), None).unwrap();
+        store.save("a", "gone", shared("1.0"), None).unwrap();
         store.delete("a", "gone").unwrap();
         assert!(store.wal_bytes("a").unwrap() > 0);
 
@@ -1430,7 +1435,7 @@ mod tests {
         assert_eq!(cold.revisions("a", "d").unwrap().unwrap(), [2, 1]);
         assert_eq!(*cold.load_rev("a", "d", 1).unwrap().unwrap(), sheet("1.5"));
         // ...including the erased-name floor.
-        assert_eq!(cold.save("a", "gone", &sheet("2.0"), Some(0)).unwrap(), 2);
+        assert_eq!(cold.save("a", "gone", shared("2.0"), Some(0)).unwrap(), 2);
     }
 
     #[test]
@@ -1441,7 +1446,7 @@ mod tests {
             ..StoreConfig::default()
         };
         let store = DesignStore::open_with(temp_root("threshold"), config).unwrap();
-        store.save("a", "d", &sheet("1.5"), None).unwrap();
+        store.save("a", "d", shared("1.5"), None).unwrap();
         assert_eq!(store.wal_bytes("a").unwrap(), 0, "compacted inline");
         assert!(store.root().join("a/snapshot.json").exists());
         let cold = DesignStore::open(store.root().to_owned()).unwrap();
@@ -1453,8 +1458,8 @@ mod tests {
         let root = temp_root("torn");
         {
             let store = DesignStore::open(root.clone()).unwrap();
-            store.save("a", "d", &sheet("1.5"), None).unwrap();
-            store.save("a", "d", &sheet("1.2"), None).unwrap();
+            store.save("a", "d", shared("1.5"), None).unwrap();
+            store.save("a", "d", shared("1.2"), None).unwrap();
         }
         // Tear the log mid-record: chop 3 bytes off the tail.
         let wal_path = root.join("a/wal.log");
@@ -1471,7 +1476,7 @@ mod tests {
         assert_eq!(*loaded, sheet("1.5"));
         // The tail was truncated away on disk, and the log accepts new
         // commits cleanly.
-        assert_eq!(store.save("a", "d", &sheet("0.9"), Some(1)).unwrap(), 2);
+        assert_eq!(store.save("a", "d", shared("0.9"), Some(1)).unwrap(), 2);
     }
 
     #[test]
@@ -1479,7 +1484,7 @@ mod tests {
         let root = temp_root("garbage");
         {
             let store = DesignStore::open(root.clone()).unwrap();
-            store.save("a", "d", &sheet("1.5"), None).unwrap();
+            store.save("a", "d", shared("1.5"), None).unwrap();
         }
         use std::io::Write;
         let mut f = OpenOptions::new()
@@ -1535,14 +1540,14 @@ mod tests {
         ] {
             assert!(
                 matches!(
-                    store.save(bad, "d", &s, None),
+                    store.save(bad, "d", Arc::new(s.clone()), None),
                     Err(StoreError::InvalidUsername(_))
                 ),
                 "accepted username {bad:?}"
             );
             assert!(
                 matches!(
-                    store.save("alice", bad, &s, None),
+                    store.save("alice", bad, Arc::new(s.clone()), None),
                     Err(StoreError::InvalidDesignName(_))
                 ),
                 "accepted design {bad:?}"
@@ -1582,7 +1587,7 @@ mod tests {
         ));
 
         // Designs and docs coexist in one shard.
-        store.save("_libs", "design", &sheet("1.5"), None).unwrap();
+        store.save("_libs", "design", shared("1.5"), None).unwrap();
         let listed = store.list_docs("_libs").unwrap();
         assert_eq!(listed.len(), 1);
         assert_eq!(listed[0].name, "gscl");
@@ -1634,15 +1639,40 @@ mod tests {
     #[test]
     fn users_lists_on_disk_shards() {
         let store = store("users");
-        store.save("alice", "d", &sheet("1.5"), None).unwrap();
-        store.save("bob", "d", &sheet("1.5"), None).unwrap();
+        store.save("alice", "d", shared("1.5"), None).unwrap();
+        store.save("bob", "d", shared("1.5"), None).unwrap();
         assert_eq!(store.users().unwrap(), ["alice", "bob"]);
+    }
+
+    #[test]
+    fn the_store_keeps_the_sheet_it_is_handed() {
+        let store = store("keep");
+        let seen: Arc<Mutex<Vec<Arc<Sheet>>>> = Arc::default();
+        let log = Arc::clone(&seen);
+        store.set_change_hook(Arc::new(move |change| {
+            if let StoreChange::Saved { sheet, .. } = change {
+                log.lock().push(Arc::clone(sheet));
+            }
+        }));
+        let handed = shared("1.5");
+        store.save("a", "d", Arc::clone(&handed), None).unwrap();
+        let (_, loaded) = store.load("a", "d").unwrap().unwrap();
+        assert!(Arc::ptr_eq(&loaded, &handed));
+        // A rollback commits the stored revision's own `Arc`.
+        store.save("a", "d", shared("1.2"), None).unwrap();
+        store.rollback("a", "d", 1, None).unwrap();
+        let (_, rolled_back) = store.load("a", "d").unwrap().unwrap();
+        assert!(Arc::ptr_eq(&rolled_back, &handed));
+        let seen = seen.lock();
+        assert_eq!(seen.len(), 3);
+        assert!(Arc::ptr_eq(&seen[0], &handed));
+        assert!(Arc::ptr_eq(&seen[2], &handed));
     }
 
     #[test]
     fn change_hook_sees_commits_in_order() {
         let store = store("hook");
-        store.save("alice", "d", &sheet("1.5"), None).unwrap();
+        store.save("alice", "d", shared("1.5"), None).unwrap();
 
         let seen: Arc<Mutex<Vec<String>>> = Arc::default();
         let log = Arc::clone(&seen);
@@ -1658,9 +1688,9 @@ mod tests {
             log.lock().push(line);
         }));
 
-        store.save("alice", "d", &sheet("1.2"), None).unwrap();
+        store.save("alice", "d", shared("1.2"), None).unwrap();
         store.rollback("alice", "d", 1, Some(2)).unwrap();
-        store.save("bob", "d", &sheet("0.9"), None).unwrap(); // new shard sees the shared hook
+        store.save("bob", "d", shared("0.9"), None).unwrap(); // new shard sees the shared hook
         store.delete("alice", "d").unwrap();
         assert_eq!(
             *seen.lock(),
@@ -1691,17 +1721,17 @@ mod tests {
         .unwrap();
         assert!(store.revision_history("u", "d").unwrap().is_none());
 
-        store.save("u", "d", &sheet("1.5"), None).unwrap();
-        store.save("u", "d", &sheet("1.2"), None).unwrap();
+        store.save("u", "d", shared("1.5"), None).unwrap();
+        store.save("u", "d", shared("1.2"), None).unwrap();
         // Full history retained: floor 0 means "nothing was ever lost".
         assert_eq!(
             store.revision_history("u", "d").unwrap().unwrap(),
             (vec![2, 1], 0)
         );
 
-        store.save("u", "d", &sheet("1.0"), None).unwrap();
-        store.save("u", "d", &sheet("0.9"), None).unwrap();
-        store.save("u", "d", &sheet("0.8"), None).unwrap();
+        store.save("u", "d", shared("1.0"), None).unwrap();
+        store.save("u", "d", shared("0.9"), None).unwrap();
+        store.save("u", "d", shared("0.8"), None).unwrap();
         // history_limit 3 keeps [3, 4, 5]; revisions 1..=2 were trimmed.
         assert_eq!(
             store.revision_history("u", "d").unwrap().unwrap(),
@@ -1712,7 +1742,7 @@ mod tests {
         // the fresh single-revision history reports floor 5, not 0.
         store.delete("u", "d").unwrap();
         assert!(store.revision_history("u", "d").unwrap().is_none());
-        assert_eq!(store.save("u", "d", &sheet("0.7"), Some(0)).unwrap(), 6);
+        assert_eq!(store.save("u", "d", shared("0.7"), Some(0)).unwrap(), 6);
         assert_eq!(
             store.revision_history("u", "d").unwrap().unwrap(),
             (vec![6], 5)

@@ -44,7 +44,8 @@ fn racing_writers_win_exactly_once_per_revision() {
                     // retry on conflict.
                     loop {
                         let seen = store.current_rev("u", "d").unwrap();
-                        match store.save("u", "d", &sheet(t, step), Some(seen)) {
+                        match store.save("u", "d", std::sync::Arc::new(sheet(t, step)), Some(seen))
+                        {
                             Ok(rev) => {
                                 won.lock().unwrap().push(rev);
                                 break;
@@ -88,7 +89,7 @@ fn create_race_has_exactly_one_winner() {
             .map(|t| {
                 let store = &store;
                 // All threads insist the design must not exist yet.
-                scope.spawn(move || store.save("u", "d", &sheet(t, 0), Some(0)))
+                scope.spawn(move || store.save("u", "d", std::sync::Arc::new(sheet(t, 0)), Some(0)))
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()

@@ -47,7 +47,7 @@ proptest! {
         {
             let store = DesignStore::open(&root).unwrap();
             for i in 1..=saves {
-                let rev = store.save("u", "d", &sheet(i), Some(i as u64 - 1)).unwrap();
+                let rev = store.save("u", "d", std::sync::Arc::new(sheet(i)), Some(i as u64 - 1)).unwrap();
                 prop_assert_eq!(rev, i as u64);
                 boundaries.push(fs::metadata(&wal_path).unwrap().len());
             }
@@ -70,7 +70,7 @@ proptest! {
         prop_assert_eq!(fs::metadata(&wal_path).unwrap().len(), boundaries[survivor as usize]);
         // ...and the log accepts new durable commits, numbered after
         // the last survivor.
-        let next = reopened.save("u", "d", &sheet(9), Some(survivor)).unwrap();
+        let next = reopened.save("u", "d", std::sync::Arc::new(sheet(9)), Some(survivor)).unwrap();
         prop_assert_eq!(next, survivor + 1);
 
         let _ = fs::remove_dir_all(&root);

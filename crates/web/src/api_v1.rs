@@ -441,7 +441,7 @@ fn design_put(
     };
     let rev = app
         .store
-        .save(user, name, &sheet, expected)
+        .save(user, name, Arc::new(sheet), expected)
         .map_err(|err| conflict_event(app, user, name, err))
         .map_err(store_error)?;
     let status = if current == 0 {
@@ -584,7 +584,7 @@ fn conflict_event(app: &PowerPlayApp, user: &str, name: &str, err: StoreError) -
 /// frames: the design identity, its validator, and the evaluated
 /// report (`null` when the design does not evaluate).
 fn event_data(app: &PowerPlayApp, user: &str, name: &str, rev: u64, sheet: &Sheet) -> Json {
-    let plan = app.plan_for(app.stored_key(user, name, rev), sheet);
+    let plan = app.stored_plan(user, name, rev, sheet);
     let report = plan.play().map(|r| report_json(&r)).unwrap_or(Json::Null);
     Json::object([
         ("user", Json::from(user)),
@@ -669,7 +669,7 @@ fn with_design(mut data: Json, sheet: &Sheet) -> String {
 
 fn play_post(app: &PowerPlayApp, user: &str, name: &str) -> Result<Response, Response> {
     let (rev, sheet) = load(app, user, name)?;
-    let plan = app.plan_for(app.stored_key(user, name, rev), &sheet);
+    let plan = app.stored_plan(user, name, rev, &sheet);
     let report = plan.play().map_err(|e| play_error(&e))?;
     Ok(Response::json(
         Json::object([
@@ -707,7 +707,7 @@ fn sweep_post(
         .map(|v| v.as_f64().ok_or_else(bad_body))
         .collect::<Result<_, _>>()?;
     let (rev, sheet) = load(app, user, name)?;
-    let plan = app.plan_for(app.stored_key(user, name, rev), &sheet);
+    let plan = app.stored_plan(user, name, rev, &sheet);
     let curve = powerplay_sheet::whatif::sweep_compiled(&plan, global, &values)
         .map_err(|e| play_error(&e))?;
     let series: Json = curve
@@ -731,7 +731,7 @@ fn sweep_post(
 
 fn sensitivities_post(app: &PowerPlayApp, user: &str, name: &str) -> Result<Response, Response> {
     let (rev, sheet) = load(app, user, name)?;
-    let plan = app.plan_for(app.stored_key(user, name, rev), &sheet);
+    let plan = app.stored_plan(user, name, rev, &sheet);
     let sens =
         powerplay_sheet::whatif::sensitivities_compiled(&plan).map_err(|e| play_error(&e))?;
     let ranking: Json = sens
@@ -765,7 +765,7 @@ fn analyze_post(app: &PowerPlayApp, user: &str, name: &str) -> Result<Response, 
     let (rev, sheet) = load(app, user, name)?;
     let key = app.stored_key(user, name, rev);
     cached_or_build(app, key, || {
-        let plan = app.plan_for(key, &sheet);
+        let plan = app.stored_plan(user, name, rev, &sheet);
         let bounds = powerplay_analysis::analyze(&plan).map_err(|e| play_error(&e))?;
         Ok(Json::object([
             ("rev", Json::from(rev as f64)),
@@ -882,7 +882,7 @@ fn sensitivities_body_post(app: &PowerPlayApp, req: &Request) -> Result<Response
         &sheet.to_json().to_string(),
         app.registry.read().generation(),
     );
-    let plan = app.plan_for(key, &sheet);
+    let plan = app.plan_for(key, None, &sheet);
     let sens =
         powerplay_sheet::whatif::sensitivities_compiled(&plan).map_err(|e| play_error(&e))?;
     let ranking: Json = sens

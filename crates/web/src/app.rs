@@ -14,7 +14,7 @@ use parking_lot::RwLock;
 use powerplay_expr::Scope;
 use powerplay_json::Json;
 use powerplay_library::{ElementClass, ElementModel, LibraryElement, ParamDecl, Registry};
-use powerplay_sheet::{RowModel, Sheet, SheetReport};
+use powerplay_sheet::{CompiledSheet, RowModel, Sheet, SheetReport};
 use powerplay_store::{DesignStore, StoreChange};
 use powerplay_telemetry::{profile, Counter, Gauge, Histogram};
 use powerplay_units::format;
@@ -284,8 +284,7 @@ impl PowerPlayApp {
     /// every other consumer. An unevaluable design yields `None` — the
     /// event still announces the revision.
     fn revision_report(&self, user: &str, design: &str, rev: u64, sheet: &Sheet) -> Option<Json> {
-        let key = self.stored_key(user, design, rev);
-        let report = self.plan_for(key, sheet).play().ok()?;
+        let report = self.stored_plan(user, design, rev, sheet).play().ok()?;
         let rows: Json = report
             .rows()
             .iter()
@@ -846,7 +845,7 @@ errs conservatively high.</p>";
         sheet.set_global("vdd", "1.5").expect("literal parses");
         sheet.set_global("f", "2e6").expect("literal parses");
         self.store
-            .save(&user, &name, &sheet, None)
+            .save(&user, &name, Arc::new(sheet), None)
             .map_err(Self::bad)?;
         Ok(Response::redirect(&Self::design_url(&user, &name)))
     }
@@ -1119,7 +1118,7 @@ errs conservatively high.</p>";
         let mut sheet = self.load_design(&user, &design)?;
         sheet.set_global(gname, &gformula).map_err(Self::bad)?;
         self.store
-            .save(&user, &design, &sheet, None)
+            .save(&user, &design, Arc::new(sheet), None)
             .map_err(Self::bad)?;
         Ok(Response::redirect(&Self::design_url(&user, &design)))
     }
@@ -1166,7 +1165,7 @@ errs conservatively high.</p>";
         row.set_doc_link(format!("/doc?name={}", encode(&element)));
         sheet.add_row(row);
         self.store
-            .save(&user, &design, &sheet, None)
+            .save(&user, &design, Arc::new(sheet), None)
             .map_err(Self::bad)?;
         Ok(Response::redirect(&Self::design_url(&user, &design)))
     }
@@ -1182,7 +1181,7 @@ errs conservatively high.</p>";
         let mut sheet = self.load_design(&user, &design)?;
         sheet.remove_row(&row);
         self.store
-            .save(&user, &design, &sheet, None)
+            .save(&user, &design, Arc::new(sheet), None)
             .map_err(Self::bad)?;
         Ok(Response::redirect(&Self::design_url(&user, &design)))
     }
@@ -1418,13 +1417,39 @@ errs conservatively high.</p>";
         Response::html(html::page("PowerPlay Statistics", &body))
     }
 
-    /// The compiled plan for a design, from the cache when warm.
-    /// Compilation holds the registry read lock only while it runs; the
-    /// plan owns shared handles to the elements it needs, so later
-    /// (parallel) evaluation never blocks library edits.
-    pub(crate) fn plan_for(&self, key: u64, sheet: &Sheet) -> Arc<powerplay_sheet::CompiledSheet> {
+    /// The compiled plan for revision `rev` of a stored design, from the
+    /// cache when warm. A miss compiles from the cached plan of
+    /// `rev − 1` under the same registry generation, when there is one,
+    /// so the rows an edit left alone are shared, not compiled again.
+    pub(crate) fn stored_plan(
+        &self,
+        user: &str,
+        design: &str,
+        rev: u64,
+        sheet: &Sheet,
+    ) -> Arc<CompiledSheet> {
+        let generation = self.registry.read().generation();
+        let key = PlanCache::rev_key(user, design, rev, generation);
+        let prev = rev
+            .checked_sub(1)
+            .map(|prev| PlanCache::rev_key(user, design, prev, generation));
+        self.plan_for(key, prev, sheet)
+    }
+
+    /// The compiled plan for a design under cache key `key`, from the
+    /// cache when warm; a miss compiles from the cached plan under
+    /// `prev`, if any. Compilation holds the registry read lock only
+    /// while it runs; the plan owns shared handles to the elements it
+    /// needs, so later (parallel) evaluation never blocks library edits.
+    pub(crate) fn plan_for(
+        &self,
+        key: u64,
+        prev: Option<u64>,
+        sheet: &Sheet,
+    ) -> Arc<CompiledSheet> {
         let (plan, _hit) = self.plan_cache.plan_for(key, || {
-            powerplay_sheet::CompiledSheet::compile(sheet, &self.registry.read())
+            let prev = prev.and_then(|prev| self.plan_cache.peek(prev));
+            CompiledSheet::compile_from(prev.as_deref(), sheet, &self.registry.read())
         });
         plan
     }

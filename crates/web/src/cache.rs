@@ -179,6 +179,14 @@ impl PlanCache {
         (plan, false)
     }
 
+    /// The cached plan for `key`, if any, without counting a hit or a
+    /// miss and without touching its LRU position: what a compile
+    /// reuses rows from.
+    #[must_use]
+    pub fn peek(&self, key: u64) -> Option<Arc<CompiledSheet>> {
+        self.inner.lock().entries.get(&key)?.plan.clone()
+    }
+
     /// The cached derived-resource body for `key`, if one was stored
     /// since the entry was created. Counts as a cache hit when present;
     /// a miss is counted by [`Self::plan_for`] if the caller then needs
@@ -281,6 +289,21 @@ mod tests {
         let (second, hit) = cache.plan_for(7, || panic!("must not recompile"));
         assert!(hit);
         assert!(Arc::ptr_eq(&first, &second));
+    }
+
+    #[test]
+    fn peek_neither_counts_nor_refreshes() {
+        let cache = PlanCache::new(2);
+        assert!(cache.peek(1).is_none());
+        let (first, _) = cache.plan_for(1, plan);
+        cache.plan_for(2, plan);
+        let metrics = cache_metrics();
+        let (hits, misses) = (metrics.hits.get(), metrics.misses.get());
+        assert!(Arc::ptr_eq(&cache.peek(1).unwrap(), &first));
+        assert_eq!((metrics.hits.get(), metrics.misses.get()), (hits, misses));
+        cache.plan_for(3, plan); // 1 is still the coldest: peeking kept its place
+        assert!(cache.peek(1).is_none());
+        assert!(cache.peek(2).is_some());
     }
 
     #[test]

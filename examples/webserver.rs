@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     app.store().save(
         "guest",
         "luminance",
-        &luminance::sheet(LuminanceArch::GroupedLut),
+        std::sync::Arc::new(luminance::sheet(LuminanceArch::GroupedLut)),
         None,
     )?;
 

@@ -601,7 +601,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             let sheet = Sheet::from_json(&json).map_err(|e| format!("demo design {name}: {e}"))?;
             let rev = app
                 .store()
-                .save("demo", name, &sheet, None)
+                .save("demo", name, std::sync::Arc::new(sheet), None)
                 .map_err(|e| e.to_string())?;
             println!("seeded design `{name}` for user `demo` (rev {rev})");
         }

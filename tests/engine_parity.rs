@@ -9,6 +9,10 @@
 //! engine does, so both report the same error first, and a bound-pruned
 //! sweep must play exactly what an unconstrained sweep plays.
 //!
+//! A plan compiled from the previous revision's plan must answer as a
+//! fresh compile of the edited sheet does, listing for listing and bit
+//! for bit, over seeded edit sequences.
+//!
 //! The ignored tests are timing gates, meaningful only in release:
 //! `cargo test --release --test engine_parity -- --ignored`.
 
@@ -23,9 +27,10 @@ use powerplay_json::Json;
 use powerplay_library::builtin::ucb_library;
 use powerplay_library::{ElementClass, ElementModel, LibraryElement, ParamDecl, Registry};
 use powerplay_sheet::{
-    whatif, CompiledSheet, EvaluateSheetError, Row, RowModel, Sheet, SheetReport,
+    whatif, CompiledSheet, EvaluateSheetError, Row, RowKindView, RowModel, Sheet, SheetReport,
 };
 use powerplay_units::{Power, Voltage};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -513,6 +518,355 @@ fn an_empty_sub_sheet_row_prints_a_zero_share() {
         .unwrap_or_else(|| panic!("no sub-sheet line in\n{table}"));
     assert!(line.ends_with(" 0.0%"), "{line}");
     assert!(!table.contains("-0.0%"), "{table}");
+}
+
+/// A design of sub-sheet tiles: copies of the shipped designs whose
+/// rows read the top-level `vdd`, `f` and `radio_duty`, as the
+/// benchmark's tiled designs do.
+fn tiled_sheet() -> Sheet {
+    let mut sheet = Sheet::new("tiled");
+    sheet.set_global("vdd", "1.5").unwrap();
+    sheet.set_global("f", "2MHz").unwrap();
+    sheet.set_global("radio_duty", "0.5").unwrap();
+    for (t, name) in DESIGNS.iter().cycle().take(6).enumerate() {
+        let mut json = load_sheet(name).to_json();
+        json.set("globals", Json::array([]));
+        let tile = Sheet::from_json(&json).unwrap();
+        sheet.add_subsheet_row(&format!("T{t} {name}"), tile);
+    }
+    sheet
+}
+
+/// The sub-sheet plans of a compiled sheet's top-level rows, by row: a
+/// row shared with another plan holds the very same sub-plan.
+fn sub_plans(plan: &CompiledSheet) -> Vec<Option<&CompiledSheet>> {
+    plan.rows_view().map_or_else(
+        |_| Vec::new(),
+        |rows| {
+            rows.iter()
+                .map(|row| match row.kind() {
+                    RowKindView::SubSheet(sub) => Some(sub),
+                    _ => None,
+                })
+                .collect()
+        },
+    )
+}
+
+/// How many top-level sub-sheet rows `plan` shares with `prev`.
+fn shared_sub_sheets(plan: &CompiledSheet, prev: &CompiledSheet) -> usize {
+    let prev_subs = sub_plans(prev);
+    sub_plans(plan)
+        .into_iter()
+        .flatten()
+        .filter(|sub| prev_subs.iter().flatten().any(|p| std::ptr::eq(*p, *sub)))
+        .count()
+}
+
+/// A sweep's totals by their bits, or its error.
+fn sweep_bits(plan: &CompiledSheet, values: &[f64]) -> Result<Vec<u64>, EvaluateSheetError> {
+    whatif::sweep_compiled(plan, "vdd", values)
+        .map(|curve| curve.into_iter().map(|(_, total)| bits(total)).collect())
+}
+
+/// `reused`, compiled from an earlier plan, answers exactly as `fresh`,
+/// a fresh compile of the same sheet: the same listing, plays (one of
+/// them appending a name) and 16-point `vdd` sweep by bits, and the
+/// tree walker's answers.
+fn assert_same_answers(reused: &CompiledSheet, fresh: &CompiledSheet, what: &str) {
+    assert_eq!(reused.disassemble(), fresh.disassemble(), "{what}");
+    let played = reused.play();
+    assert_eq!(
+        report_bits(played.clone()),
+        report_bits(fresh.play()),
+        "{what}"
+    );
+    assert_eq!(played, fresh.play(), "{what}");
+    assert_eq!(
+        report_bits(played),
+        report_bits(reused.play_with_tree(&[])),
+        "{what}"
+    );
+    for overrides in [&[("vdd", 2.5)][..], &[("vdd", 2.5), ("x_new", 3.0)]] {
+        let played = reused.play_with(overrides);
+        assert_eq!(
+            report_bits(played.clone()),
+            report_bits(fresh.play_with(overrides)),
+            "{what} with {overrides:?}"
+        );
+        assert_eq!(
+            played,
+            fresh.play_with(overrides),
+            "{what} with {overrides:?}"
+        );
+        assert_eq!(
+            report_bits(played),
+            report_bits(reused.play_with_tree(overrides)),
+            "{what} with {overrides:?}"
+        );
+    }
+    let values: Vec<f64> = (0..16).map(|i| 1.0 + 0.1 * f64::from(i)).collect();
+    assert_eq!(
+        sweep_bits(reused, &values),
+        sweep_bits(fresh, &values),
+        "{what}"
+    );
+}
+
+/// The top-level rows, or the rows of a random sub-sheet row when
+/// `inside` and there is one.
+fn pick_rows<'a>(sheet: &'a mut Sheet, rng: &mut StdRng, inside: bool) -> &'a mut [Row] {
+    let subs: Vec<usize> = (0..sheet.rows().len())
+        .filter(|&i| matches!(sheet.rows()[i].model(), RowModel::SubSheet(_)))
+        .collect();
+    if !inside || subs.is_empty() {
+        return sheet.rows_mut();
+    }
+    let i = subs[rng.gen_range(0..subs.len())];
+    match sheet.rows_mut()[i].model_mut() {
+        RowModel::SubSheet(sub) => sub.rows_mut(),
+        _ => unreachable!("picked a sub-sheet row"),
+    }
+}
+
+/// The sheet with the `key` list (`rows` or `globals`) of its JSON
+/// document edited by `f`: rows and globals have no rename in the API.
+fn edit_json(sheet: &Sheet, key: &str, f: impl FnOnce(&mut [Json])) -> Sheet {
+    let mut json = sheet.to_json();
+    let mut items = json.get(key).and_then(Json::as_array).unwrap().to_vec();
+    f(&mut items);
+    json.set(key, Json::Array(items));
+    Sheet::from_json(&json).unwrap()
+}
+
+/// One seeded edit of `sheet`, described for the failure message.
+fn random_edit(sheet: &mut Sheet, rng: &mut StdRng) -> String {
+    const ELEMENTS: &[(&str, &str)] = &[
+        ("ucb/register", "bits"),
+        ("ucb/multiplier", "bw_a"),
+        ("ucb/sram", "words"),
+        ("ucb/dcdc", "p_load"),
+    ];
+    let n = sheet.rows().len();
+    let number = |rng: &mut StdRng| match rng.gen_range(0..8) {
+        0 => "0".to_owned(),
+        1 => "-1".to_owned(),
+        _ => format!("{}", rng.gen_range(1..64)),
+    };
+    match rng.gen_range(0..11) {
+        // A numeric binding, at the top level or inside a sub-sheet.
+        kind @ (0 | 1) => {
+            let value = number(rng);
+            let rows = pick_rows(sheet, rng, kind == 1);
+            let with: Vec<usize> = (0..rows.len())
+                .filter(|&i| !rows[i].bindings().is_empty())
+                .collect();
+            if with.is_empty() {
+                return "no binding to change".to_owned();
+            }
+            let row = &mut rows[with[rng.gen_range(0..with.len())]];
+            let param = row.bindings()[rng.gen_range(0..row.bindings().len())]
+                .0
+                .clone();
+            row.bind(param.as_str(), &value).unwrap();
+            format!("bind {}.{param} = {value}", row.name())
+        }
+        // A global formula.
+        2 => {
+            let names: Vec<String> = sheet.globals().iter().map(|(g, _)| g.clone()).collect();
+            let name = names[rng.gen_range(0..names.len())].clone();
+            let formula = match rng.gen_range(0..3) {
+                0 => format!("{}", 1.0 + f64::from(rng.gen_range(0..30)) / 10.0),
+                1 => format!("{} * 1.1", names[rng.gen_range(0..names.len())]),
+                _ => "x_new + 1".to_owned(),
+            };
+            sheet.set_global(name.as_str(), &formula).unwrap();
+            format!("global {name} = {formula}")
+        }
+        // A new row.
+        3 => {
+            let (element, param) = ELEMENTS[rng.gen_range(0..ELEMENTS.len())];
+            let name = format!("New {}", rng.gen_range(0..1000));
+            let value = number(rng);
+            sheet
+                .add_element_row(&name, element, [(param, value.as_str())])
+                .unwrap();
+            format!("add {name} ({element})")
+        }
+        4 if n > 1 => {
+            let name = sheet.rows()[rng.gen_range(0..n)].name().to_owned();
+            sheet.remove_row(&name);
+            format!("remove {name}")
+        }
+        5 if n > 1 => {
+            let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            sheet.rows_mut().swap(i, j);
+            format!("swap rows {i} and {j}")
+        }
+        6 if n > 0 => {
+            let i = rng.gen_range(0..n);
+            let name = format!("Renamed {}", rng.gen_range(0..1000));
+            *sheet = edit_json(sheet, "rows", |rows| {
+                rows[i].set("name", Json::from(name.as_str()));
+            });
+            format!("rename row {i} to {name}")
+        }
+        // A new `P_` reference, sometimes closing a cycle.
+        7 if n > 1 => {
+            let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            let ident = |sheet: &Sheet, k: usize| sheet.rows()[k].ident();
+            let (to_j, to_i) = (ident(sheet, j), ident(sheet, i));
+            sheet.rows_mut()[i]
+                .bind("p_load", &format!("P_{to_j} * 0.1"))
+                .unwrap();
+            if rng.gen_range(0..2) == 0 {
+                sheet.rows_mut()[j]
+                    .bind("p_load", &format!("P_{to_i} * 0.1"))
+                    .unwrap();
+                return format!("P_ cycle between rows {i} and {j}");
+            }
+            format!("row {i} reads P_{to_j}")
+        }
+        // An element path the registry does not know.
+        8 => {
+            let rows = pick_rows(sheet, rng, true);
+            let k = rng.gen_range(0..rows.len().max(1));
+            match rows.get_mut(k).map(Row::model_mut) {
+                Some(model @ RowModel::Element(_)) => {
+                    *model = RowModel::Element("ucb/no_such_element".to_owned());
+                    format!("row {k} names an unknown element")
+                }
+                _ => "no element row to break".to_owned(),
+            }
+        }
+        // A global renamed away: lookups that found it now miss.
+        9 => {
+            let g = rng.gen_range(0..sheet.globals().len());
+            let old = sheet.globals()[g].0.clone();
+            *sheet = edit_json(sheet, "globals", |globals| {
+                globals[g].set("name", Json::from(format!("{old}_old").as_str()));
+            });
+            format!("rename global {old} away")
+        }
+        _ => {
+            let name = format!("g{}", rng.gen_range(0..3));
+            sheet.set_global(name.as_str(), "2").unwrap();
+            format!("add global {name}")
+        }
+    }
+}
+
+/// Plays a seeded edit sequence on `sheet`, compiling each revision
+/// from the previous revision's plan, and checks every revision against
+/// a fresh compile.
+fn check_edit_sequence(mut sheet: Sheet, seed: u64, edits: usize) {
+    let library = ucb_library();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut prev = CompiledSheet::compile(&sheet, &library);
+    let mut log = Vec::new();
+    for _ in 0..edits {
+        log.push(random_edit(&mut sheet, &mut rng));
+        let what = format!("{} after {log:?} (seed {seed})", sheet.name());
+        let reused = CompiledSheet::compile_from(Some(&prev), &sheet, &library);
+        let fresh = CompiledSheet::compile(&sheet, &library);
+        assert_same_answers(&reused, &fresh, &what);
+        prev = reused;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn compiles_from_the_previous_revision_answer_as_fresh_compiles(seed in any::<u64>()) {
+        for name in DESIGNS {
+            check_edit_sequence(load_sheet(name), seed, 8);
+        }
+        check_edit_sequence(tiled_sheet(), seed, 8);
+    }
+}
+
+#[test]
+fn a_leaf_edit_shares_every_other_tile() {
+    let library = ucb_library();
+    let sheet = tiled_sheet();
+    let prev = CompiledSheet::compile(&sheet, &library);
+    let mut edited = sheet.clone();
+    let RowModel::SubSheet(tile) = edited.rows_mut()[2].model_mut() else {
+        panic!("tiles are sub-sheets");
+    };
+    tile.rows_mut()[0].bind("words", "1024").unwrap();
+    let reused = CompiledSheet::compile_from(Some(&prev), &edited, &library);
+    assert_eq!(shared_sub_sheets(&reused, &prev), 5);
+    assert_same_answers(
+        &reused,
+        &CompiledSheet::compile(&edited, &library),
+        "leaf edit",
+    );
+
+    // A global formula is not part of any row: every tile is shared.
+    let mut edited = sheet.clone();
+    edited.set_global("vdd", "1.2").unwrap();
+    let reused = CompiledSheet::compile_from(Some(&prev), &edited, &library);
+    assert_eq!(shared_sub_sheets(&reused, &prev), 6);
+    assert_same_answers(
+        &reused,
+        &CompiledSheet::compile(&edited, &library),
+        "global edit",
+    );
+}
+
+#[test]
+fn a_plan_of_another_registry_generation_shares_nothing() {
+    let library = ucb_library();
+    let sheet = tiled_sheet();
+    let prev = CompiledSheet::compile(&sheet, &library);
+    let mut extended = library.clone();
+    extended.insert(LibraryElement::new(
+        "custom/probe",
+        ElementClass::Computation,
+        "",
+        vec![],
+        ElementModel::default(),
+    ));
+    assert_ne!(extended.generation(), library.generation());
+    let reused = CompiledSheet::compile_from(Some(&prev), &sheet, &extended);
+    assert_eq!(shared_sub_sheets(&reused, &prev), 0);
+    assert_same_answers(
+        &reused,
+        &CompiledSheet::compile(&sheet, &extended),
+        "another generation",
+    );
+}
+
+#[test]
+fn a_signed_zero_edit_recompiles_its_row() {
+    // `0.0 == -0.0`, but `1 / g` is +inf for one and -inf for the other,
+    // and the failing check reports which.
+    let mut inner = Sheet::new("inner");
+    inner.set_global_value("g", 0.0);
+    inner
+        .add_element_row("W", "ucb/wire", [("length_mm", "1 / g")])
+        .unwrap();
+    let mut sheet = Sheet::new("signed");
+    sheet.set_global("vdd", "1.5").unwrap();
+    sheet.set_global("f", "2MHz").unwrap();
+    sheet.add_subsheet_row("S", inner.clone());
+    let library = ucb_library();
+    let prev = CompiledSheet::compile(&sheet, &library);
+    inner.set_global_value("g", -0.0);
+    let mut edited = Sheet::new("signed");
+    edited.set_global("vdd", "1.5").unwrap();
+    edited.set_global("f", "2MHz").unwrap();
+    edited.add_subsheet_row("S", inner);
+    let reused = CompiledSheet::compile_from(Some(&prev), &edited, &library);
+    assert_eq!(shared_sub_sheets(&reused, &prev), 0);
+    assert_ne!(reused.play(), prev.play());
+    assert_same_answers(
+        &reused,
+        &CompiledSheet::compile(&edited, &library),
+        "signed zero",
+    );
 }
 
 /// Calls `play` in a loop for 300 ms, after a 30 ms warm-up, and

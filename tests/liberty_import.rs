@@ -336,7 +336,9 @@ fn reimport_that_drops_a_cell_unregisters_it_as_a_restart_does() {
     sheet.set_global("vdd", "1.1").unwrap();
     sheet.set_global("f", "1e9").unwrap();
     sheet.add_element_row("inv", "re_demo/INVB", []).unwrap();
-    app.store().save("u", "uses_invb", &sheet, None).unwrap();
+    app.store()
+        .save("u", "uses_invb", std::sync::Arc::new(sheet), None)
+        .unwrap();
     import(&app, &["INVA", "INVB"]);
     assert_eq!(element(&app, "INVB"), Status::Ok);
     let played = play(&app);

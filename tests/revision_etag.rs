@@ -37,7 +37,9 @@ fn conditional_gets_neither_recompile_nor_rehash() {
     sheet
         .add_element_row("R", "ucb/register", [("bits", "16")])
         .unwrap();
-    app.store().save("a", "d", &sheet, None).unwrap();
+    app.store()
+        .save("a", "d", std::sync::Arc::new(sheet.clone()), None)
+        .unwrap();
 
     let misses = || {
         let exposition = app
@@ -89,7 +91,9 @@ fn conditional_gets_neither_recompile_nor_rehash() {
     assert_eq!(misses(), baseline + 1.0);
 
     // A new revision invalidates the tag.
-    app.store().save("a", "d", &sheet, None).unwrap();
+    app.store()
+        .save("a", "d", std::sync::Arc::new(sheet), None)
+        .unwrap();
     let v1 = app.handle(&Request::new(Method::Get, "/api/v1/designs/a/d"));
     assert_eq!(v1.header("etag"), Some("\"2\""));
 }

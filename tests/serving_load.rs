@@ -124,7 +124,7 @@ fn concurrent_keep_alive_load_doubles_sequential_with_no_errors() {
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
     let sheet = Sheet::from_json(&Json::parse(&text).expect("parse")).expect("decode");
     app.store()
-        .save("demo", "infopad", &sheet, None)
+        .save("demo", "infopad", Arc::new(sheet), None)
         .expect("seed");
 
     // Shed thresholds sized for the load shape: 128 connections with 8

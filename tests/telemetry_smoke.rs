@@ -52,7 +52,9 @@ fn metrics_reflect_served_traffic() {
     // the wire.
     let text = std::fs::read_to_string("examples/designs/infopad.json").unwrap();
     let sheet = Sheet::from_json(&Json::parse(&text).unwrap()).unwrap();
-    app.store().save("demo", "infopad", &sheet, None).unwrap();
+    app.store()
+        .save("demo", "infopad", Arc::new(sheet), None)
+        .unwrap();
 
     let played = http_post(
         &format!("{base}/api/v1/designs/demo/infopad/play"),
