@@ -63,12 +63,22 @@
 //!   missing-`vdd` case ([`Instr::TrapIf`]) — and is tested at replay
 //!   time against the same predicate;
 //! * overrides never re-bind a lowered name: an override either
-//!   retargets a declared top-level global, whose register is re-seeded
-//!   per play, or appends a new global. A set of override names that
-//!   appends globals gets its own program, lowered with one more
-//!   top-level register per appended name, so a lookup that would trap
-//!   or default without the name resolves exactly as the scope chain
-//!   resolves it (see [`crate::OverridePlan`]).
+//!   retargets a declared top-level global, whose register the play's
+//!   [`Prologue`] writes, or appends a new global. A set of override
+//!   names that appends globals gets its own program, lowered with one
+//!   more top-level register per appended name, so a lookup that would
+//!   trap or default without the name resolves exactly as the scope
+//!   chain resolves it (see [`crate::OverridePlan`]).
+//!
+//! # The prologue
+//!
+//! Globals are register code too: each override plan lowers the globals
+//! it does not override, in its own order, into a [`Prologue`] over input
+//! registers that hold the override values. A play runs the prologue,
+//! copies each global into the program's registers `0..`, and runs the
+//! program. A global formula fails only on a name, so a failing plan has
+//! no prologue but its error, and a prologue never traps. A literal or an
+//! alias costs no instruction.
 //!
 //! # Value numbering
 //!
@@ -86,12 +96,15 @@
 //!
 //! The program is in SSA form: each register is written by at most one
 //! instruction, placed before every instruction that reads it, so a row
-//! may read a register an earlier row's span wrote. The register program
+//! may read a register an earlier row's span wrote. The register code
 //! is therefore the record of what depends on what, the template's
-//! hidden reads of `vdd` and `f` included. A sweep runs the slice of it
-//! that the changed globals reach ([`Program::sweep_slice`]): every
-//! instruction that reads a changed global's register, or a register a
-//! kept instruction writes. A register outside the slice is a function
+//! hidden reads of `vdd` and `f` included. The globals a sweep changes
+//! are the ones its prologue's inputs reach ([`Prologue::reached`]),
+//! and the sweep runs the slice of the program those globals reach
+//! ([`Program::sweep_slice`]); both answers come from one forward pass
+//! over register code ([`reach`]). The slice holds every instruction
+//! that reads a changed global's register, or a register a kept
+//! instruction writes. A register outside the slice is a function
 //! of constants and unchanged globals only, so it holds the baseline
 //! play's value in every lane; a register inside it is written in the
 //! same pass before any kept instruction reads it. A baseline play that
@@ -119,7 +132,9 @@ use powerplay_telemetry::{Counter, Histogram};
 use powerplay_units::{Area, Energy, Power, Time};
 
 use crate::engine::EvaluateSheetError;
-use crate::plan::{CompiledRow, CompiledRowKind, CompiledSheet, RowsPlan};
+use crate::plan::{
+    CompiledGlobal, CompiledRow, CompiledRowKind, CompiledSheet, OverridePlanInner, RowsPlan,
+};
 use crate::report::{fold_sum, RowReport, SheetReport, SUM_IDENTITY};
 
 const FRAGMENTS_HELP: &str = "Top-level rows linked into a register program, by whether the \
@@ -949,6 +964,29 @@ impl<'o> Lowerer<'o> {
         }
     }
 
+    /// Lowers the declared globals `order` lists, in that order, into a
+    /// new scope layer; returns each one's register by declaration index
+    /// ([`NO_REG`] for the globals `order` skips).
+    fn lower_globals(
+        &mut self,
+        env: &mut Env,
+        globals: &[CompiledGlobal],
+        order: impl Iterator<Item = usize>,
+    ) -> Lower<Vec<u32>> {
+        env.push_layer();
+        let mut regs = vec![NO_REG; globals.len()];
+        for k in order {
+            let g = &globals[k];
+            let wrap = |source| EvaluateSheetError::Global {
+                name: g.name.to_string(),
+                source,
+            };
+            regs[k] = self.lower_expr(&g.expr, env, &wrap)?;
+            env.insert_top(g.name.clone(), regs[k]);
+        }
+        Ok(regs)
+    }
+
     /// Inlines a nested sheet: globals lowered in the sub-sheet's base
     /// evaluation order, rows in its plan order, totals folded exactly
     /// as the report sums them. `self.nest` already includes the
@@ -965,17 +1003,13 @@ impl<'o> Lowerer<'o> {
                 return Err(self.trap(e));
             }
         };
-        env.push_layer();
-        let mut globals: Vec<Option<(Arc<str>, u32)>> = vec![None; sub.globals.len()];
-        for &idx in order {
-            let g = &sub.globals[idx];
-            let slot = self.lower_expr(&g.expr, env, &|source| EvaluateSheetError::Global {
-                name: g.name.to_string(),
-                source,
-            })?;
-            env.insert_top(g.name.clone(), slot);
-            globals[idx] = Some((g.name.clone(), slot));
-        }
+        let regs = self.lower_globals(env, &sub.globals, order.iter().copied())?;
+        let globals = sub
+            .globals
+            .iter()
+            .map(|g| g.name.clone())
+            .zip(regs)
+            .collect();
         let rows_plan = match &sub.structure {
             Ok(plan) => plan,
             Err(e) => {
@@ -1004,10 +1038,7 @@ impl<'o> Lowerer<'o> {
         let (power, area) = self.lower_totals(&rows);
         let recipe = SheetRecipe {
             name: sub.name.clone(),
-            globals: globals
-                .into_iter()
-                .map(|g| g.expect("plan order covers every global"))
-                .collect(),
+            globals,
             rows,
         };
         Ok((recipe, power, area))
@@ -1123,6 +1154,89 @@ const NO_REG: u32 = u32::MAX;
 /// appended override name, the `P_`/`A_` of a row earlier in plan order
 /// — to the program's copy of the name, or `None` when it is absent.
 type Outside<'a> = dyn Fn(&str) -> Option<Arc<str>> + 'a;
+
+/// An override plan's top-level globals as register code of their own,
+/// run before the row program: from the override values in its input
+/// registers it computes every global the plan does not override.
+#[derive(Debug, Clone)]
+pub(crate) struct Prologue {
+    /// Pure instructions only: a global formula fails only on a name.
+    pub(crate) code: Box<[Instr]>,
+    /// The initial image: the inputs (zero), constants, temporaries.
+    pub(crate) init: Box<[f64]>,
+    /// Input registers `0..inputs`, one per override name, in order.
+    pub(crate) inputs: usize,
+    /// Per top-level global, declared then appended: its register.
+    pub(crate) outputs: Box<[u32]>,
+}
+
+impl Prologue {
+    /// Lowers the globals of the plan that overrides `names`: each name
+    /// binds an input register, and every declared global the plan does
+    /// not override is lowered from its formula, in the plan's order.
+    ///
+    /// # Errors
+    ///
+    /// The first global error in the tree walker's order, as
+    /// [`EvaluateSheetError::Global`]: every play with the plan raises it.
+    pub(crate) fn lower(
+        globals: &[CompiledGlobal],
+        names: &[String],
+        plan: &OverridePlanInner,
+    ) -> Result<Prologue, EvaluateSheetError> {
+        let mut lw = Lowerer::new(&|_: &str| None);
+        let mut env = Env::new();
+        env.push_layer();
+        for name in names {
+            let input = lw.reg();
+            env.insert_top(Arc::from(name.as_str()), input);
+        }
+        let computed = plan.order.iter().copied();
+        let computed = computed.filter(|&k| k < globals.len() && plan.global_slot[k].is_none());
+        let Ok(mut outputs) = lw.lower_globals(&mut env, globals, computed) else {
+            let Some(ErrTemplate::Fixed(err)) = lw.errors.pop() else {
+                unreachable!("a poisoned lowering ends in the trap of a fixed error")
+            };
+            return Err(err);
+        };
+        for (out, &slot) in outputs.iter_mut().zip(&plan.global_slot) {
+            if let Some(slot) = slot {
+                *out = slot as u32;
+            }
+        }
+        outputs.extend(plan.appended.iter().map(|&slot| slot as u32));
+        Ok(Prologue {
+            code: lw.code.into(),
+            init: lw.const_val.iter().map(|v| v.unwrap_or(0.0)).collect(),
+            inputs: names.len(),
+            outputs: outputs.into(),
+        })
+    }
+
+    /// Which top-level globals the inputs reach: a forward pass over the
+    /// code from the input registers.
+    pub(crate) fn reached(&self) -> Vec<bool> {
+        let mut reached = vec![false; self.init.len()];
+        reached[..self.inputs].fill(true);
+        reach(&self.code, &mut reached);
+        self.outputs
+            .iter()
+            .map(|&reg| reached[reg as usize])
+            .collect()
+    }
+
+    /// Appends a base plan's prologue to a listing: each declared
+    /// global's formula and its register. With no inputs, every global
+    /// folds to a constant, so the prologue has no code.
+    fn list(&self, out: &mut String, globals: &[CompiledGlobal]) {
+        let (instrs, regs) = (self.code.len(), self.init.len());
+        let _ = writeln!(out, "prologue: {instrs} instrs, {regs} regs");
+        for (g, &reg) in globals.iter().zip(self.outputs.iter()) {
+            let (source, value) = (g.expr.to_string(), self.init[reg as usize]);
+            let _ = writeln!(out, "  {:<16} = {source:<24} r{reg}={value}", g.name);
+        }
+    }
+}
 
 /// The link's registers. Value numbers stand for values; registers are
 /// allocated for the values the program holds: globals and temporaries
@@ -1308,8 +1422,7 @@ impl Program {
             errors: 0,
         };
         // Top-level globals, declared then appended: registers 0..,
-        // each seeded per play from the scalar global resolution (which
-        // owns the override graph-repair logic).
+        // each written per play from the plan's prologue.
         let globals: Vec<Arc<str>> = plan
             .globals
             .iter()
@@ -1380,31 +1493,9 @@ impl Program {
         &self.init
     }
 
-    /// Writes the resolved top-level global values into their registers:
-    /// the declared globals, then the appended ones, in registers 0.. —
-    /// the order of the resolved-globals vector, so this is a positional
-    /// zip.
-    pub(crate) fn seed_globals(&self, values: impl Iterator<Item = f64>, regs: &mut [f64]) {
-        for (reg, value) in regs[..self.globals.len()].iter_mut().zip(values) {
-            *reg = value;
-        }
-    }
-
-    /// [`Program::seed_globals`] into lane `lane` of a lane image.
-    pub(crate) fn seed_lane_globals(
-        &self,
-        lane: usize,
-        values: impl Iterator<Item = f64>,
-        regs: &mut [Lanes],
-    ) {
-        for (reg, value) in regs[..self.globals.len()].iter_mut().zip(values) {
-            reg[lane] = value;
-        }
-    }
-
-    /// Runs the whole program over one register file.
-    fn exec(&self, regs: &mut [f64]) -> Result<(), TrapHit> {
-        for instr in &self.code {
+    /// Runs `code` over one register file, up to its first trap.
+    fn exec(code: &[Instr], regs: &mut [f64]) -> Result<(), TrapHit> {
+        for instr in code {
             match *instr {
                 Instr::Neg { dst, a } => regs[dst as usize] = -regs[a as usize],
                 Instr::Bin { op, dst, a, b } => {
@@ -1512,16 +1603,7 @@ impl Program {
             Some(changed) => {
                 let mut reached = vec![false; self.init.len()];
                 reached[..changed.len()].copy_from_slice(changed);
-                self.code
-                    .iter()
-                    .map(|instr| {
-                        let keep = instr.reads_any(&reached);
-                        if let Some(dst) = instr.dst().filter(|_| keep) {
-                            reached[dst as usize] = true;
-                        }
-                        keep
-                    })
-                    .collect()
+                reach(&self.code, &mut reached)
             }
         };
         let rows = self
@@ -1570,17 +1652,22 @@ impl Program {
         }
     }
 
-    /// One full replay: seeds the register file from `resolved` (the
-    /// scalar global resolution, declaration order first), executes the
-    /// whole program, and assembles the report — or the exact error the
-    /// tree walker would have raised.
+    /// One full replay: runs `prologue` on the override `values` into
+    /// the global registers, executes the whole program, and assembles
+    /// the report — or the exact error the tree walker would have
+    /// raised.
     pub(crate) fn replay_full(
         &self,
         name: Arc<str>,
-        resolved: Vec<(String, f64)>,
+        prologue: &Prologue,
+        values: &[f64],
         regs: &mut Vec<f64>,
     ) -> Result<SheetReport, EvaluateSheetError> {
-        self.run_full(&resolved, regs)?;
+        self.run_full(prologue, values, regs)?;
+        let globals = self.globals.iter().zip(regs.iter());
+        let globals = globals
+            .map(|(name, &value)| (name.to_string(), value))
+            .collect();
         let rows = self
             .rows
             .iter()
@@ -1590,14 +1677,15 @@ impl Program {
                 })
             })
             .collect();
-        Ok(SheetReport::new(name, resolved, rows))
+        Ok(SheetReport::new(name, globals, rows))
     }
 
     /// [`Program::replay_full`] without the report: leaves the register
     /// image of the play in `regs`.
     pub(crate) fn run_full(
         &self,
-        resolved: &[(String, f64)],
+        prologue: &Prologue,
+        values: &[f64],
         regs: &mut Vec<f64>,
     ) -> Result<(), EvaluateSheetError> {
         let metrics = bytecode_metrics();
@@ -1605,11 +1693,21 @@ impl Program {
         crate::plan::plan_metrics()
             .rows_evaluated_total
             .add(self.rows_total);
+        assert_eq!(values.len(), prologue.inputs, "one value per override name");
+        // The prologue runs in scratch registers past the program's.
         regs.clear();
         regs.extend_from_slice(&self.init);
-        self.seed_globals(resolved.iter().map(|(_, v)| *v), regs);
-        let run = self.exec(regs);
-        metrics.instrs_total.add(self.code.len() as u64);
+        regs.extend_from_slice(&prologue.init);
+        let (globals, image) = regs.split_at_mut(self.init.len());
+        image[..values.len()].copy_from_slice(values);
+        Program::exec(&prologue.code, image).expect("a prologue's code cannot trap");
+        for (reg, &out) in globals.iter_mut().zip(prologue.outputs.iter()) {
+            *reg = image[out as usize];
+        }
+        regs.truncate(self.init.len());
+        let run = Program::exec(&self.code, regs);
+        let instrs = prologue.code.len() + self.code.len();
+        metrics.instrs_total.add(instrs as u64);
         run.map_err(|hit| self.materialize(hit))
     }
 
@@ -1621,9 +1719,14 @@ impl Program {
     }
 
     /// Human-readable listing of the lowered program: register file
-    /// (named globals and constants pool), per-row code spans, and the
-    /// instruction stream — the debugging story for the engine.
-    pub(crate) fn disassemble(&self) -> String {
+    /// (named globals and constants pool), per-row code spans, the base
+    /// plan's `prologue` over the declared `globals` (or its error), and
+    /// the instruction stream — the debugging story for the engine.
+    pub(crate) fn disassemble(
+        &self,
+        prologue: Result<&Prologue, &EvaluateSheetError>,
+        globals: &[CompiledGlobal],
+    ) -> String {
         let mut out = String::new();
         let traps = self.code.iter().filter(|instr| instr.pure().is_none());
         let _ = writeln!(
@@ -1651,6 +1754,12 @@ impl Program {
                 row.power,
                 if rec.sub.is_some() { "(sub-sheet)" } else { "" },
             );
+        }
+        match prologue {
+            Ok(prologue) => prologue.list(&mut out, globals),
+            Err(err) => {
+                let _ = writeln!(out, "prologue: {err}");
+            }
         }
         let _ = writeln!(out, "code:");
         for (pc, instr) in self.code.iter().enumerate() {
@@ -1707,6 +1816,21 @@ impl Program {
             None
         }
     }
+}
+
+/// The forward pass of every dependency question asked of register
+/// code: marks, in order, each instruction of `code` that reads a
+/// register `reached` marks, and marks the register each one writes.
+fn reach(code: &[Instr], reached: &mut [bool]) -> Vec<bool> {
+    code.iter()
+        .map(|instr| {
+            let keep = instr.reads_any(reached);
+            if let Some(dst) = instr.dst().filter(|_| keep) {
+                reached[dst as usize] = true;
+            }
+            keep
+        })
+        .collect()
 }
 
 /// Whether every register is written by at most one instruction, and no

@@ -25,11 +25,14 @@
 //! undefined name can introduce edges into it), so every set of override
 //! names gets its own small [`OverridePlan`] (hoisted once per sweep);
 //! the expensive row plan never depends on overrides and is always
-//! reused. Rows always run as the sheet's register program (see
-//! [`crate::bytecode`]), which is also the only record of what depends
-//! on what: a sweep's [`BatchKernel`] runs just the slice of it that the
-//! sweep's changed globals reach. The scope-chain tree walker is kept
-//! only as the oracle behind [`CompiledSheet::play_with_tree`].
+//! reused. Production evaluates formulas only as register code (see
+//! [`crate::bytecode`]): each plan lowers its globals into a short
+//! prologue, and rows run as the sheet's register program. That code is
+//! also the only record of what depends on what: a sweep's
+//! [`BatchKernel`] runs its plan's prologue and just the slice of the
+//! program that the globals the prologue changes reach. The scope-chain
+//! tree walker is kept only as the oracle behind
+//! [`CompiledSheet::play_with_tree`].
 //!
 //! A plan snapshots the sheet and registry at compile time: recompile
 //! after editing rows, bindings, global *formulas*, or library
@@ -51,7 +54,9 @@ use powerplay_library::{LibraryElement, Registry};
 use powerplay_telemetry::{profile, Counter, Histogram};
 use powerplay_units::Power;
 
-use crate::bytecode::{bytecode_metrics, Fragment, Instr, Lanes, Program, TrapHit, WIDTH};
+use crate::bytecode::{
+    bytecode_metrics, Fragment, Instr, Lanes, Program, Prologue, TrapHit, WIDTH,
+};
 use crate::engine::{toposort, EvaluateSheetError};
 use crate::report::{RowReport, SheetReport};
 use crate::row::{Row, RowModel};
@@ -97,10 +102,6 @@ pub(crate) fn plan_metrics() -> &'static PlanMetrics {
 /// Process-unique plan identities, so an [`OverridePlan`] is only ever
 /// played against the sheet it was built for.
 static PLAN_IDS: AtomicU64 = AtomicU64::new(1);
-
-/// Resolved global values: the declared globals in declaration order,
-/// then the names an override plan appends.
-type Resolved = Vec<(String, f64)>;
 
 /// Per-thread scratch register file for bytecode replays, so repeated
 /// plays on one thread reuse a single allocation.
@@ -375,15 +376,16 @@ impl CompiledSheet {
         OverridePlan::new(self.id, uniq, &self.globals)
     }
 
-    /// Resolves globals through a precomputed [`OverridePlan`], setting
-    /// each into `globals_scope` as it goes.
+    /// The oracle's global resolution: tree-walks the globals through a
+    /// precomputed [`OverridePlan`], setting each into `globals_scope`
+    /// as it goes.
     fn eval_globals_with_plan(
         &self,
         globals_scope: &mut Scope<'_>,
         plan: &OverridePlan,
         inner: &OverridePlanInner,
         values: &[f64],
-    ) -> Result<Resolved, EvaluateSheetError> {
+    ) -> Result<Vec<(String, f64)>, EvaluateSheetError> {
         let node_count = self.globals.len() + inner.appended.len();
         let mut resolved: Vec<Option<(String, f64)>> = vec![None; node_count];
         for &k in &inner.order {
@@ -416,27 +418,21 @@ impl CompiledSheet {
     }
 
     /// Everything a play does before any row runs, in the engine's
-    /// error order: the global errors of `plan`, then the structural
-    /// error of the rows. Returns the resolved globals, the row plan and
-    /// the register program for `plan`'s names.
+    /// error order, for every point alike: the global errors of `plan`
+    /// (a cycle, then a formula's), then the structural error of the
+    /// rows. Returns `plan`'s prologue and the register program for its
+    /// names.
     fn prepare<'a>(
         &'a self,
         plan: &'a OverridePlan,
-        values: &[f64],
-    ) -> Result<(Resolved, &'a RowsPlan, &'a Arc<Program>), EvaluateSheetError> {
+    ) -> Result<(&'a Prologue, &'a Arc<Program>), EvaluateSheetError> {
         assert_eq!(
             plan.plan_id, self.id,
             "override plan built for a different compiled sheet"
         );
-        assert_eq!(
-            values.len(),
-            plan.names.len(),
-            "one value per planned override name"
-        );
-        let inner = plan.inner.as_ref().map_err(Clone::clone)?;
-        let resolved = self.eval_globals_with_plan(&mut Scope::new(), plan, inner, values)?;
+        let prologue = plan.prologue(self).as_ref().map_err(Clone::clone)?;
         let rows_plan = self.structure.as_ref().map_err(Clone::clone)?;
-        Ok((resolved, rows_plan, plan.program(self, rows_plan)))
+        Ok((prologue, plan.program(self, rows_plan)))
     }
 
     /// A full (non-incremental) play through a precomputed
@@ -455,8 +451,8 @@ impl CompiledSheet {
         metrics.plays_total.inc();
         let _timer = metrics.replay_seconds.start_timer();
         let _span = profile::span_lazy(|| format!("play {}", self.name));
-        let (resolved, _, prog) = self.prepare(plan, values)?;
-        with_scratch_regs(|regs| prog.replay_full(self.name.clone(), resolved, regs))
+        let (prologue, prog) = self.prepare(plan)?;
+        with_scratch_regs(|regs| prog.replay_full(self.name.clone(), prologue, values, regs))
     }
 }
 
@@ -478,12 +474,16 @@ fn dedup_overrides<'a>(overrides: &[(&'a str, f64)]) -> (Vec<&'a str>, Vec<f64>)
 }
 
 /// The override-name resolution and reshaped global plan shared by every
-/// point of a sweep — built once by [`CompiledSheet::override_plan`].
+/// point of a sweep — built once by [`CompiledSheet::override_plan`] —
+/// and, lowered on the first play through it, its globals' prologue.
 #[derive(Debug, Clone)]
 pub struct OverridePlan {
     plan_id: u64,
     names: Vec<String>,
     inner: Result<OverridePlanInner, EvaluateSheetError>,
+    /// The plan's globals as register code, lowered on first use (the
+    /// oracle never uses it), or the global error every play raises.
+    prologue: OnceLock<Result<Prologue, EvaluateSheetError>>,
     /// This plan's register program, linked on first use. A plan that
     /// appends no name leaves it empty, except the sheet's base plan,
     /// whose cell holds the program all such plans share (see
@@ -497,6 +497,7 @@ impl OverridePlan {
             plan_id,
             inner: build_override_inner(globals, &names),
             names,
+            prologue: OnceLock::new(),
             program: OnceLock::new(),
         }
     }
@@ -526,6 +527,16 @@ impl OverridePlan {
     /// `names` slots that append new globals (none when the plan errors).
     fn appended(&self) -> &[usize] {
         self.inner.as_ref().map_or(&[], |inner| &inner.appended)
+    }
+
+    /// The prologue plays through this plan run, lowered on first use:
+    /// `sheet`'s globals from the override values. Or the error every
+    /// such play raises first: a cycle, then the first failing formula.
+    fn prologue(&self, sheet: &CompiledSheet) -> &Result<Prologue, EvaluateSheetError> {
+        self.prologue.get_or_init(|| {
+            let inner = self.inner.as_ref().map_err(Clone::clone)?;
+            Prologue::lower(&sheet.globals, &self.names, inner)
+        })
     }
 
     /// The register program plays through this plan run. A plan that
@@ -561,13 +572,13 @@ impl OverridePlan {
 }
 
 #[derive(Debug, Clone)]
-struct OverridePlanInner {
+pub(crate) struct OverridePlanInner {
     /// Per compiled global: the `names` slot overriding it, if any.
-    global_slot: Vec<Option<usize>>,
+    pub(crate) global_slot: Vec<Option<usize>>,
     /// `names` slots that append new globals, in append order.
-    appended: Vec<usize>,
+    pub(crate) appended: Vec<usize>,
     /// Toposorted node order (nodes: globals, then appended).
-    order: Vec<usize>,
+    pub(crate) order: Vec<usize>,
 }
 
 /// Orders the globals under a set of override names — the one place the
@@ -639,36 +650,43 @@ fn build_override_inner(
 /// Built once per sweep by [`CompiledSheet::batch_kernel`], it starts
 /// from the un-overridden play's register image, which the plan plays
 /// once and keeps, and runs only the *slice* of the register
-/// program that the sweep's changed globals reach: the overridden
-/// globals and, to a fixpoint, every declared global whose formula reads
-/// one. The slice holds, in program order, every instruction that reads
-/// a changed global's register or a register a kept instruction writes.
-/// Without a usable baseline (the plan appends a name, or the
-/// un-overridden play fails) the slice is the whole program and lanes
-/// start from the program's initial register image.
+/// program that the sweep's changed globals reach: the globals its
+/// plan's prologue reaches from the override inputs. The slice holds, in
+/// program order, every instruction that reads a changed global's
+/// register or a register a kept instruction writes. Without a usable
+/// baseline (the plan appends a name, or the un-overridden play fails)
+/// the slice is the whole program, lanes start from the program's
+/// initial register image, and every global is written.
 ///
 /// The kernel owns one lane image for the whole sweep: a
 /// `[f64; WIDTH]` array per register, every lane holding the baseline's
 /// value when the kernel is built. Each [`BatchKernel::replay_chunk`]
-/// call resolves globals per lane with the scalar path (which owns
-/// override graph repair and global error precedence), writes only the
-/// lanes of the global registers, and runs the slice across all lanes
-/// at once. The program is SSA, so a register outside the slice is a
-/// function of constants and unchanged globals only and holds the
-/// baseline's value in every lane, and a register inside it is written
-/// in the same pass before any kept instruction reads it. Every
-/// top-level power register then holds the point's value and a lane's
-/// total is their fold.
+/// call writes each lane's override values into the prologue's own lane
+/// image, runs the whole prologue, writes the lanes of the changed
+/// global registers, and runs the slice across all lanes at once. The
+/// program is SSA, so a register outside the slice is a function of
+/// constants and unchanged globals only and holds the baseline's value
+/// in every lane, and a register inside it is written in the same pass
+/// before any kept instruction reads it. Every top-level power register
+/// then holds the point's value and a lane's total is their fold.
 ///
 /// Results are bit-for-bit `total_power` of
 /// [`CompiledSheet::play_with_plan`] per point, including which error
-/// surfaces first: a baseline play that succeeded ran every
-/// instruction, so the program holds no `Trap` and every check outside
-/// the slice read values that passed; the first check to fail in slice
-/// order is the first in program order.
+/// surfaces first. An error raised before any row runs (the plan's
+/// globals', then the rows' structure) depends on the override names
+/// alone, so every point answers it. Otherwise a baseline play that
+/// succeeded ran every instruction, so the program holds no `Trap` and
+/// every check outside the slice read values that passed; the first
+/// check to fail in slice order is the first in program order.
 pub struct BatchKernel<'a> {
-    plan: &'a CompiledSheet,
-    oplan: &'a OverridePlan,
+    /// The plan's prologue and program, or the error every point raises
+    /// before any row runs.
+    code: Result<(&'a Prologue, &'a Arc<Program>), EvaluateSheetError>,
+    /// The prologue's lane image; each chunk writes its points into the
+    /// input registers.
+    inputs: Vec<Lanes>,
+    /// The global registers each chunk writes from the prologue.
+    seeds: Vec<usize>,
     /// The instructions each chunk runs, in program order.
     slice: Vec<Instr>,
     /// Top-level rows whose code span holds a slice instruction, for
@@ -682,26 +700,21 @@ pub struct BatchKernel<'a> {
 
 impl CompiledSheet {
     /// Builds a batched sweep kernel for the override names in `plan`.
-    /// Every sweep batches: points that fail before any row runs
-    /// (globals, then structure) are answered per lane.
+    /// Every sweep batches: when the names fail before any row runs
+    /// (globals, then structure), every point answers that error.
     pub fn batch_kernel<'a>(&'a self, plan: &'a OverridePlan) -> BatchKernel<'a> {
-        assert_eq!(
-            plan.plan_id, self.id,
-            "override plan built for a different compiled sheet"
-        );
         let mut kernel = BatchKernel {
-            plan: self,
-            oplan: plan,
+            code: self.prepare(plan),
+            inputs: Vec::new(),
+            seeds: Vec::new(),
             slice: Vec::new(),
             rows: 0,
             lanes: Vec::new(),
         };
-        // Without rows every lane fails in `prepare`, and nothing runs.
-        let Ok(rows_plan) = &self.structure else {
-            return kernel;
+        let (prologue, prog) = match &kernel.code {
+            Ok(code) => *code,
+            Err(_) => return kernel,
         };
-        let prog = plan.program(self, rows_plan);
-
         // Baseline: the un-overridden play's register image, kept once
         // per plan, seeds the lanes. A plan that appends a name has
         // another register layout and no un-overridden value.
@@ -710,12 +723,15 @@ impl CompiledSheet {
         } else {
             None
         };
-        let (image, changed) = match (&plan.inner, baseline) {
-            (Ok(inner), Some(image)) => (image, Some(self.sweep_changed(plan, inner))),
-            _ => (prog.init(), None),
-        };
+        let reached = prologue.reached();
+        let changed = baseline.map(|_| &reached[..]);
+        kernel.inputs = prologue.init.iter().map(|&value| [value; WIDTH]).collect();
+        kernel.seeds = (0..reached.len())
+            .filter(|&g| baseline.is_none() || reached[g])
+            .collect();
+        let image = baseline.unwrap_or(prog.init());
         kernel.lanes = image.iter().map(|&value| [value; WIDTH]).collect();
-        (kernel.slice, kernel.rows) = prog.sweep_slice(changed.as_deref());
+        (kernel.slice, kernel.rows) = prog.sweep_slice(changed);
         kernel
     }
 
@@ -725,39 +741,13 @@ impl CompiledSheet {
     fn baseline(&self) -> Option<&[f64]> {
         self.baseline
             .get_or_init(|| {
-                let (resolved, _, prog) = self.prepare(&self.base, &[]).ok()?;
+                let (prologue, prog) = self.prepare(&self.base).ok()?;
                 with_scratch_regs(|regs| {
-                    prog.run_full(&resolved, regs).ok()?;
+                    prog.run_full(prologue, &[], regs).ok()?;
                     Some(regs.as_slice().into())
                 })
             })
             .as_deref()
-    }
-
-    /// The declared globals a sweep over `plan`'s names can change, one
-    /// flag per global register: the override names and, to a fixpoint,
-    /// every non-overridden global whose formula reads a changed name.
-    fn sweep_changed(&self, plan: &OverridePlan, inner: &OverridePlanInner) -> Vec<bool> {
-        let mut changed: BTreeSet<&str> = plan.names.iter().map(String::as_str).collect();
-        loop {
-            let mut grew = false;
-            for (i, g) in self.globals.iter().enumerate() {
-                if inner.global_slot[i].is_some() || changed.contains(&*g.name) {
-                    continue;
-                }
-                if g.free.iter().any(|v| changed.contains(v.as_str())) {
-                    changed.insert(&g.name);
-                    grew = true;
-                }
-            }
-            if !grew {
-                break;
-            }
-        }
-        self.globals
-            .iter()
-            .map(|g| changed.contains(&*g.name))
-            .collect()
     }
 }
 
@@ -768,11 +758,11 @@ impl BatchKernel<'_> {
 
     /// Plays one point per element of `points` (each a values slice
     /// aligned with the kernel's override-plan names, at most
-    /// [`BatchKernel::WIDTH`] of them), running the kernel's slice
-    /// across all lanes in one dispatch pass over its lane image, and
-    /// answers each point's total power or error. A short chunk fills
-    /// its spare lanes with its last live lane, whose results they
-    /// repeat and which nobody reads.
+    /// [`BatchKernel::WIDTH`] of them), running the kernel's prologue and
+    /// slice across all lanes in one dispatch pass each over their lane
+    /// images, and answers each point's total power or error. A short
+    /// chunk fills its spare lanes with its last point, whose results
+    /// they repeat and which nobody reads.
     ///
     /// # Panics
     ///
@@ -781,56 +771,41 @@ impl BatchKernel<'_> {
         &mut self,
         points: &[P],
     ) -> Vec<Result<Power, EvaluateSheetError>> {
-        assert!(
-            points.len() <= WIDTH,
-            "a chunk holds at most {WIDTH} points"
-        );
+        let m = points.len();
+        assert!(m <= WIDTH, "a chunk holds at most {WIDTH} points");
+        let (prologue, prog) = match &self.code {
+            Ok(code) if m > 0 => *code,
+            Ok(_) => return Vec::new(),
+            Err(err) => return vec![Err(err.clone()); m],
+        };
         let metrics = plan_metrics();
-        let mut out: Vec<Option<Result<Power, EvaluateSheetError>>> = vec![None; points.len()];
+        metrics.plays_total.add(m as u64);
+        metrics.rows_evaluated_total.add(self.rows * m as u64);
+        bytecode_metrics().batch_width.observe_value(m as u64);
 
-        // Scalar global resolution and structure check per lane; a point
-        // that errors there is answered immediately and gets no lane.
-        let mut live: Vec<(usize, Resolved)> = Vec::with_capacity(points.len());
-        let mut prog = None;
-        for (idx, point) in points.iter().enumerate() {
-            match self.plan.prepare(self.oplan, point.as_ref()) {
-                Ok((resolved, _, p)) => {
-                    prog = Some(p);
-                    live.push((idx, resolved));
-                }
-                Err(err) => out[idx] = Some(Err(err)),
+        // Each lane's override values into the prologue's inputs (spare
+        // lanes repeat the last point), then the changed globals.
+        for l in 0..WIDTH {
+            let point = points[l.min(m - 1)].as_ref();
+            assert_eq!(point.len(), prologue.inputs, "one value per override name");
+            for (input, &value) in self.inputs.iter_mut().zip(point) {
+                input[l] = value;
             }
         }
-
-        if let Some(prog) = prog {
-            let m = live.len();
-            metrics.plays_total.add(m as u64);
-            metrics.rows_evaluated_total.add(self.rows * m as u64);
-            bytecode_metrics().batch_width.observe_value(m as u64);
-
-            // Each lane's own global values; spare lanes repeat the
-            // last live lane.
-            for l in 0..WIDTH {
-                let (_, resolved) = &live[l.min(m - 1)];
-                prog.seed_lane_globals(l, resolved.iter().map(|(_, v)| *v), &mut self.lanes);
-            }
-
-            let mut errs: [Option<TrapHit>; WIDTH] = [None; WIDTH];
-            Program::exec_batch(&self.slice, &mut self.lanes, &mut errs);
-            bytecode_metrics()
-                .instrs_total
-                .add((self.slice.len() * m) as u64);
-
-            for (l, (idx, _)) in live.into_iter().enumerate() {
-                out[idx] = Some(match errs[l] {
-                    Some(hit) => Err(prog.materialize(hit)),
-                    None => Ok(prog.total_power(|slot| self.lanes[slot as usize][l])),
-                });
-            }
+        let mut errs: [Option<TrapHit>; WIDTH] = [None; WIDTH];
+        Program::exec_batch(&prologue.code, &mut self.inputs, &mut errs);
+        for &g in &self.seeds {
+            self.lanes[g] = self.inputs[prologue.outputs[g] as usize];
         }
+        Program::exec_batch(&self.slice, &mut self.lanes, &mut errs);
+        let instrs = prologue.code.len() + self.slice.len();
+        bytecode_metrics().instrs_total.add((instrs * m) as u64);
 
-        out.into_iter()
-            .map(|o| o.expect("every lane answered"))
+        (0..m)
+            .map(|l| match errs[l] {
+                Some(hit) => Err(prog.materialize(hit)),
+                None => Ok(prog.total_power(|slot| self.lanes[slot as usize][l])),
+            })
             .collect()
     }
 }
@@ -1307,12 +1282,13 @@ impl CompiledSheet {
     }
 
     /// Human-readable listing of the lowered bytecode program: register
-    /// file with slot names, constants pool, per-row code spans, and the
-    /// instruction stream. Returns a one-line notice when the sheet has
-    /// no program (top-level structural error).
+    /// file with slot names, constants pool, per-row code spans, the
+    /// globals' prologue (each global's formula and the register holding
+    /// its value), and the instruction stream. Returns a one-line notice
+    /// when the sheet has no program (top-level structural error).
     pub fn disassemble(&self) -> String {
         match self.base_program() {
-            Some(program) => program.disassemble(),
+            Some(program) => program.disassemble(self.base.prologue(self).as_ref(), &self.globals),
             None => "no bytecode program: top-level structure failed to compile\n".to_owned(),
         }
     }
@@ -1365,5 +1341,68 @@ mod tests {
         assert!(total(-1.0).is_err());
         assert_eq!(kernel.replay_chunk(&[[-1.0]]), vec![total(-1.0)]);
         assert_eq!(kernel.replay_chunk(&[[0.8]]), vec![total(0.8)]);
+    }
+
+    #[test]
+    fn a_prologue_reaches_the_globals_derived_from_its_inputs() {
+        let sheet = derived_globals_sheet();
+        let plan = CompiledSheet::compile(&sheet, &ucb_library());
+        let reached = |names: &[&str]| {
+            let prologue = plan.override_plan(names).prologue(&plan).clone();
+            prologue.map(|prologue| (prologue.reached(), prologue.code.len()))
+        };
+        // Globals: vdd, f, f_rf = f / 4, v_io = vdd.
+        assert_eq!(reached(&[]), Ok((vec![false; 4], 0)));
+        assert_eq!(reached(&["f"]), Ok((vec![false, true, true, false], 1)));
+        assert_eq!(reached(&["vdd"]), Ok((vec![true, false, false, true], 0)));
+        // Overriding `f_rf` cuts it off from `f`; an appended name reaches
+        // no declared global.
+        assert_eq!(
+            reached(&["f_rf", "f"]),
+            Ok((vec![false, true, true, false], 0))
+        );
+        let appended = vec![false, false, false, false, true];
+        assert_eq!(reached(&["x_new"]), Ok((appended, 0)));
+    }
+
+    /// `vdd` and `f` literals, the derived `f_rf = f / 4` and the alias
+    /// `v_io = vdd`, read by one register row.
+    fn derived_globals_sheet() -> Sheet {
+        let mut sheet = Sheet::new("derived");
+        for (global, formula) in [
+            ("vdd", "1.5"),
+            ("f", "2MHz"),
+            ("f_rf", "f / 4"),
+            ("v_io", "vdd"),
+        ] {
+            sheet.set_global(global, formula).unwrap();
+        }
+        sheet
+            .add_element_row("Reg", "ucb/register", [("f", "f_rf"), ("vdd", "v_io")])
+            .unwrap();
+        sheet
+    }
+
+    #[test]
+    fn the_listing_shows_the_prologue_before_the_code() {
+        let plan = CompiledSheet::compile(&derived_globals_sheet(), &ucb_library());
+        let listing = plan.disassemble();
+        let prologue: Vec<&str> = listing
+            .lines()
+            .skip_while(|line| !line.starts_with("prologue:"))
+            .take_while(|line| *line != "code:")
+            .collect();
+        // Without overrides every global folds to a constant: a literal
+        // is one, `f_rf` folds, and the alias shares `vdd`'s register.
+        assert_eq!(
+            prologue,
+            [
+                "prologue: 0 instrs, 4 regs",
+                "  vdd              = 1.5                      r0=1.5",
+                "  f                = 2000000                  r1=2000000",
+                "  f_rf             = (f / 4)                  r3=500000",
+                "  v_io             = vdd                      r0=1.5",
+            ]
+        );
     }
 }

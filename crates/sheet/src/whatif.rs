@@ -405,19 +405,25 @@ pub fn monte_carlo(
         .collect();
     let names: Vec<&str> = present.iter().map(|(name, _)| *name).collect();
     let override_plan = plan.override_plan(&names);
+    // A name listed twice draws twice and its later value wins, as in
+    // `play_with`: each draw lands in its name's slot of the plan.
+    let slots: Vec<usize> = names
+        .iter()
+        .map(|name| override_plan.names().iter().position(|n| n == name))
+        .map(|slot| slot.expect("the plan lists every present name"))
+        .collect();
     // Draw every trial's perturbations first, then evaluate them in
     // chunks: the RNG stream (and so the sampled distribution for a
     // given seed) is independent of the chunking.
     let mut rng = StdRng::seed_from_u64(seed);
     let trial_values: Vec<Vec<f64>> = (0..trials)
         .map(|_| {
-            present
-                .iter()
-                .map(|(_, value)| {
-                    let factor: f64 = rng.gen_range(1.0 - rel..1.0 + rel);
-                    value * factor
-                })
-                .collect()
+            let mut point = vec![0.0; override_plan.names().len()];
+            for ((_, value), &slot) in present.iter().zip(&slots) {
+                let factor: f64 = rng.gen_range(1.0 - rel..1.0 + rel);
+                point[slot] = value * factor;
+            }
+            point
         })
         .collect();
     let mut samples: Vec<f64> =

@@ -331,7 +331,7 @@ proptest! {
     #[test]
     fn batched_sweep_matches_tree_walker_per_point(
         sheet in arb_sheet(),
-        defect in 0u32..10,
+        defect in 0u32..14,
         name in prop_oneof![
             Just("vdd".to_owned()),
             Just("f".to_owned()),
@@ -394,7 +394,8 @@ proptest! {
 }
 
 /// `sheet` with one injected defect (0: none): every class the parity
-/// tests above inject, global, structural and value-level.
+/// tests above inject, global, structural and value-level, a derived
+/// global, and globals that fail on a name.
 fn with_defect(sheet: Sheet, defect: u32) -> Sheet {
     let mut broken = sheet;
     match defect {
@@ -443,6 +444,28 @@ fn with_defect(sheet: Sheet, defect: u32) -> Sheet {
             broken
                 .add_element_row("Bad Wire", "ucb/wire", [("length_mm", "-5")])
                 .unwrap();
+        }
+        9 => {
+            broken.set_global("k", "min(4)").unwrap();
+        }
+        10 => {
+            // A derived global: a sweep of `f` changes it through the
+            // prologue's code.
+            broken.set_global("f_rf", "f / 4").unwrap();
+            broken
+                .add_element_row("Derived", "ucb/register", [("f", "f_rf")])
+                .unwrap();
+        }
+        11 => {
+            // A global that reads a missing name; the `ghost` sweep
+            // appends it and resolves the global.
+            broken.set_global("g", "ghost * 2").unwrap();
+            broken
+                .add_element_row("Reads G", "ucb/register", [("bits", "g")])
+                .unwrap();
+        }
+        12 => {
+            broken.set_global("h", "mystery(2)").unwrap();
         }
         _ => {
             let mut inner = Sheet::new("inner");

@@ -340,7 +340,8 @@ fn assert_monte_carlo_matches_the_tree_walker(
 
 #[test]
 fn monte_carlo_matches_the_tree_walker_per_trial() {
-    let globals = ["vdd", "f", "radio_duty", "absent"];
+    // `vdd` listed twice draws twice, and its later draw wins.
+    let globals = ["vdd", "f", "radio_duty", "absent", "vdd"];
     for name in DESIGNS {
         assert_monte_carlo_matches_the_tree_walker(&load_sheet(name), &ucb_library(), &globals);
     }
@@ -426,6 +427,47 @@ fn sensitivities_and_min_vdd_reach_rows_that_read_vdd_only_through_the_template(
         report_bits(plan.play_with_tree(&[("vdd", vdd.value())])),
         "at vdd = {vdd}"
     );
+}
+
+/// `vdd` = 1.5 and `f` = 2 MHz, the derived `f_rf = f / 4` bound as a
+/// register's `f`, and the alias `v_io = vdd` bound as a multiplier's
+/// `vdd`: rows that read a swept global only through another global.
+fn derived_globals_sheet() -> Sheet {
+    let mut sheet = Sheet::new("derived");
+    for (global, formula) in [
+        ("vdd", "1.5"),
+        ("f", "2MHz"),
+        ("f_rf", "f / 4"),
+        ("v_io", "vdd"),
+    ] {
+        sheet.set_global(global, formula).unwrap();
+    }
+    sheet
+        .add_element_row("Reg", "ucb/register", [("f", "f_rf")])
+        .unwrap();
+    sheet
+        .add_element_row("IO", "ucb/multiplier", [("vdd", "v_io")])
+        .unwrap();
+    sheet
+}
+
+#[test]
+fn studies_reach_rows_through_derived_globals() {
+    let sheet = derived_globals_sheet();
+    let registry = ucb_library();
+    let plan = CompiledSheet::compile(&sheet, &registry);
+    for (global, values) in [("f", [1e6, 2e6, 4e6, 8e6]), ("vdd", [1.0, 1.5, 2.5, 3.3])] {
+        let curve = whatif::sweep_compiled(&plan, global, &values).unwrap();
+        for (value, total) in curve {
+            assert_eq!(
+                Ok(bits(total)),
+                total_bits(plan.play_with_tree(&[(global, value)])),
+                "{global} = {value}"
+            );
+        }
+    }
+    assert_monte_carlo_matches_the_tree_walker(&sheet, &registry, &["vdd", "f"]);
+    assert_eq!(sensitivity_bits(&plan), tree_sensitivities(&plan));
 }
 
 #[test]
