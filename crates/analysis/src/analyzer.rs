@@ -1,26 +1,28 @@
-//! The abstract interpreter over compiled plans.
+//! The interval analyzer: a back end of the engine's lowering walk.
 //!
-//! [`analyze`] walks a [`CompiledSheet`] in exactly the order a
-//! concrete play would — globals in dependency order, then rows in the
-//! compiled toposort, publishing `P_<ident>`/`A_<ident>` into a power
-//! layer — but carries an [`AbsValue`] (interval + per-input
-//! monotonicity) through every formula instead of an `f64`. The result
-//! is a [`SheetBounds`]: proven per-row and total power intervals,
-//! reachability diagnostics, and the list of inputs power is provably
-//! monotone in.
+//! [`analyze`] runs [`CompiledSheet::walk`], the walk that lowers a
+//! sheet into register code, with an abstract back end: where the
+//! register back end folds, numbers and emits an instruction, this one
+//! computes an [`AbsValue`] (interval + per-input monotonicity). Global
+//! inheritance, row order, `P_<ident>`/`A_<ident>` publication, the EQ 1
+//! template and its `vdd`/`f` traps are the walk's, so the analysis
+//! follows the play's semantics by construction. This module keeps only
+//! the transfer functions, the diagnostics, the input set and the
+//! assembly of a [`SheetBounds`]: proven per-row and total power
+//! intervals, reachability diagnostics, and the list of inputs power is
+//! provably monotone in.
 //!
 //! Soundness contract: for any concrete play of the same plan whose
 //! (overridden) inputs lie inside the declared ranges, every reported
 //! value lies inside the corresponding interval. The property tests in
 //! `tests/soundness.rs` check exactly that against random sheets.
 
-use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, OnceLock};
 
-use powerplay_expr::{BinaryOp, Builtin, EvalError, Expr, UnaryOp};
-use powerplay_library::{ElementModel, EvaluateElementError, LibraryElement};
+use powerplay_expr::{BinaryOp, Builtin, Expr};
 use powerplay_lint::{codes, convention_dim, infer_dims, Diagnostic, DimInfo, LintReport};
-use powerplay_sheet::{CompiledSheet, EvaluateSheetError, RowKindView, RowView, SUM_IDENTITY};
+use powerplay_sheet::{Backend, CompiledSheet, EvaluateSheetError, Formula, Pure, SUM_IDENTITY};
 use powerplay_telemetry::{Counter, Histogram};
 
 use crate::bounds::{Direction, InputBound, MonotoneInput, RowBounds, SheetBounds};
@@ -70,174 +72,274 @@ pub(crate) fn analysis_metrics() -> &'static AnalysisMetrics {
     })
 }
 
-/// A lexically-layered abstract environment mirroring the engine's
-/// `Scope` chain.
-struct Env<'p> {
-    parent: Option<&'p Env<'p>>,
-    vars: BTreeMap<String, AbsValue>,
-}
-
-impl<'p> Env<'p> {
-    fn root() -> Env<'static> {
-        Env {
-            parent: None,
-            vars: BTreeMap::new(),
-        }
-    }
-
-    fn child(&self) -> Env<'_> {
-        Env {
-            parent: Some(self),
-            vars: BTreeMap::new(),
-        }
-    }
-
-    fn get(&self, name: &str) -> Option<&AbsValue> {
-        match self.vars.get(name) {
-            Some(v) => Some(v),
-            None => self.parent.and_then(|p| p.get(name)),
-        }
-    }
-
-    fn set(&mut self, name: &str, val: AbsValue) {
-        self.vars.insert(name.to_string(), val);
-    }
-}
-
-/// Where diagnostics from the current walk land. `enabled` is dropped
-/// inside provably dead branches: their computations can't reach the
-/// result, so warnings there would be noise.
-struct Sink<'a> {
-    report: &'a mut LintReport,
-    enabled: bool,
-    /// Set when any formula can fail a concrete evaluation (bad value,
+/// The abstract back end of the lowering walk: a handle indexes
+/// `values`.
+struct Abstract {
+    values: Vec<AbsValue>,
+    ninputs: usize,
+    /// Constant dedup: f64 bit pattern → handle. Every value carries a
+    /// monotonicity vector as long as the input set; sharing repeated
+    /// literals, and keeping the handle of a value `check` leaves as it
+    /// is, saves allocating one per literal and per passing check, a
+    /// measurable share of an analysis.
+    konsts: HashMap<u64, u32>,
+    /// The handle each override name is bound to.
+    overrides: Vec<(String, u32)>,
+    /// Per declared top-level global: the tracked input a constant
+    /// formula binds to.
+    tracked: Vec<Option<u32>>,
+    report: LintReport,
+    /// The path of the formula being lowered, as diagnostics print it.
+    path: String,
+    /// Whether diagnostics are pushed: not inside a provably dead `if`
+    /// arm, whose computations cannot reach the result.
+    live: bool,
+    /// `live` outside each open arm.
+    arms: Vec<bool>,
+    /// Set when some valuation in range can fail a play (bad value,
     /// missing operating point on a reachable path, …).
-    may_fail: &'a mut bool,
+    may_fail: bool,
 }
 
-impl Sink<'_> {
-    fn push(&mut self, d: Diagnostic) {
-        if self.enabled {
+impl Abstract {
+    fn push(&mut self, value: AbsValue) -> u32 {
+        self.values.push(value);
+        (self.values.len() - 1) as u32
+    }
+
+    fn val(&self, handle: u32) -> &AbsValue {
+        &self.values[handle as usize]
+    }
+
+    fn diagnose(&mut self, d: Diagnostic) {
+        if self.live {
             self.report.push(d);
         }
     }
-}
 
-/// Abstract evaluation of one expression. Mirrors `Expr::eval`
-/// case-for-case; an `Err` here means a concrete evaluation fails for
-/// *every* valuation (unknown variable/function/arity are
-/// value-independent).
-fn abs_eval(
-    expr: &Expr,
-    env: &Env<'_>,
-    ninputs: usize,
-    path: &str,
-    sink: &mut Sink<'_>,
-) -> Result<AbsValue, EvalError> {
-    match expr {
-        Expr::Number(v) => Ok(AbsValue::constant(Interval::point(*v), ninputs)),
-        Expr::Variable(name) => match env.get(name) {
-            Some(v) => Ok(v.clone()),
-            None => Err(EvalError::UnknownVariable(name.clone())),
-        },
-        Expr::Unary(UnaryOp::Neg, inner) => {
-            let v = abs_eval(inner, env, ninputs, path, sink)?;
-            Ok(AbsValue {
-                iv: interval::neg(v.iv),
-                mono: v.mono.iter().map(|m| m.flip()).collect(),
-            })
-        }
-        Expr::Binary(op, lhs, rhs) => {
-            let a = abs_eval(lhs, env, ninputs, path, sink)?;
-            let b = abs_eval(rhs, env, ninputs, path, sink)?;
-            if *op == BinaryOp::Div && !b.iv.is_bottom() && b.iv.contains_zero() {
-                sink.push(
-                    Diagnostic::warning(
-                        codes::POSSIBLE_DIV_ZERO,
-                        path,
-                        format!(
-                            "denominator of `{}` can be zero (range [{}, {}])",
-                            rhs, b.iv.lo, b.iv.hi
-                        ),
-                    )
-                    .with_suggestion("guard the denominator or tighten the input range"),
-                );
-            }
-            Ok(apply_binary_abs(*op, &a, &b))
-        }
-        Expr::Call(name, args) => {
-            let Some(builtin) = Builtin::lookup(name) else {
-                return Err(EvalError::UnknownFunction(name.clone()));
+    /// `if(c, t, e)` over abstract values: only reachable arms
+    /// contribute. `node` is the `if` call, when there is one, and gets
+    /// W116 when one arm is dead.
+    fn select(&mut self, c: u32, t: u32, e: u32, node: Option<&Expr>) -> u32 {
+        let (can_then, can_else) = interval::condition_outcomes(self.val(c).iv);
+        if can_then != can_else && node.is_some() {
+            let (truth, dead) = if can_then {
+                ("true", "else")
+            } else {
+                ("false", "then")
             };
-            let expected = builtin.arity();
-            if args.len() != expected {
-                return Err(EvalError::WrongArity {
-                    function: name.clone(),
-                    expected,
-                    found: args.len(),
-                });
+            self.diagnose(
+                Diagnostic::warning(
+                    codes::DEAD_BRANCH,
+                    &self.path,
+                    format!("`if` condition is provably {truth}: the {dead} branch is unreachable"),
+                )
+                .with_suggestion("replace the `if` with the live branch"),
+            );
+        }
+        match (can_then, can_else) {
+            (true, false) => t,
+            (false, true) => e,
+            (false, false) => self.push(AbsValue::constant(Interval::BOTTOM, self.ninputs)),
+            (true, true) => {
+                let (c, t, e) = (self.val(c), self.val(t), self.val(e));
+                let mono = (t.mono.iter().zip(&e.mono).enumerate())
+                    .map(|(k, (mt, me))| mono::if_branches(c.mono[k], true, true, *mt, *me))
+                    .collect();
+                let iv = t.iv.union(e.iv);
+                self.push(AbsValue { iv, mono })
             }
-            if builtin == Builtin::If {
-                return abs_if(args, env, ninputs, path, sink);
-            }
-            let vals: Vec<AbsValue> = args
-                .iter()
-                .map(|a| abs_eval(a, env, ninputs, path, sink))
-                .collect::<Result<_, _>>()?;
-            Ok(apply_function_abs(builtin, &vals, path, sink))
         }
     }
 }
 
-/// `if(c, t, e)`: the concrete evaluator computes *all three*
-/// arguments eagerly and then selects, so both branches must still be
-/// walked for value-independent errors — but only reachable branches
-/// contribute values or diagnostics.
-fn abs_if(
-    args: &[Expr],
-    env: &Env<'_>,
-    ninputs: usize,
-    path: &str,
-    sink: &mut Sink<'_>,
-) -> Result<AbsValue, EvalError> {
-    let c = abs_eval(&args[0], env, ninputs, path, sink)?;
-    let (can_then, can_else) = interval::condition_outcomes(c.iv);
-    let was_enabled = sink.enabled;
-
-    sink.enabled = was_enabled && can_then;
-    let t = abs_eval(&args[1], env, ninputs, path, sink);
-    sink.enabled = was_enabled && can_else;
-    let e = abs_eval(&args[2], env, ninputs, path, sink);
-    sink.enabled = was_enabled;
-    let (t, e) = (t?, e?);
-
-    match (can_then, can_else) {
-        (true, false) | (false, true) => {
-            let (dead, live) = if can_then { ("else", t) } else { ("then", e) };
-            sink.push(
-                Diagnostic::warning(
-                    codes::DEAD_BRANCH,
-                    path,
-                    format!(
-                        "`if` condition is provably {}: the {dead} branch is unreachable",
-                        if can_then { "true" } else { "false" }
-                    ),
-                )
-                .with_suggestion("replace the `if` with the live branch"),
-            );
-            Ok(live)
+impl Backend for Abstract {
+    fn konst(&mut self, value: f64) -> u32 {
+        if let Some(&handle) = self.konsts.get(&value.to_bits()) {
+            return handle;
         }
-        (false, false) => Ok(AbsValue::constant(Interval::BOTTOM, ninputs)),
-        (true, true) => Ok(AbsValue {
-            iv: t.iv.union(e.iv),
-            mono: t
-                .mono
-                .iter()
-                .zip(&e.mono)
-                .enumerate()
-                .map(|(k, (mt, me))| mono::if_branches(c.mono[k], true, true, *mt, *me))
-                .collect(),
-        }),
+        let handle = self.push(AbsValue::constant(Interval::point(value), self.ninputs));
+        self.konsts.insert(value.to_bits(), handle);
+        handle
+    }
+
+    fn input(&mut self, name: &str) -> Option<u32> {
+        let bound = self.overrides.iter().find(|(n, _)| n == name);
+        bound.map(|&(_, handle)| handle)
+    }
+
+    fn pure(&mut self, op: Pure, node: Option<&Expr>) -> u32 {
+        let value = match op {
+            Pure::Neg(a) => {
+                let a = self.val(a);
+                AbsValue {
+                    iv: interval::neg(a.iv),
+                    mono: a.mono.iter().map(|m| m.flip()).collect(),
+                }
+            }
+            Pure::Bin(op, a, b) => {
+                let b_iv = self.val(b).iv;
+                if let (BinaryOp::Div, Some(Expr::Binary(_, _, rhs))) = (op, node) {
+                    if !b_iv.is_bottom() && b_iv.contains_zero() {
+                        self.diagnose(
+                            Diagnostic::warning(
+                                codes::POSSIBLE_DIV_ZERO,
+                                &self.path,
+                                format!(
+                                    "denominator of `{rhs}` can be zero (range [{}, {}])",
+                                    b_iv.lo, b_iv.hi
+                                ),
+                            )
+                            .with_suggestion("guard the denominator or tighten the input range"),
+                        );
+                    }
+                }
+                apply_binary_abs(op, self.val(a), self.val(b))
+            }
+            Pure::Call1(f, a) => {
+                let out = apply_function_abs(f, self.val(a), self.val(a));
+                let arg = self.val(a).iv;
+                let domain = matches!(
+                    f,
+                    Builtin::Sqrt | Builtin::Ln | Builtin::Log10 | Builtin::Log2
+                );
+                if domain && out.iv.nan && !arg.nan {
+                    self.diagnose(
+                        Diagnostic::warning(
+                            codes::NAN_REACHABLE,
+                            &self.path,
+                            format!(
+                                "`{}` argument can be negative (range [{}, {}]): NaN is reachable",
+                                f.name(),
+                                arg.lo,
+                                arg.hi
+                            ),
+                        )
+                        .with_suggestion("clamp the argument or tighten the input range"),
+                    );
+                }
+                out
+            }
+            Pure::Call2(f, a, b) => apply_function_abs(f, self.val(a), self.val(b)),
+            Pure::Sel(c, t, e) => return self.select(c, t, e, node),
+        };
+        self.push(value)
+    }
+
+    /// The engine's finite-and-nonnegative success filter: diagnostics
+    /// describe the *raw* reachable set, the returned value is
+    /// conditioned on success (the only evaluations that continue).
+    fn check(&mut self, value: u32, _: &[Arc<str>], _: &Arc<str>, formula: &'static str) -> u32 {
+        let iv = self.val(value).iv;
+        let numeric_ok = !iv.is_numeric_empty() && iv.lo <= f64::MAX && iv.hi >= 0.0;
+        if !numeric_ok {
+            // Every reachable value fails the `finite && >= 0` check: the
+            // row provably cannot evaluate.
+            self.may_fail = true;
+            let (code, what) = if iv.is_numeric_empty() && iv.nan {
+                (codes::PROVABLY_NAN_VALUE, "is always NaN".to_string())
+            } else if iv.hi < 0.0 {
+                (
+                    codes::PROVABLY_NEGATIVE_VALUE,
+                    format!("is provably negative (range [{}, {}])", iv.lo, iv.hi),
+                )
+            } else {
+                (
+                    codes::PROVABLY_NEGATIVE_VALUE,
+                    "is provably non-finite".to_string(),
+                )
+            };
+            self.diagnose(
+                Diagnostic::error(
+                    code,
+                    &self.path,
+                    format!("`{formula}` {what}: every play fails"),
+                )
+                .with_suggestion("fix the formula or the input ranges it reads"),
+            );
+            return self.push(AbsValue::constant(Interval::BOTTOM, self.ninputs));
+        }
+        if iv.nan {
+            self.may_fail = true;
+            self.diagnose(
+                Diagnostic::warning(
+                    codes::NAN_REACHABLE,
+                    &self.path,
+                    format!("`{formula}` can evaluate to NaN: those plays fail"),
+                )
+                .with_suggestion("guard divisions and domain edges in the formula"),
+            );
+        }
+        if iv.lo < 0.0 || iv.hi > f64::MAX {
+            // Some (but not all) valuations produce a rejected value.
+            self.may_fail = true;
+        }
+        let clamped = iv.clamp_numeric(0.0, f64::MAX);
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+        if !iv.nan && same(clamped.lo, iv.lo) && same(clamped.hi, iv.hi) {
+            return value;
+        }
+        let mono = self.val(value).mono.clone();
+        self.push(AbsValue { iv: clamped, mono })
+    }
+
+    /// Fails the walk when the trap is certain: the condition is
+    /// provably nonzero.
+    fn trap_if(&mut self, cond: u32, _: &EvaluateSheetError) -> bool {
+        let (can_trap, can_pass) = interval::condition_outcomes(self.val(cond).iv);
+        self.may_fail |= can_trap;
+        can_pass || !can_trap
+    }
+
+    fn trap(&mut self, _: &EvaluateSheetError) {}
+
+    fn formula(&mut self, nest: &[Arc<str>], formula: Formula<'_>) {
+        let path = &mut self.path;
+        path.clear();
+        for row in nest {
+            path.extend(["rows/", row, "/"]);
+        }
+        match formula {
+            Formula::Global(name) => path.extend(["globals/", name]),
+            Formula::Binding { row, param } => path.extend(["rows/", row, "/params/", param]),
+            Formula::Model { row, formula } => path.extend(["rows/", row, "/model/", formula]),
+        }
+    }
+
+    fn enter_arm(&mut self, cond: u32, then: bool) {
+        let (can_then, can_else) = interval::condition_outcomes(self.val(cond).iv);
+        self.arms.push(self.live);
+        self.live &= if then { can_then } else { can_else };
+    }
+
+    fn exit_arm(&mut self) {
+        self.live = self.arms.pop().expect("an arm is open");
+    }
+
+    /// A constant-formula global is a tracked input: the play still
+    /// evaluates its formula, whose diagnostics stand, but its value is
+    /// the input's.
+    fn global(&mut self, index: usize, value: u32) -> u32 {
+        self.tracked[index].unwrap_or(value)
+    }
+
+    fn row(&mut self, nest: &[Arc<str>], name: &str, power: u32) {
+        if self.val(power).iv != Interval::point(0.0) {
+            return;
+        }
+        let mut path = String::new();
+        for row in nest {
+            path.extend(["rows/", row, "/"]);
+        }
+        path.extend(["rows/", name, "/power"]);
+        self.diagnose(
+            Diagnostic::warning(
+                codes::DEAD_ROW,
+                path,
+                "row power is provably zero over the analyzed ranges",
+            )
+            .with_suggestion("remove the row or check its bindings"),
+        );
     }
 }
 
@@ -302,524 +404,41 @@ fn cmp_abs(op: CompareOp, a: &AbsValue, b: &AbsValue) -> AbsValue {
     }
 }
 
-/// The abstract counterpart of `apply_function` (sans `if`, handled in
-/// [`abs_if`]).
-fn apply_function_abs(
-    builtin: Builtin,
-    vals: &[AbsValue],
-    path: &str,
-    sink: &mut Sink<'_>,
-) -> AbsValue {
-    let unary = |iv: fn(Interval) -> Interval, m: &dyn Fn(Mono, &Interval) -> Mono| {
-        let a = &vals[0];
-        AbsValue {
-            iv: iv(a.iv),
-            mono: a.mono.iter().map(|x| m(*x, &a.iv)).collect(),
-        }
+/// The abstract counterpart of `apply_function` (sans `if`, which is
+/// [`Pure::Sel`]); a one-argument builtin ignores `b`.
+fn apply_function_abs(builtin: Builtin, a: &AbsValue, b: &AbsValue) -> AbsValue {
+    let unary = |iv: fn(Interval) -> Interval, m: &dyn Fn(Mono, &Interval) -> Mono| AbsValue {
+        iv: iv(a.iv),
+        mono: a.mono.iter().map(|x| m(*x, &a.iv)).collect(),
     };
     match builtin {
         Builtin::Abs => unary(interval::abs, &mono::abs),
-        Builtin::Sqrt => {
-            let out = unary(interval::sqrt, &mono::increasing_on_nonneg);
-            nan_domain_warning(out.iv, vals[0].iv, builtin.name(), path, sink);
-            out
-        }
+        Builtin::Sqrt => unary(interval::sqrt, &mono::increasing_on_nonneg),
         Builtin::Exp => unary(interval::exp, &|m, _| mono::increasing(m)),
-        Builtin::Ln => {
-            let out = unary(interval::ln, &mono::increasing_on_nonneg);
-            nan_domain_warning(out.iv, vals[0].iv, builtin.name(), path, sink);
-            out
-        }
-        Builtin::Log10 => {
-            let out = unary(interval::log10, &mono::increasing_on_nonneg);
-            nan_domain_warning(out.iv, vals[0].iv, builtin.name(), path, sink);
-            out
-        }
-        Builtin::Log2 => {
-            let out = unary(interval::log2, &mono::increasing_on_nonneg);
-            nan_domain_warning(out.iv, vals[0].iv, builtin.name(), path, sink);
-            out
-        }
+        Builtin::Ln => unary(interval::ln, &mono::increasing_on_nonneg),
+        Builtin::Log10 => unary(interval::log10, &mono::increasing_on_nonneg),
+        Builtin::Log2 => unary(interval::log2, &mono::increasing_on_nonneg),
         Builtin::Floor => unary(interval::floor, &|m, _| mono::increasing(m)),
         Builtin::Ceil => unary(interval::ceil, &|m, _| mono::increasing(m)),
         Builtin::Round => unary(interval::round, &|m, _| mono::increasing(m)),
         Builtin::Min => AbsValue {
-            iv: interval::min(vals[0].iv, vals[1].iv),
-            mono: zip_mono(&vals[0], &vals[1], mono::min_max),
+            iv: interval::min(a.iv, b.iv),
+            mono: zip_mono(a, b, mono::min_max),
         },
         Builtin::Max => AbsValue {
-            iv: interval::max(vals[0].iv, vals[1].iv),
-            mono: zip_mono(&vals[0], &vals[1], mono::min_max),
+            iv: interval::max(a.iv, b.iv),
+            mono: zip_mono(a, b, mono::min_max),
         },
         Builtin::Pow => AbsValue {
-            iv: interval::pow(vals[0].iv, vals[1].iv),
-            mono: zip_mono_iv(&vals[0], &vals[1], mono::pow),
+            iv: interval::pow(a.iv, b.iv),
+            mono: zip_mono_iv(a, b, mono::pow),
         },
         Builtin::Hypot => AbsValue {
-            iv: interval::hypot(vals[0].iv, vals[1].iv),
-            mono: zip_mono_iv(&vals[0], &vals[1], mono::hypot),
+            iv: interval::hypot(a.iv, b.iv),
+            mono: zip_mono_iv(a, b, mono::hypot),
         },
-        Builtin::If => unreachable!("`if` is handled by abs_if"),
+        Builtin::If => unreachable!("`if` lowers to `Pure::Sel`"),
     }
-}
-
-/// Flags a newly-NaN-able result from a domain edge (`sqrt`/`ln` of a
-/// possibly-negative argument).
-fn nan_domain_warning(out: Interval, arg: Interval, func: &str, path: &str, sink: &mut Sink<'_>) {
-    if out.nan && !arg.nan {
-        sink.push(
-            Diagnostic::warning(
-                codes::NAN_REACHABLE,
-                path,
-                format!(
-                    "`{func}` argument can be negative (range [{}, {}]): NaN is reachable",
-                    arg.lo, arg.hi
-                ),
-            )
-            .with_suggestion("clamp the argument or tighten the input range"),
-        );
-    }
-}
-
-/// Result of analyzing one sheet level (top or nested).
-struct LevelResult {
-    rows: Vec<RowBounds>,
-    total: AbsValue,
-    /// Whether any row models area (mirrors `SheetReport::total_area`
-    /// returning `Some`).
-    has_area: bool,
-}
-
-/// Analysis of one row's element model at its parameter environment —
-/// the abstract mirror of `LibraryElement::evaluate`.
-struct ElementAbs {
-    power: AbsValue,
-    area: Option<AbsValue>,
-    delay: Option<Interval>,
-}
-
-/// Evaluates one model formula, applying the engine's
-/// finite-and-nonnegative success filter: diagnostics describe the
-/// *raw* reachable set, the returned value is conditioned on success
-/// (the only evaluations that continue).
-fn eval_formula_abs(
-    formula: &'static str,
-    expr: &Expr,
-    env: &Env<'_>,
-    ninputs: usize,
-    path_prefix: &str,
-    row: &str,
-    sink: &mut Sink<'_>,
-) -> Result<AbsValue, EvaluateSheetError> {
-    let path = format!("{path_prefix}model/{formula}");
-    let raw = abs_eval(expr, env, ninputs, &path, sink).map_err(|source| {
-        EvaluateSheetError::Element {
-            row: row.to_string(),
-            source: EvaluateElementError::Eval { formula, source },
-        }
-    })?;
-
-    let iv = raw.iv;
-    let numeric_ok = !iv.is_numeric_empty() && iv.lo <= f64::MAX && iv.hi >= 0.0;
-    if !numeric_ok {
-        // Every reachable value fails the `finite && >= 0` check: the
-        // row provably cannot evaluate.
-        *sink.may_fail = true;
-        let (code, what) = if iv.is_numeric_empty() && iv.nan {
-            (codes::PROVABLY_NAN_VALUE, "is always NaN".to_string())
-        } else if iv.hi < 0.0 {
-            (
-                codes::PROVABLY_NEGATIVE_VALUE,
-                format!("is provably negative (range [{}, {}])", iv.lo, iv.hi),
-            )
-        } else {
-            (
-                codes::PROVABLY_NEGATIVE_VALUE,
-                "is provably non-finite".to_string(),
-            )
-        };
-        sink.push(
-            Diagnostic::error(code, &path, format!("`{formula}` {what}: every play fails"))
-                .with_suggestion("fix the formula or the input ranges it reads"),
-        );
-        return Ok(AbsValue::constant(Interval::BOTTOM, ninputs));
-    }
-
-    if iv.nan {
-        *sink.may_fail = true;
-        sink.push(
-            Diagnostic::warning(
-                codes::NAN_REACHABLE,
-                &path,
-                format!("`{formula}` can evaluate to NaN: those plays fail"),
-            )
-            .with_suggestion("guard divisions and domain edges in the formula"),
-        );
-    }
-    if iv.lo < 0.0 || iv.hi > f64::MAX {
-        // Some (but not all) valuations produce a rejected value.
-        *sink.may_fail = true;
-    }
-
-    Ok(AbsValue {
-        iv: iv.clamp_numeric(0.0, f64::MAX),
-        mono: raw.mono,
-    })
-}
-
-fn v_add(a: &AbsValue, b: &AbsValue) -> AbsValue {
-    AbsValue {
-        iv: interval::add(a.iv, b.iv),
-        mono: zip_mono(a, b, mono::add),
-    }
-}
-
-fn v_mul(a: &AbsValue, b: &AbsValue) -> AbsValue {
-    AbsValue {
-        iv: interval::mul(a.iv, b.iv),
-        mono: zip_mono_iv(a, b, mono::mul),
-    }
-}
-
-fn v_union(a: &AbsValue, b: &AbsValue) -> AbsValue {
-    AbsValue {
-        iv: a.iv.union(b.iv),
-        mono: zip_mono(a, b, |x, y| x.join(y)),
-    }
-}
-
-/// The abstract mirror of `LibraryElement::evaluate` at `env`.
-#[allow(clippy::too_many_arguments)]
-fn analyze_element(
-    element: &LibraryElement,
-    env: &Env<'_>,
-    ninputs: usize,
-    path_prefix: &str,
-    row: &str,
-    sink: &mut Sink<'_>,
-) -> Result<ElementAbs, EvaluateSheetError> {
-    let model: &ElementModel = element.model();
-    let zero = AbsValue::constant(Interval::point(0.0), ninputs);
-
-    // Switched-capacitance terms, in the concrete push order
-    // (cap_full, then cap_partial); energy sums from 0.0 exactly as
-    // `PowerComponents::energy_per_op` folds.
-    let lookup = |name: &str| env.get(name).cloned();
-    let vdd = lookup("vdd");
-
-    let mut energy = zero.clone();
-    let has_switched = model.cap_full.is_some() || model.cap_partial.is_some();
-    if has_switched && vdd.is_none() {
-        // The rate/supply lookup happens after the formulas evaluate,
-        // but a missing `vdd` fails every valuation that gets there.
-        return Err(EvaluateSheetError::Element {
-            row: row.to_string(),
-            source: EvaluateElementError::MissingOperatingPoint("vdd"),
-        });
-    }
-    if let Some(e) = &model.cap_full {
-        let cap = eval_formula_abs("cap_full", e, env, ninputs, path_prefix, row, sink)?;
-        let vdd = vdd.as_ref().expect("checked above");
-        // full-rail swing: cap * vdd * vdd, left-associated.
-        energy = v_add(&energy, &v_mul(&v_mul(&cap, vdd), vdd));
-    }
-    if let Some((cap_e, swing_e)) = &model.cap_partial {
-        let cap = eval_formula_abs("cap_partial", cap_e, env, ninputs, path_prefix, row, sink)?;
-        let swing = eval_formula_abs(
-            "cap_partial swing",
-            swing_e,
-            env,
-            ninputs,
-            path_prefix,
-            row,
-            sink,
-        )?;
-        let vdd = vdd.as_ref().expect("checked above");
-        energy = v_add(&energy, &v_mul(&v_mul(&cap, &swing), vdd));
-    }
-
-    let static_current = match &model.static_current {
-        Some(e) => Some(eval_formula_abs(
-            "static_current",
-            e,
-            env,
-            ninputs,
-            path_prefix,
-            row,
-            sink,
-        )?),
-        None => None,
-    };
-
-    // `has_template_terms` is structural for switched caps but
-    // *value-dependent* for static current (a current that folds to
-    // exactly zero disables the template path, and with it the `vdd`
-    // requirement).
-    let static_definitely_zero = static_current
-        .as_ref()
-        .is_none_or(|s| s.iv == Interval::point(0.0));
-    let static_possibly_zero = static_current
-        .as_ref()
-        .is_none_or(|s| s.iv.contains_zero() || s.iv.is_bottom());
-    let template_definite = has_switched || !static_possibly_zero;
-    let template_possible = has_switched || !static_definitely_zero;
-
-    let freq = lookup("f");
-    let static_v = static_current.unwrap_or_else(|| zero.clone());
-    let template_power = || -> Result<AbsValue, EvaluateSheetError> {
-        let vdd = match &vdd {
-            Some(v) => v.clone(),
-            None => {
-                return Err(EvaluateSheetError::Element {
-                    row: row.to_string(),
-                    source: EvaluateElementError::MissingOperatingPoint("vdd"),
-                })
-            }
-        };
-        let freq = match &freq {
-            Some(f) => f.clone(),
-            None if !has_switched => zero.clone(),
-            None => {
-                return Err(EvaluateSheetError::Element {
-                    row: row.to_string(),
-                    source: EvaluateElementError::MissingOperatingPoint("f"),
-                })
-            }
-        };
-        // components.power(op) = energy * freq + vdd * static.
-        Ok(v_add(&v_mul(&energy, &freq), &v_mul(&vdd, &static_v)))
-    };
-
-    let mut power = zero.clone();
-    if template_definite {
-        power = v_add(&power, &template_power()?);
-    } else if template_possible {
-        match template_power() {
-            Ok(p) => {
-                // Either path can be taken depending on the folded
-                // current: union "template active" with "template
-                // skipped".
-                power = v_union(&v_add(&power, &p), &zero);
-            }
-            Err(_) => {
-                // The template path needs an operating point the scope
-                // lacks; only valuations where the current folds to
-                // zero survive. Condition on that.
-                *sink.may_fail = true;
-            }
-        }
-    }
-
-    let direct = match &model.power_direct {
-        Some(e) => Some(eval_formula_abs(
-            "power_direct",
-            e,
-            env,
-            ninputs,
-            path_prefix,
-            row,
-            sink,
-        )?),
-        None => None,
-    };
-    if let Some(d) = &direct {
-        power = v_add(&power, d);
-    }
-
-    let area = match &model.area {
-        Some(e) => Some(eval_formula_abs(
-            "area",
-            e,
-            env,
-            ninputs,
-            path_prefix,
-            row,
-            sink,
-        )?),
-        None => None,
-    };
-    let delay = match &model.delay {
-        Some(e) => Some(eval_formula_abs("delay", e, env, ninputs, path_prefix, row, sink)?.iv),
-        None => None,
-    };
-
-    Ok(ElementAbs { power, area, delay })
-}
-
-/// Analyzes the rows of one sheet level against `outer` (globals plus
-/// any enclosing sub-sheet parameters), mirroring `eval_rows_full`.
-fn analyze_rows(
-    plan: &CompiledSheet,
-    outer: &Env<'_>,
-    ninputs: usize,
-    path_prefix: &str,
-    sink: &mut Sink<'_>,
-) -> Result<LevelResult, EvaluateSheetError> {
-    let rows = plan.rows_view().map_err(Clone::clone)?;
-    let mut power_layer = outer.child();
-    let mut out: Vec<Option<RowBounds>> = (0..rows.len()).map(|_| None).collect();
-    let mut abs_powers: Vec<Option<AbsValue>> = (0..rows.len()).map(|_| None).collect();
-    let mut has_area = false;
-
-    for &i in rows.order() {
-        let row = rows.row(i);
-        let (bounds, power) = analyze_row(&row, &power_layer, ninputs, path_prefix, sink)?;
-        if let Some(power_ref) = row.power_ref() {
-            // Publish P_/A_ exactly like `set_row_outputs`.
-            power_layer.set(power_ref, power.clone());
-            if let (Some(area_ref), Some(area)) = (row.area_ref(), &bounds.area) {
-                power_layer.set(
-                    area_ref,
-                    AbsValue {
-                        iv: *area,
-                        mono: power.mono.clone(),
-                    },
-                );
-            }
-        }
-        has_area = has_area || bounds.area.is_some();
-        abs_powers[i] = Some(power);
-        out[i] = Some(bounds);
-    }
-
-    // Total power sums row powers in declaration order from the
-    // engine's identity, exactly as `SheetReport::total_power`.
-    let mut total = AbsValue::constant(Interval::point(SUM_IDENTITY), ninputs);
-    for p in abs_powers.iter() {
-        let p = p.as_ref().expect("every row analyzed");
-        total = v_add(&total, p);
-    }
-
-    Ok(LevelResult {
-        rows: out
-            .into_iter()
-            .map(|r| r.expect("every row analyzed"))
-            .collect(),
-        total,
-        has_area,
-    })
-}
-
-/// Analyzes one row (element or nested sub-sheet), mirroring
-/// `evaluate_compiled_row`.
-fn analyze_row(
-    row: &RowView<'_>,
-    outer: &Env<'_>,
-    ninputs: usize,
-    path_prefix: &str,
-    sink: &mut Sink<'_>,
-) -> Result<(RowBounds, AbsValue), EvaluateSheetError> {
-    if let RowKindView::Missing(path) = row.kind() {
-        return Err(EvaluateSheetError::UnknownElement {
-            row: row.name().to_string(),
-            element: path.to_string(),
-        });
-    }
-
-    let row_path = format!("{path_prefix}rows/{}/", row.name());
-
-    // Defaults seed the parameter scope; bindings shadow them in
-    // declaration order and can read earlier ones.
-    let mut param_env = outer.child();
-    for (name, value) in row.param_defaults() {
-        param_env.set(name, AbsValue::constant(Interval::point(value), ninputs));
-    }
-    for (param, expr) in row.bindings() {
-        let path = format!("{row_path}params/{param}");
-        let val = abs_eval(expr, &param_env, ninputs, &path, sink).map_err(|source| {
-            EvaluateSheetError::Binding {
-                row: row.name().to_string(),
-                param: param.to_string(),
-                source,
-            }
-        })?;
-        param_env.set(param, val);
-    }
-
-    let (power, area, delay, rate) = match row.kind() {
-        RowKindView::Element(element) => {
-            let abs = analyze_element(element, &param_env, ninputs, &row_path, row.name(), sink)?;
-            let rate = param_env.get("f").map(|v| v.iv);
-            (abs.power, abs.area.map(|a| a.iv), abs.delay, rate)
-        }
-        RowKindView::SubSheet(sub) => {
-            // As the engine plays a sub-sheet: its globals evaluate in a
-            // child of the row's parameter scope, then its rows.
-            let sub_result =
-                analyze_nested(sub, &param_env, ninputs, &row_path, sink).map_err(|source| {
-                    EvaluateSheetError::Nested {
-                        row: row.name().to_string(),
-                        source: Box::new(source),
-                    }
-                })?;
-            let area = if sub_result.has_area {
-                Some(
-                    sub_result
-                        .rows
-                        .iter()
-                        .filter_map(|r| r.area)
-                        .fold(Interval::point(SUM_IDENTITY), interval::add),
-                )
-            } else {
-                None
-            };
-            // Sub-sheet rows report no delay/rate at this level
-            // (`RowReport::for_subsheet`).
-            (sub_result.total, area, None, None)
-        }
-        RowKindView::Missing(_) => unreachable!("rejected above"),
-    };
-
-    let iv = power.iv;
-    let dead = iv == Interval::point(0.0);
-    let constant = iv.is_point();
-    if dead {
-        sink.push(
-            Diagnostic::warning(
-                codes::DEAD_ROW,
-                format!("{row_path}power"),
-                "row power is provably zero over the analyzed ranges",
-            )
-            .with_suggestion("remove the row or check its bindings"),
-        );
-    }
-
-    let bounds = RowBounds {
-        name: row.name().to_string(),
-        ident: row.ident().to_string(),
-        power: iv,
-        area,
-        delay,
-        rate,
-        constant,
-        dead,
-    };
-    Ok((bounds, power))
-}
-
-/// Analyzes a nested sub-sheet: globals (base plan order) then rows.
-fn analyze_nested(
-    sub: &CompiledSheet,
-    param_env: &Env<'_>,
-    ninputs: usize,
-    path_prefix: &str,
-    sink: &mut Sink<'_>,
-) -> Result<LevelResult, EvaluateSheetError> {
-    let order = sub.global_order().map_err(Clone::clone)?;
-    let globals: Vec<_> = sub.globals_view().collect();
-    let mut env = param_env.child();
-    for &k in order {
-        let g = &globals[k];
-        let path = format!("{path_prefix}globals/{}", g.name());
-        let val = abs_eval(g.expr(), &env, ninputs, &path, sink).map_err(|source| {
-            EvaluateSheetError::Global {
-                name: g.name().to_string(),
-                source,
-            }
-        })?;
-        env.set(g.name(), val);
-    }
-    analyze_rows(sub, &env, ninputs, path_prefix, sink)
 }
 
 /// Analyzes a compiled plan at its declared operating point (every
@@ -882,93 +501,82 @@ pub fn analyze_with_ranges(
         }
     }
     let ninputs = inputs.len();
-    let input_index: BTreeMap<&str, usize> = inputs
+    let input_index: BTreeMap<&str, u32> = inputs
         .iter()
         .enumerate()
-        .map(|(k, (n, _, _))| (n.as_str(), k))
+        .map(|(k, (n, _, _))| (n.as_str(), k as u32))
         .collect();
 
-    let mut report = LintReport::new();
-    let mut may_fail = false;
-    let mut sink = Sink {
-        report: &mut report,
-        enabled: true,
-        may_fail: &mut may_fail,
+    // Input `k` is handle `k`; the walk binds each override name to its
+    // input, and each constant-formula global to its own.
+    let mut ab = Abstract {
+        values: (inputs.iter().enumerate())
+            .map(|(k, (_, iv, _))| AbsValue::input(*iv, k, ninputs))
+            .collect(),
+        ninputs,
+        konsts: HashMap::new(),
+        overrides: (ranges.iter())
+            .map(|(name, _)| (name.clone(), input_index[name.as_str()]))
+            .collect(),
+        tracked: (globals.iter())
+            .map(|g| input_index.get(g.name()).copied())
+            .collect(),
+        report: LintReport::new(),
+        path: String::new(),
+        live: true,
+        arms: Vec::new(),
+        may_fail: false,
     };
-
-    // Appended override names enter the environment before globals
-    // evaluate (a global's formula may read them).
-    let mut env = Env::root();
-    for (name, iv, _) in &inputs {
-        if !global_names.contains(&name.as_str()) {
-            let idx = input_index[name.as_str()];
-            env.set(name, AbsValue::input(*iv, idx, ninputs));
-        }
-    }
-
-    // Globals in the engine's dependency order under the range names
-    // (an override can cut a cycle), with its error precedence. The
-    // appended names are already in the environment, so only declared
-    // globals are walked.
     let names: Vec<&str> = ranges.iter().map(|(n, _)| n.as_str()).collect();
-    let override_plan = plan.override_plan(&names);
-    let order = override_plan.global_order().map_err(Clone::clone)?;
+    let walked = plan.walk(&plan.override_plan(&names), &mut ab)?;
 
-    for &k in order.iter().filter(|&&k| k < globals.len()) {
-        let g = &globals[k];
-        let name = g.name();
-        let path = format!("globals/{name}");
-        let val = if let Some(&idx) = input_index.get(name) {
-            if !overridden.contains_key(name) {
-                // A constant-formula input: the concrete engine still
-                // evaluates the formula, so its diagnostics (dead
-                // branches, …) still apply — only the value is taken
-                // from the input identity.
-                abs_eval(g.expr(), &env, ninputs, &path, &mut sink).map_err(|source| {
-                    EvaluateSheetError::Global {
-                        name: name.to_string(),
-                        source,
-                    }
-                })?;
-            }
-            AbsValue::input(inputs[idx].1, idx, ninputs)
-        } else {
-            abs_eval(g.expr(), &env, ninputs, &path, &mut sink).map_err(|source| {
-                EvaluateSheetError::Global {
-                    name: name.to_string(),
-                    source,
-                }
-            })?
-        };
-        env.set(name, val);
+    // Total power sums row powers in declaration order from the
+    // engine's identity, exactly as `SheetReport::total_power`.
+    let mut total = ab.konst(SUM_IDENTITY);
+    for row in &walked {
+        total = ab.pure(Pure::Bin(BinaryOp::Add, total, row.power), None);
     }
-
-    let level = analyze_rows(plan, &env, ninputs, "", &mut sink)?;
+    let iv = |handle: u32| ab.val(handle).iv;
+    let rows: Vec<RowBounds> = walked
+        .iter()
+        .map(|row| {
+            let power = iv(row.power);
+            RowBounds {
+                name: row.name.to_string(),
+                ident: row.ident.to_string(),
+                power,
+                area: row.area.map(iv),
+                delay: row.delay.map(iv),
+                rate: row.rate.map(iv),
+                constant: power.is_point(),
+                dead: power == Interval::point(0.0),
+            }
+        })
+        .collect();
 
     // Constant-foldable rows are only worth flagging when something
     // actually varies — under pure point inputs every row is trivially
     // constant.
     let any_range = inputs.iter().any(|(_, iv, _)| !iv.is_point());
     if any_range {
-        for r in &level.rows {
-            if r.constant && !r.dead {
-                sink.push(
-                    Diagnostic::warning(
-                        codes::CONSTANT_FOLDABLE_ROW,
-                        format!("rows/{}/power", r.name),
-                        "row power is a single provable value over the analyzed ranges",
-                    )
-                    .with_suggestion("fold the row into a direct-power entry"),
-                );
-            }
+        for r in rows.iter().filter(|r| r.constant && !r.dead) {
+            ab.diagnose(
+                Diagnostic::warning(
+                    codes::CONSTANT_FOLDABLE_ROW,
+                    format!("rows/{}/power", r.name),
+                    "row power is a single provable value over the analyzed ranges",
+                )
+                .with_suggestion("fold the row into a direct-power entry"),
+            );
         }
     }
 
+    let total = ab.val(total);
     let monotone = inputs
         .iter()
-        .enumerate()
-        .filter_map(|(k, (name, _, _))| {
-            let dir = match level.total.mono[k] {
+        .zip(&total.mono)
+        .filter_map(|((name, _, _), mono)| {
+            let direction = match mono {
                 Mono::Inc => Direction::Increasing,
                 Mono::Dec => Direction::Decreasing,
                 Mono::Const => Direction::Constant,
@@ -976,13 +584,14 @@ pub fn analyze_with_ranges(
             };
             Some(MonotoneInput {
                 name: name.clone(),
-                direction: dir,
+                direction,
             })
         })
         .collect();
 
     Ok(SheetBounds {
         name: plan.plan_name().to_string(),
+        total_power: total.iv,
         inputs: inputs
             .into_iter()
             .map(|(name, iv, dim)| InputBound {
@@ -991,11 +600,10 @@ pub fn analyze_with_ranges(
                 dim: dim.known(),
             })
             .collect(),
-        rows: level.rows,
-        total_power: level.total.iv,
+        rows,
         monotone,
-        diagnostics: report,
-        may_fail,
+        diagnostics: ab.report,
+        may_fail: ab.may_fail,
     })
 }
 

@@ -221,14 +221,22 @@ mod tests {
 
     #[test]
     fn display_reparses_to_same_tree() {
+        // The last five nest `MAX_DEPTH` levels: the print parenthesizes
+        // every operator and still parses.
+        let depth = crate::MAX_DEPTH;
         for src in [
-            "1 + 2 * 3",
-            "-x ^ 2",
-            "min(a, b / 2)",
-            "(a + b) * c",
-            "a < b",
+            "1 + 2 * 3".to_string(),
+            "-x ^ 2".to_string(),
+            "min(a, b / 2)".to_string(),
+            "(a + b) * c".to_string(),
+            "a < b".to_string(),
+            vec!["1"; depth + 1].join(" + "),
+            vec!["2"; depth + 1].join(" ^ "),
+            format!("{}x", "-".repeat(depth)),
+            format!("{}x{}", "min(1, ".repeat(depth), ")".repeat(depth)),
+            format!("{}x", "-".repeat(depth / 2)) + &" * y".repeat(depth / 2),
         ] {
-            let parsed = Expr::parse(src).unwrap();
+            let parsed = Expr::parse(&src).unwrap();
             let printed = parsed.to_string();
             let reparsed = Expr::parse(&printed).unwrap();
             assert_eq!(parsed, reparsed, "{src} -> {printed}");

@@ -39,3 +39,4 @@ mod parser;
 pub use ast::{BinaryOp, Expr, UnaryOp};
 pub use error::{EvalError, ParseExprError};
 pub use eval::{apply_binary, Builtin, Scope, BUILTIN_FUNCTIONS};
+pub use parser::MAX_DEPTH;

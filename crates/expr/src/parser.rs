@@ -12,15 +12,27 @@ impl Expr {
     /// comparisons (`< <= > >= == !=`, lowest precedence, yielding 0/1),
     /// parentheses, function calls, identifiers and SI-scaled literals.
     ///
+    /// A formula nests at most [`MAX_DEPTH`] levels: calls and unary
+    /// and binary operators each count one, so a left-deep `1 + 1 + …`
+    /// counts one per term. Every recursive walk over a parsed formula
+    /// (evaluation, lowering, analysis, lint, printing) is bounded with
+    /// it. Parentheses and unary plus leave no node in the tree; they
+    /// nest at most [`MAX_DEPTH`] deep on their own count, which bounds
+    /// the parser's stack. A printed formula parenthesizes each
+    /// operator, so it nests no deeper than the tree it prints and
+    /// parses again.
+    ///
     /// # Errors
     ///
-    /// Returns [`ParseExprError`] with a byte offset on malformed input.
+    /// Returns [`ParseExprError`] with a byte offset on malformed input,
+    /// or on the token that nests past [`MAX_DEPTH`].
     ///
     /// ```
     /// use powerplay_expr::Expr;
     /// # fn main() -> Result<(), powerplay_expr::ParseExprError> {
     /// let e = Expr::parse("c0 + c1*words + c1*bits + c2*words*bits")?;
     /// assert_eq!(e.free_variables().len(), 5);
+    /// assert!(Expr::parse(&"-".repeat(300)).is_err());
     /// # Ok(())
     /// # }
     /// ```
@@ -31,7 +43,7 @@ impl Expr {
             pos: 0,
             src_len: src.len(),
         };
-        let expr = parser.expression(0)?;
+        let expr = parser.expression()?;
         if parser.pos != parser.tokens.len() {
             return Err(ParseExprError::new(
                 parser.offset(),
@@ -41,6 +53,9 @@ impl Expr {
         Ok(expr)
     }
 }
+
+/// The deepest nesting a formula may have (see [`Expr::parse`]).
+pub const MAX_DEPTH: usize = 256;
 
 struct Parser<'a> {
     tokens: &'a [Spanned],
@@ -52,19 +67,61 @@ struct Parser<'a> {
 /// than `^`, so `-x^2` parses as `-(x^2)` and `-x*y` as `(-x)*y`.
 const UNARY_NEG_BP: u8 = 11;
 
+/// Binding power of unary plus's operand: no binary operator binds it,
+/// so `+` takes one prefix, as unary minus takes one power.
+const PREFIX_BP: u8 = u8::MAX;
+
+/// An expression being parsed: the least binding power of the operators
+/// it takes, the tree levels it nests inside, and the groups
+/// (parentheses, unary plus) it sits in.
+#[derive(Clone, Copy)]
+struct Ctx {
+    min_bp: u8,
+    level: usize,
+    groups: usize,
+}
+
+/// The construct an expression being parsed completes, once it ends.
+enum Pending {
+    /// The right operand of `lhs op`, with `lhs`'s height.
+    Binary(Expr, usize, BinaryOp),
+    /// The operand of unary minus.
+    Neg,
+    /// The operand of unary plus, a group.
+    Plus,
+    /// The inside of parentheses, a group.
+    Paren,
+    /// The next argument of a call, after `args`, with their height.
+    Call(String, Vec<Expr>, usize),
+}
+
+/// What a prefix token starts: an operand and its height, or a construct
+/// that nests an expression of the binding power given.
+enum Prefix {
+    Leaf(Expr, usize),
+    Nest(Pending, u8),
+}
+
+/// The error of a formula that nests past [`MAX_DEPTH`], at `offset`,
+/// when a subformula `height` levels high sits `level` levels deep. A
+/// group is checked the same way on its own count, as one level high.
+fn bounded(level: usize, height: usize, offset: usize) -> Result<(), ParseExprError> {
+    if level + height > MAX_DEPTH {
+        return Err(ParseExprError::new(
+            offset,
+            format!("formula nests deeper than {MAX_DEPTH} levels"),
+        ));
+    }
+    Ok(())
+}
+
 impl<'a> Parser<'a> {
     fn offset(&self) -> usize {
         self.tokens.get(self.pos).map_or(self.src_len, |t| t.offset)
     }
 
-    fn peek(&self) -> Option<&Token> {
+    fn peek(&self) -> Option<&'a Token> {
         self.tokens.get(self.pos).map(|t| &t.token)
-    }
-
-    fn advance(&mut self) -> Option<&'a Token> {
-        let token = self.tokens.get(self.pos).map(|t| &t.token);
-        self.pos += 1;
-        token
     }
 
     fn expect(&mut self, expected: &Token, what: &str) -> Result<(), ParseExprError> {
@@ -79,83 +136,137 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expression(&mut self, min_bp: u8) -> Result<Expr, ParseExprError> {
-        let mut lhs = self.prefix()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Plus) => BinaryOp::Add,
-                Some(Token::Minus) => BinaryOp::Sub,
-                Some(Token::Star) => BinaryOp::Mul,
-                Some(Token::Slash) => BinaryOp::Div,
-                Some(Token::Percent) => BinaryOp::Rem,
-                Some(Token::Caret) => BinaryOp::Pow,
-                Some(Token::Lt) => BinaryOp::Lt,
-                Some(Token::Le) => BinaryOp::Le,
-                Some(Token::Gt) => BinaryOp::Gt,
-                Some(Token::Ge) => BinaryOp::Ge,
-                Some(Token::EqEq) => BinaryOp::Eq,
-                Some(Token::Ne) => BinaryOp::Ne,
-                _ => break,
+    fn binary_op(&self) -> Option<BinaryOp> {
+        Some(match self.peek()? {
+            Token::Plus => BinaryOp::Add,
+            Token::Minus => BinaryOp::Sub,
+            Token::Star => BinaryOp::Mul,
+            Token::Slash => BinaryOp::Div,
+            Token::Percent => BinaryOp::Rem,
+            Token::Caret => BinaryOp::Pow,
+            Token::Lt => BinaryOp::Lt,
+            Token::Le => BinaryOp::Le,
+            Token::Gt => BinaryOp::Gt,
+            Token::Ge => BinaryOp::Ge,
+            Token::EqEq => BinaryOp::Eq,
+            Token::Ne => BinaryOp::Ne,
+            _ => return None,
+        })
+    }
+
+    /// Pratt parsing with the recursion on an explicit stack: each
+    /// construct that nests an expression (an operator's operand,
+    /// parentheses, a call's argument) pushes what it completes and
+    /// parses that expression inside it, so no formula, however deep,
+    /// deepens the call stack.
+    fn expression(&mut self) -> Result<Expr, ParseExprError> {
+        let mut stack: Vec<(Ctx, Pending)> = Vec::new();
+        let mut ctx = Ctx {
+            min_bp: 0,
+            level: 0,
+            groups: 0,
+        };
+        'operand: loop {
+            let offset = self.offset();
+            let token = self.peek();
+            self.pos += 1;
+            let prefix = match token {
+                Some(Token::Number(n)) => Prefix::Leaf(Expr::Number(*n), 0),
+                Some(Token::Ident(name)) if self.peek() != Some(&Token::LParen) => {
+                    Prefix::Leaf(Expr::Variable(name.clone()), 0)
+                }
+                Some(Token::Ident(name)) => {
+                    self.pos += 1;
+                    if self.peek() == Some(&Token::RParen) {
+                        bounded(ctx.level, 1, offset)?;
+                        self.pos += 1;
+                        Prefix::Leaf(Expr::Call(name.clone(), Vec::new()), 1)
+                    } else {
+                        Prefix::Nest(Pending::Call(name.clone(), Vec::new(), 0), 0)
+                    }
+                }
+                Some(Token::Minus) => Prefix::Nest(Pending::Neg, UNARY_NEG_BP),
+                Some(Token::Plus) => Prefix::Nest(Pending::Plus, PREFIX_BP),
+                Some(Token::LParen) => Prefix::Nest(Pending::Paren, 0),
+                Some(_) => return Err(ParseExprError::new(offset, "unexpected token")),
+                None => return Err(ParseExprError::new(offset, "unexpected end of formula")),
             };
-            let (l_bp, r_bp) = op.binding_power();
-            if l_bp < min_bp {
-                break;
-            }
-            self.pos += 1;
-            let rhs = self.expression(r_bp)?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn prefix(&mut self) -> Result<Expr, ParseExprError> {
-        let offset = self.offset();
-        match self.advance() {
-            Some(Token::Number(n)) => Ok(Expr::Number(*n)),
-            Some(Token::Ident(name)) => {
-                if self.peek() == Some(&Token::LParen) {
-                    self.pos += 1;
-                    let args = self.call_arguments()?;
-                    Ok(Expr::Call(name.clone(), args))
-                } else {
-                    Ok(Expr::Variable(name.clone()))
+            let (mut lhs, mut height) = match prefix {
+                Prefix::Leaf(leaf, height) => (leaf, height),
+                Prefix::Nest(pending, min_bp) => {
+                    let mut inner = Ctx { min_bp, ..ctx };
+                    if matches!(pending, Pending::Plus | Pending::Paren) {
+                        bounded(ctx.groups, 1, offset)?;
+                        inner.groups += 1;
+                    } else {
+                        bounded(ctx.level, 1, offset)?;
+                        inner.level += 1;
+                    }
+                    stack.push((ctx, pending));
+                    ctx = inner;
+                    continue 'operand;
                 }
-            }
-            Some(Token::Minus) => {
-                let inner = self.expression(UNARY_NEG_BP)?;
-                Ok(Expr::Unary(UnaryOp::Neg, Box::new(inner)))
-            }
-            Some(Token::Plus) => self.prefix(),
-            Some(Token::LParen) => {
-                let inner = self.expression(0)?;
-                self.expect(&Token::RParen, "`)`")?;
-                Ok(inner)
-            }
-            Some(_) => Err(ParseExprError::new(offset, "unexpected token")),
-            None => Err(ParseExprError::new(offset, "unexpected end of formula")),
-        }
-    }
-
-    fn call_arguments(&mut self) -> Result<Vec<Expr>, ParseExprError> {
-        let mut args = Vec::new();
-        if self.peek() == Some(&Token::RParen) {
-            self.pos += 1;
-            return Ok(args);
-        }
-        loop {
-            args.push(self.expression(0)?);
-            match self.peek() {
-                Some(Token::Comma) => self.pos += 1,
-                Some(Token::RParen) => {
-                    self.pos += 1;
-                    return Ok(args);
+            };
+            // Extend the operand with the operators `ctx` takes; when
+            // `ctx` ends, complete the construct it nests in.
+            loop {
+                if let Some(op) = self.binary_op() {
+                    let (l_bp, r_bp) = op.binding_power();
+                    if l_bp >= ctx.min_bp {
+                        bounded(ctx.level, height + 1, self.offset())?;
+                        self.pos += 1;
+                        stack.push((ctx, Pending::Binary(lhs, height, op)));
+                        ctx = Ctx {
+                            min_bp: r_bp,
+                            level: ctx.level + 1,
+                            ..ctx
+                        };
+                        continue 'operand;
+                    }
                 }
-                _ => {
-                    return Err(ParseExprError::new(
-                        self.offset(),
-                        "expected `,` or `)` in argument list",
-                    ))
+                let Some((outer, pending)) = stack.pop() else {
+                    return Ok(lhs);
+                };
+                match pending {
+                    Pending::Binary(left, left_height, op) => {
+                        lhs = Expr::Binary(op, Box::new(left), Box::new(lhs));
+                        height = height.max(left_height) + 1;
+                    }
+                    Pending::Neg => {
+                        lhs = Expr::Unary(UnaryOp::Neg, Box::new(lhs));
+                        height += 1;
+                    }
+                    Pending::Plus => {}
+                    Pending::Paren => self.expect(&Token::RParen, "`)`")?,
+                    Pending::Call(name, mut args, args_height) => {
+                        args.push(lhs);
+                        height = height.max(args_height);
+                        match self.peek() {
+                            Some(Token::Comma) => {
+                                self.pos += 1;
+                                stack.push((outer, Pending::Call(name, args, height)));
+                                ctx = Ctx {
+                                    min_bp: 0,
+                                    level: outer.level + 1,
+                                    ..outer
+                                };
+                                continue 'operand;
+                            }
+                            Some(Token::RParen) => {
+                                self.pos += 1;
+                                lhs = Expr::Call(name, args);
+                                height += 1;
+                            }
+                            _ => {
+                                return Err(ParseExprError::new(
+                                    self.offset(),
+                                    "expected `,` or `)` in argument list",
+                                ))
+                            }
+                        }
+                    }
                 }
+                ctx = outer;
             }
         }
     }
@@ -229,5 +340,39 @@ mod tests {
     fn deep_nesting_parses() {
         let src = format!("{}1{}", "(".repeat(64), ")".repeat(64));
         assert_eq!(eval(&src), 1.0);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let parens = |n: usize| format!("{}1{}", "(".repeat(n), ")".repeat(n));
+        assert_eq!(eval(&parens(MAX_DEPTH)), 1.0);
+        assert_eq!(
+            Expr::parse(&parens(MAX_DEPTH + 1)).unwrap_err().offset(),
+            256
+        );
+        // A left-deep sum nests one level per `+`: the one past the cap
+        // is the error.
+        let terms = |n: usize| vec!["1"; n].join("+");
+        assert_eq!(eval(&terms(MAX_DEPTH + 1)), 257.0);
+        let err = Expr::parse(&terms(MAX_DEPTH + 2)).unwrap_err();
+        assert_eq!(err.offset(), 2 * MAX_DEPTH + 1);
+        assert_eq!(
+            err.to_string(),
+            "formula nests deeper than 256 levels at offset 513"
+        );
+        assert_eq!(eval(&format!("{}1", "-".repeat(MAX_DEPTH))), 1.0);
+        assert!(Expr::parse(&format!("{}1", "+".repeat(MAX_DEPTH + 1))).is_err());
+        let calls = |n: usize| format!("{}1{}", "abs(".repeat(n), ")".repeat(n));
+        assert_eq!(eval(&calls(MAX_DEPTH)), 1.0);
+        assert!(Expr::parse(&calls(MAX_DEPTH + 1)).is_err());
+        // Parentheses count apart from the tree: a sum at the cap
+        // parenthesized at every level, as it prints, still parses; one
+        // more group or one more `+` is the error.
+        let grouped = format!("{}1{}", "(".repeat(MAX_DEPTH), "+1)".repeat(MAX_DEPTH));
+        assert_eq!(eval(&grouped), 257.0);
+        let err = Expr::parse(&format!("({grouped})")).unwrap_err();
+        assert_eq!(err.offset(), MAX_DEPTH);
+        let err = Expr::parse(&format!("{grouped}+1")).unwrap_err();
+        assert_eq!(err.offset(), grouped.len());
     }
 }

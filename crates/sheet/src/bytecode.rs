@@ -12,6 +12,20 @@
 //! program; the tree walker
 //! ([`super::plan::CompiledSheet::play_with_tree`]) is the test oracle.
 //!
+//! # One walk, two back ends
+//!
+//! Lowering is one walk over the compiled sheet that makes every decision
+//! of the sheet's semantics: scope layers (parameter defaults, then
+//! bindings in order), each element's formula order and the EQ 1
+//! template with its `vdd`/`f` traps, sub-sheet inlining, the `P_`/`A_`
+//! publication rule and the nesting of errors. What it does with each
+//! value is a [`Backend`]'s: the register back end folds, value-numbers
+//! and emits the instructions of a fragment or a prologue, and the
+//! interval analyzer (`powerplay-analysis`) computes an abstract value.
+//! [`CompiledSheet::walk`] runs the whole walk of a play — globals, then
+//! rows — for such a back end, so the analyzer's bounds follow the
+//! evaluation rules the program runs, with no copy of them.
+//!
 //! # Fragments and the link
 //!
 //! Each top-level row is lowered on its own into a [`Fragment`]: its
@@ -133,7 +147,8 @@ use powerplay_units::{Area, Energy, Power, Time};
 
 use crate::engine::EvaluateSheetError;
 use crate::plan::{
-    CompiledGlobal, CompiledRow, CompiledRowKind, CompiledSheet, OverridePlanInner, RowsPlan,
+    CompiledGlobal, CompiledRow, CompiledRowKind, CompiledSheet, OverridePlan, OverridePlanInner,
+    RowsPlan,
 };
 use crate::report::{fold_sum, RowReport, SheetReport, SUM_IDENTITY};
 
@@ -287,16 +302,22 @@ impl Instr {
     }
 }
 
-/// A pure instruction without its destination: an operation and its
-/// operands, the key of a value-number table. A fragment's operands are
-/// its local registers; the link's are value numbers.
+/// A pure operation over value handles: what a [`Backend`] computes,
+/// and, as a pure instruction without its destination, the key of a
+/// value-number table. A fragment's operands are its local registers;
+/// the link's are value numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Pure {
+pub enum Pure {
+    /// `-a`.
     Neg(u32),
+    /// `a op b`.
     Bin(BinaryOp, u32, u32),
+    /// A one-argument builtin.
     Call1(Builtin, u32),
+    /// A two-argument builtin.
     Call2(Builtin, u32, u32),
-    /// `(cond, a, b)`.
+    /// `(cond, a, b)`: `a` when `cond` is nonzero, else `b` — the eager
+    /// `if` builtin and the static-only power gate.
     Sel(u32, u32, u32),
 }
 
@@ -488,13 +509,13 @@ pub(crate) struct Program {
     rows_total: u64,
 }
 
-/// Lowering aborts for the rest of the current row once an
-/// unconditional trap is emitted — everything after it is dead code.
+/// The walk stops lowering the current row once it meets a trap every
+/// play raises: everything after it is dead code.
 struct Poisoned;
 
 type Lower<T> = Result<T, Poisoned>;
 
-/// The compile-time mirror of the runtime scope chain: one name→slot
+/// The compile-time mirror of the runtime scope chain: one name→handle
 /// layer per `Scope` level the tree walker would chain.
 struct Env {
     layers: Vec<HashMap<Arc<str>, u32>>,
@@ -537,6 +558,90 @@ impl Env {
     }
 }
 
+/// What the lowering walk does with the values it meets. The walk makes
+/// every decision about order and scope; a back end decides what a
+/// value is. Values are `u32` handles the back end hands out: local
+/// registers for the register back end, abstract values for the
+/// interval analyzer (`powerplay-analysis`).
+pub trait Backend {
+    /// The handle of the constant `value`.
+    fn konst(&mut self, value: f64) -> u32;
+
+    /// The handle of `name` outside the walk's own scope layers — a name
+    /// the current top-level row does not bind, or an override name —
+    /// or `None` when the name is absent.
+    fn input(&mut self, name: &str) -> Option<u32>;
+
+    /// The handle of a pure operation's value. `node` is the formula
+    /// node the operation comes from: `None` for the EQ 1 template's and
+    /// the totals' arithmetic.
+    fn pure(&mut self, op: Pure, node: Option<&Expr>) -> u32;
+
+    /// The handle of a model formula's value past the physical-value
+    /// guard (finite and not negative), where a play fails on any other
+    /// value. `formula` names the formula, `row` its row and `nest` the
+    /// enclosing sub-sheet rows, outermost first.
+    fn check(
+        &mut self,
+        value: u32,
+        nest: &[Arc<str>],
+        row: &Arc<str>,
+        formula: &'static str,
+    ) -> u32;
+
+    /// A play raises `err` here when `cond` is nonzero. Returns `false`
+    /// when every play does, which ends the walk with `err`.
+    fn trap_if(&mut self, cond: u32, err: &EvaluateSheetError) -> bool;
+
+    /// Every play that gets here raises `err`; the walk stops.
+    fn trap(&mut self, err: &EvaluateSheetError);
+
+    /// Names the formula the walk lowers next, inside the sub-sheet rows
+    /// `nest`, outermost first.
+    fn formula(&mut self, _nest: &[Arc<str>], _formula: Formula<'_>) {}
+
+    /// Marks entry into an arm of an `if` whose condition is `cond`: the
+    /// then arm when `then`, else the else arm.
+    fn enter_arm(&mut self, _cond: u32, _then: bool) {}
+
+    /// Marks exit from the `if` arm entered last.
+    fn exit_arm(&mut self) {}
+
+    /// The value of the top-level declared global `index` (declaration
+    /// order), given its formula's value `value`.
+    fn global(&mut self, _index: usize, value: u32) -> u32 {
+        value
+    }
+
+    /// The row `name` inside the sub-sheet rows `nest` is lowered, with
+    /// power `power`.
+    fn row(&mut self, _nest: &[Arc<str>], _name: &str, _power: u32) {}
+}
+
+/// A formula the walk lowers, as diagnostics name it.
+#[derive(Debug, Clone, Copy)]
+pub enum Formula<'a> {
+    /// A global's formula, by the global's name.
+    Global(&'a str),
+    /// A row's binding of `param`.
+    Binding { row: &'a str, param: &'a str },
+    /// One of a row's element model formulas (`cap_full`, `area`, …).
+    Model { row: &'a str, formula: &'static str },
+}
+
+/// One top-level row as [`CompiledSheet::walk`] lowered it: its names
+/// and the handles of its report's values.
+#[derive(Debug, Clone)]
+pub struct WalkedRow {
+    pub name: Arc<str>,
+    pub ident: Arc<str>,
+    pub power: u32,
+    pub area: Option<u32>,
+    pub delay: Option<u32>,
+    /// The `f` access rate the row sees, when it resolves.
+    pub rate: Option<u32>,
+}
+
 /// What lowering an element row yields: slots for each report column.
 struct ElemSlots {
     power: u32,
@@ -545,8 +650,9 @@ struct ElemSlots {
     delay: Option<u32>,
 }
 
-/// Lowers one top-level row into a [`Fragment`].
-struct Lowerer<'o> {
+/// The register back end: folds, value-numbers and emits the code of
+/// one fragment or prologue over local registers.
+struct Regs<'o> {
     code: Vec<Instr>,
     /// Per local register: its value, when it is a constant. Constants
     /// fold at lowering time through the interpreter's arithmetic.
@@ -557,26 +663,20 @@ struct Lowerer<'o> {
     /// the register holding its value.
     values: HashMap<Pure, u32>,
     errors: Vec<ErrTemplate>,
-    /// Enclosing sub-sheet row names, outermost first.
-    nest: Vec<Arc<str>>,
-    rows_total: u64,
-    /// Resolves a name the row does not bind in the program the
-    /// fragment is lowered for: the program's own copy of the name when
-    /// it is found.
+    /// Resolves a name the walk does not bind in the program the code is
+    /// lowered for: the program's own copy of the name when it is found.
     outside: &'o Outside<'o>,
     lookups: Vec<(Arc<str>, Option<u32>)>,
 }
 
-impl<'o> Lowerer<'o> {
-    fn new(outside: &'o Outside<'o>) -> Lowerer<'o> {
-        Lowerer {
+impl<'o> Regs<'o> {
+    fn new(outside: &'o Outside<'o>) -> Regs<'o> {
+        Regs {
             code: Vec::new(),
             const_val: Vec::new(),
             konsts: HashMap::new(),
             values: HashMap::new(),
             errors: Vec::new(),
-            nest: Vec::new(),
-            rows_total: 0,
             outside,
             lookups: Vec::new(),
         }
@@ -588,6 +688,13 @@ impl<'o> Lowerer<'o> {
         (self.const_val.len() - 1) as u32
     }
 
+    fn push_err(&mut self, template: ErrTemplate) -> u32 {
+        self.errors.push(template);
+        (self.errors.len() - 1) as u32
+    }
+}
+
+impl Backend for Regs<'_> {
     /// A slot holding `value` in the constant pool (deduplicated by bit
     /// pattern, so `0.0` and `-0.0` keep distinct slots).
     fn konst(&mut self, value: f64) -> u32 {
@@ -598,13 +705,9 @@ impl<'o> Lowerer<'o> {
         })
     }
 
-    /// Resolves `name` through the row's own scope layers, then outside
-    /// the row, where a found name becomes an input register. Every
-    /// outside lookup is recorded, found or not.
-    fn lookup(&mut self, env: &Env, name: &str) -> Option<u32> {
-        if let Some(slot) = env.lookup(name) {
-            return Some(slot);
-        }
+    /// A found name becomes an input register. Every lookup is recorded,
+    /// found or not.
+    fn input(&mut self, name: &str) -> Option<u32> {
         if let Some((_, slot)) = self.lookups.iter().find(|(n, _)| **n == *name) {
             return *slot;
         }
@@ -616,11 +719,10 @@ impl<'o> Lowerer<'o> {
         slot
     }
 
-    /// The register holding `op`'s value — the one pure-instruction
-    /// emitter. A constant when the operands `op` reads are constants;
-    /// else the register of an identical earlier operation; else a
-    /// fresh register, written by an instruction emitted here.
-    fn pure(&mut self, op: Pure) -> u32 {
+    /// A constant when the operands `op` reads are constants; else the
+    /// register of an identical earlier operation; else a fresh
+    /// register, written by an instruction emitted here.
+    fn pure(&mut self, op: Pure, _node: Option<&Expr>) -> u32 {
         if let Some(value) = op.fold(|s| self.const_val[s as usize]) {
             return self.konst(value);
         }
@@ -635,17 +737,71 @@ impl<'o> Lowerer<'o> {
         }
     }
 
+    /// A constant that passes the guard passes it on every play; one
+    /// that fails keeps its check, which traps where the tree walker
+    /// fails.
+    fn check(
+        &mut self,
+        slot: u32,
+        nest: &[Arc<str>],
+        row: &Arc<str>,
+        formula: &'static str,
+    ) -> u32 {
+        if self.const_val[slot as usize].is_some_and(is_physical) {
+            return slot;
+        }
+        let err = self.push_err(ErrTemplate::BadValue {
+            nest: nest.to_vec(),
+            row: row.clone(),
+            formula,
+        });
+        self.code.push(Instr::Check { src: slot, err });
+        slot
+    }
+
+    fn trap_if(&mut self, cond: u32, err: &EvaluateSheetError) -> bool {
+        let err = self.push_err(ErrTemplate::Fixed(err.clone()));
+        self.code.push(Instr::TrapIf { cond, err });
+        true
+    }
+
+    fn trap(&mut self, err: &EvaluateSheetError) {
+        let err = self.push_err(ErrTemplate::Fixed(err.clone()));
+        self.code.push(Instr::Trap { err });
+    }
+}
+
+/// The lowering walk: a sheet's formulas in the tree walker's evaluation
+/// order, each value handed to the back end `B`.
+struct Lowerer<'b, B> {
+    b: &'b mut B,
+    /// Enclosing sub-sheet row names, outermost first.
+    nest: Vec<Arc<str>>,
+    rows_total: u64,
+    /// The error of the trap that ended the current row.
+    trapped: Option<EvaluateSheetError>,
+}
+
+impl<'b, B: Backend> Lowerer<'b, B> {
+    fn new(b: &'b mut B) -> Lowerer<'b, B> {
+        Lowerer {
+            b,
+            nest: Vec::new(),
+            rows_total: 0,
+            trapped: None,
+        }
+    }
+
+    /// Resolves `name` through the walk's scope layers, then outside
+    /// them through the back end.
+    fn lookup(&mut self, env: &Env, name: &str) -> Option<u32> {
+        env.lookup(name).or_else(|| self.b.input(name))
+    }
+
+    /// Template and totals arithmetic: a pure operation from no formula
+    /// node.
     fn bin(&mut self, op: BinaryOp, a: u32, b: u32) -> u32 {
-        self.pure(Pure::Bin(op, a, b))
-    }
-
-    fn emit(&mut self, instr: Instr) {
-        self.code.push(instr);
-    }
-
-    fn push_err(&mut self, template: ErrTemplate) -> u32 {
-        self.errors.push(template);
-        (self.errors.len() - 1) as u32
+        self.b.pure(Pure::Bin(op, a, b), None)
     }
 
     /// Wraps `err` in the `Nested` chain of the current sub-sheet
@@ -661,16 +817,21 @@ impl<'o> Lowerer<'o> {
         err
     }
 
-    /// Emits an unconditional trap for a statically-decided error and
-    /// poisons the rest of the current row.
+    /// A statically-decided error: every play that gets here raises it,
+    /// so the rest of the current row is dead.
     fn trap(&mut self, err: EvaluateSheetError) -> Poisoned {
-        let wrapped = self.wrap_nested(err);
-        let idx = self.push_err(ErrTemplate::Fixed(wrapped));
-        self.emit(Instr::Trap { err: idx });
+        let err = self.wrap_nested(err);
+        self.b.trap(&err);
+        self.trapped = Some(err);
         Poisoned
     }
 
-    /// Lowers one expression, returning the slot holding its value.
+    /// The error of the trap that ended the walk.
+    fn error(&mut self) -> EvaluateSheetError {
+        self.trapped.take().expect("a poisoned walk met a trap")
+    }
+
+    /// Lowers one expression, returning the handle of its value.
     /// Traversal order mirrors [`Expr::eval`] exactly, so the *first*
     /// statically-decided error in tree-walk order is the one trapped.
     fn lower_expr(
@@ -681,19 +842,19 @@ impl<'o> Lowerer<'o> {
     ) -> Lower<u32> {
         use powerplay_expr::UnaryOp;
         match expr {
-            Expr::Number(n) => Ok(self.konst(*n)),
+            Expr::Number(n) => Ok(self.b.konst(*n)),
             Expr::Variable(name) => match self.lookup(env, name) {
                 Some(slot) => Ok(slot),
                 None => Err(self.trap(wrap(EvalError::UnknownVariable(name.clone())))),
             },
             Expr::Unary(UnaryOp::Neg, inner) => {
                 let a = self.lower_expr(inner, env, wrap)?;
-                Ok(self.pure(Pure::Neg(a)))
+                Ok(self.b.pure(Pure::Neg(a), Some(expr)))
             }
             Expr::Binary(op, lhs, rhs) => {
                 let a = self.lower_expr(lhs, env, wrap)?;
                 let b = self.lower_expr(rhs, env, wrap)?;
-                Ok(self.bin(*op, a, b))
+                Ok(self.b.pure(Pure::Bin(*op, a, b), Some(expr)))
             }
             Expr::Call(name, args) => {
                 let Some(builtin) = Builtin::lookup(name) else {
@@ -707,16 +868,28 @@ impl<'o> Lowerer<'o> {
                         found: args.len(),
                     })));
                 }
+                // The eager `if` lowers both arms after its condition.
                 let mut slots = [0u32; 3];
-                for (slot, arg) in slots.iter_mut().zip(args) {
-                    *slot = self.lower_expr(arg, env, wrap)?;
+                for (k, arg) in args.iter().enumerate() {
+                    let arm = builtin == Builtin::If && k > 0;
+                    if arm {
+                        self.b.enter_arm(slots[0], k == 1);
+                    }
+                    let slot = self.lower_expr(arg, env, wrap);
+                    if arm {
+                        self.b.exit_arm();
+                    }
+                    slots[k] = slot?;
                 }
                 let [a, b, c] = slots;
-                Ok(self.pure(match arity {
-                    1 => Pure::Call1(builtin, a),
-                    2 => Pure::Call2(builtin, a, b),
-                    _ => Pure::Sel(a, b, c),
-                }))
+                Ok(self.b.pure(
+                    match arity {
+                        1 => Pure::Call1(builtin, a),
+                        2 => Pure::Call2(builtin, a, b),
+                        _ => Pure::Sel(a, b, c),
+                    },
+                    Some(expr),
+                ))
             }
         }
     }
@@ -730,24 +903,16 @@ impl<'o> Lowerer<'o> {
         expr: &Expr,
         env: &Env,
     ) -> Lower<u32> {
-        let row = row_name.clone();
+        let model = Formula::Model {
+            row: row_name,
+            formula,
+        };
+        self.b.formula(&self.nest, model);
         let slot = self.lower_expr(expr, env, &|source| EvaluateSheetError::Element {
-            row: row.to_string(),
+            row: row_name.to_string(),
             source: EvaluateElementError::Eval { formula, source },
         })?;
-        // A constant that passes the guard passes it on every play; one
-        // that fails keeps its check, which traps where the tree walker
-        // fails.
-        if self.const_val[slot as usize].is_some_and(is_physical) {
-            return Ok(slot);
-        }
-        let err = self.push_err(ErrTemplate::BadValue {
-            nest: self.nest.clone(),
-            row: row_name.clone(),
-            formula,
-        });
-        self.emit(Instr::Check { src: slot, err });
-        Ok(slot)
+        Ok(self.b.check(slot, &self.nest, row_name, formula))
     }
 
     /// Looks up a reserved operating-point name, trapping with
@@ -785,7 +950,7 @@ impl<'o> Lowerer<'o> {
             let swing = self.lower_formula(row_name, "cap_partial swing", swing_e, env)?;
             switched.push((cap, Some(swing)));
         }
-        let zero = self.konst(0.0);
+        let zero = self.b.konst(0.0);
         // `components.static_current += Current::new(v)` from ZERO.
         let static_i = match &model.static_current {
             Some(e) => {
@@ -822,8 +987,10 @@ impl<'o> Lowerer<'o> {
                         row: row_name.to_string(),
                         source: EvaluateElementError::MissingOperatingPoint("vdd"),
                     });
-                    let idx = self.push_err(ErrTemplate::Fixed(err));
-                    self.emit(Instr::TrapIf { cond, err: idx });
+                    if !self.b.trap_if(cond, &err) {
+                        self.trapped = Some(err);
+                        return Err(Poisoned);
+                    }
                     zero
                 }
             };
@@ -831,7 +998,7 @@ impl<'o> Lowerer<'o> {
             let freq = self.lookup(env, "f").unwrap_or(zero);
             let contrib = self.lower_power_template(zero, freq, vdd, i_eff);
             let summed = self.bin(BinaryOp::Add, zero, contrib);
-            power = self.pure(Pure::Sel(cond, summed, zero));
+            power = self.b.pure(Pure::Sel(cond, summed, zero), None);
         }
 
         if let Some(e) = &model.power_direct {
@@ -882,6 +1049,9 @@ impl<'o> Lowerer<'o> {
         let depth = env.depth();
         let result = self.lower_row_inner(env, row);
         env.truncate(depth);
+        if let Ok(recipe) = &result {
+            self.b.row(&self.nest, &row.name, recipe.power);
+        }
         result
     }
 
@@ -899,10 +1069,15 @@ impl<'o> Lowerer<'o> {
         // them (e.g. `bits = words / 4`).
         env.push_layer();
         for (name, default) in &row.params {
-            let slot = self.konst(*default);
+            let slot = self.b.konst(*default);
             env.insert_top(name.clone(), slot);
         }
         for (param, expr) in &row.bindings {
+            let binding = Formula::Binding {
+                row: &row.name,
+                param,
+            };
+            self.b.formula(&self.nest, binding);
             let slot = self.lower_expr(expr, env, &|source| EvaluateSheetError::Binding {
                 row: row.name.to_string(),
                 param: param.to_string(),
@@ -965,8 +1140,9 @@ impl<'o> Lowerer<'o> {
     }
 
     /// Lowers the declared globals `order` lists, in that order, into a
-    /// new scope layer; returns each one's register by declaration index
-    /// ([`NO_REG`] for the globals `order` skips).
+    /// new scope layer; returns each one's handle by declaration index
+    /// ([`NO_REG`] for the globals `order` skips). A top-level global's
+    /// value passes through [`Backend::global`].
     fn lower_globals(
         &mut self,
         env: &mut Env,
@@ -977,14 +1153,69 @@ impl<'o> Lowerer<'o> {
         let mut regs = vec![NO_REG; globals.len()];
         for k in order {
             let g = &globals[k];
+            self.b.formula(&self.nest, Formula::Global(&g.name));
             let wrap = |source| EvaluateSheetError::Global {
                 name: g.name.to_string(),
                 source,
             };
             regs[k] = self.lower_expr(&g.expr, env, &wrap)?;
+            if self.nest.is_empty() {
+                regs[k] = self.b.global(k, regs[k]);
+            }
             env.insert_top(g.name.clone(), regs[k]);
         }
         Ok(regs)
+    }
+
+    /// Lowers the top-level globals of the plan that overrides `names`:
+    /// each name binds an input, and every declared global the plan does
+    /// not override is lowered from its formula, in the plan's order.
+    /// Returns each global's handle, declared then appended.
+    fn lower_top_globals(
+        &mut self,
+        env: &mut Env,
+        globals: &[CompiledGlobal],
+        names: &[String],
+        plan: &OverridePlanInner,
+    ) -> Lower<Vec<u32>> {
+        env.push_layer();
+        let mut inputs = Vec::with_capacity(names.len());
+        for name in names {
+            let input = self.b.input(name).expect("an override name is an input");
+            env.insert_top(Arc::from(name.as_str()), input);
+            inputs.push(input);
+        }
+        let computed = plan.order.iter().copied();
+        let computed = computed.filter(|&k| k < globals.len() && plan.global_slot[k].is_none());
+        let mut values = self.lower_globals(env, globals, computed)?;
+        for (value, &slot) in values.iter_mut().zip(&plan.global_slot) {
+            if let Some(slot) = slot {
+                *value = inputs[slot];
+            }
+        }
+        values.extend(plan.appended.iter().map(|&slot| inputs[slot]));
+        Ok(values)
+    }
+
+    /// Lowers the rows of one sheet level in plan order over a new power
+    /// layer, each row publishing its outputs to the rows after it;
+    /// returns their recipes in declaration order.
+    fn lower_rows(&mut self, env: &mut Env, plan: &RowsPlan) -> Lower<Vec<RowRecipe>> {
+        let power_layer = env.push_layer();
+        self.rows_total += plan.order.len() as u64;
+        let mut rows: Vec<Option<RowRecipe>> = vec![None; plan.rows.len()];
+        for &i in &plan.order {
+            let row = &plan.rows[i];
+            let rec = self.lower_row(env, row)?;
+            publish(row, rec.power, rec.area, |name, slot| {
+                env.insert_at(power_layer, name.clone(), slot);
+            });
+            rows[i] = Some(rec);
+        }
+        Ok(rows
+            .into_iter()
+            .map(|r| r.expect("plan order covers every row"))
+            .collect())
     }
 
     /// Inlines a nested sheet: globals lowered in the sub-sheet's base
@@ -1017,24 +1248,7 @@ impl<'o> Lowerer<'o> {
                 return Err(self.trap(e));
             }
         };
-        let power_layer = env.push_layer();
-        self.rows_total += rows_plan.order.len() as u64;
-        let mut rows: Vec<Option<RowRecipe>> = vec![None; rows_plan.rows.len()];
-        for &i in &rows_plan.order {
-            let row = &rows_plan.rows[i];
-            let rec = self.lower_row(env, row)?;
-            if let Some(pref) = &row.power_ref {
-                env.insert_at(power_layer, pref.clone(), rec.power);
-            }
-            if let (Some(aref), Some(area)) = (&row.area_ref, rec.area) {
-                env.insert_at(power_layer, aref.clone(), area);
-            }
-            rows[i] = Some(rec);
-        }
-        let rows: Vec<RowRecipe> = rows
-            .into_iter()
-            .map(|r| r.expect("plan order covers every row"))
-            .collect();
+        let rows = self.lower_rows(env, rows_plan)?;
         let (power, area) = self.lower_totals(&rows);
         let recipe = SheetRecipe {
             name: sub.name.clone(),
@@ -1048,7 +1262,7 @@ impl<'o> Lowerer<'o> {
     /// same fold from [`SUM_IDENTITY`] the report performs (`total_area`
     /// only over rows that have one, `None` when no row does).
     fn lower_totals(&mut self, rows: &[RowRecipe]) -> (u32, Option<u32>) {
-        let identity = self.konst(SUM_IDENTITY);
+        let identity = self.b.konst(SUM_IDENTITY);
         let mut power = identity;
         for rec in rows {
             power = self.bin(BinaryOp::Add, power, rec.power);
@@ -1077,7 +1291,7 @@ impl<'o> Lowerer<'o> {
             element: row.element_name.clone(),
             params: Vec::new(),
             rate: None,
-            power: self.konst(0.0),
+            power: self.b.konst(0.0),
             energy: None,
             area: None,
             delay: None,
@@ -1086,12 +1300,81 @@ impl<'o> Lowerer<'o> {
     }
 }
 
+/// The publication rule: a row with an ident binds `P_<ident>` to its
+/// power and, when it models area, `A_<ident>` to its area, for the rows
+/// after it in plan order.
+fn publish<'r>(
+    row: &'r CompiledRow,
+    power: u32,
+    area: Option<u32>,
+    mut bind: impl FnMut(&'r Arc<str>, u32),
+) {
+    if let Some(pref) = &row.power_ref {
+        bind(pref, power);
+    }
+    if let (Some(aref), Some(area)) = (&row.area_ref, area) {
+        bind(aref, area);
+    }
+}
+
+impl CompiledSheet {
+    /// Runs the lowering walk a play's code comes from with `backend` in
+    /// place of the register back end, in the order a play through
+    /// `plan` meets each error: `plan`'s cycle error, its globals
+    /// (override names as inputs, each declared global's value through
+    /// [`Backend::global`]), the rows' structure error, then the rows in
+    /// plan order, each reading the globals and the `P_`/`A_` names of
+    /// the rows before it. Returns the top-level rows in declaration
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// The first error the walk meets: a global's, a structural one, or
+    /// a row's statically-decided error (or one the back end proves
+    /// certain at [`Backend::trap_if`]).
+    pub fn walk<B: Backend>(
+        &self,
+        plan: &OverridePlan,
+        backend: &mut B,
+    ) -> Result<Vec<WalkedRow>, EvaluateSheetError> {
+        assert_eq!(
+            plan.plan_id, self.id,
+            "override plan built for a different compiled sheet"
+        );
+        let inner = plan.inner.as_ref().map_err(Clone::clone)?;
+        let mut lw = Lowerer::new(backend);
+        let mut env = Env::new();
+        if lw
+            .lower_top_globals(&mut env, &self.globals, &plan.names, inner)
+            .is_err()
+        {
+            return Err(lw.error());
+        }
+        let rows_plan = self.structure.as_ref().map_err(Clone::clone)?;
+        let Ok(rows) = lw.lower_rows(&mut env, rows_plan) else {
+            return Err(lw.error());
+        };
+        Ok(rows
+            .into_iter()
+            .map(|rec| WalkedRow {
+                name: rec.name,
+                ident: rec.ident,
+                power: rec.power,
+                area: rec.area,
+                delay: rec.delay,
+                rate: rec.rate,
+            })
+            .collect())
+    }
+}
+
 impl Fragment {
     /// Lowers one top-level row on its own. `outside` resolves the
     /// names the row does not bind in the program the fragment is
     /// lowered for.
     pub(crate) fn lower(row: &CompiledRow, outside: &Outside<'_>) -> Fragment {
-        let mut lw = Lowerer::new(outside);
+        let mut regs = Regs::new(outside);
+        let mut lw = Lowerer::new(&mut regs);
         let mut env = Env::new();
         let (mut recipe, poisoned) = match lw.lower_row(&mut env, row) {
             Ok(recipe) => (recipe, false),
@@ -1100,10 +1383,11 @@ impl Fragment {
             // would, and nothing downstream of it ever executes.
             Err(Poisoned) => (lw.placeholder(row), true),
         };
+        let nested_rows = lw.rows_total;
         // Number the recipe's slots densely, so a linked program maps
         // each to its register in one small table.
         let mut outputs: Vec<u32> = Vec::new();
-        let mut index = vec![NO_REG; lw.const_val.len()];
+        let mut index = vec![NO_REG; regs.const_val.len()];
         recipe.slots_mut(&mut |slot| {
             let at = &mut index[*slot as usize];
             if *at == NO_REG {
@@ -1114,26 +1398,26 @@ impl Fragment {
         });
         // Keep the constants the code or the recipe reads; the rest
         // (fold intermediates, shadowed defaults) never reach a program.
-        let mut read = vec![false; lw.const_val.len()];
-        for instr in &lw.code {
+        let mut read = vec![false; regs.const_val.len()];
+        for instr in &regs.code {
             instr.for_each_read(|slot| read[slot as usize] = true);
         }
         for &slot in &outputs {
             read[slot as usize] = true;
         }
-        let consts = lw.const_val.iter().zip(read).enumerate();
+        let consts = regs.const_val.iter().zip(read).enumerate();
         Fragment {
-            code: lw.code.into(),
-            regs: lw.const_val.len() as u32,
+            regs: regs.const_val.len() as u32,
             consts: consts
                 .filter_map(|(slot, (value, read))| Some((slot as u32, (*value).filter(|_| read)?)))
                 .collect(),
-            lookups: lw.lookups.into(),
+            code: regs.code.into(),
+            lookups: regs.lookups.into(),
             recipe,
             outputs: outputs.into(),
-            errors: lw.errors.into(),
+            errors: regs.errors.into(),
             poisoned,
-            nested_rows: lw.rows_total,
+            nested_rows,
         }
     }
 
@@ -1184,30 +1468,18 @@ impl Prologue {
         names: &[String],
         plan: &OverridePlanInner,
     ) -> Result<Prologue, EvaluateSheetError> {
-        let mut lw = Lowerer::new(&|_: &str| None);
-        let mut env = Env::new();
-        env.push_layer();
-        for name in names {
-            let input = lw.reg();
-            env.insert_top(Arc::from(name.as_str()), input);
-        }
-        let computed = plan.order.iter().copied();
-        let computed = computed.filter(|&k| k < globals.len() && plan.global_slot[k].is_none());
-        let Ok(mut outputs) = lw.lower_globals(&mut env, globals, computed) else {
-            let Some(ErrTemplate::Fixed(err)) = lw.errors.pop() else {
-                unreachable!("a poisoned lowering ends in the trap of a fixed error")
-            };
-            return Err(err);
+        // The override names are the only names found outside the
+        // globals; the first lookups give them registers `0..`.
+        let is_name = |name: &str| names.iter().any(|n| n == name).then(|| Arc::from(name));
+        let mut regs = Regs::new(&is_name);
+        let mut lw = Lowerer::new(&mut regs);
+        let outputs = match lw.lower_top_globals(&mut Env::new(), globals, names, plan) {
+            Ok(outputs) => outputs,
+            Err(Poisoned) => return Err(lw.error()),
         };
-        for (out, &slot) in outputs.iter_mut().zip(&plan.global_slot) {
-            if let Some(slot) = slot {
-                *out = slot as u32;
-            }
-        }
-        outputs.extend(plan.appended.iter().map(|&slot| slot as u32));
         Ok(Prologue {
-            code: lw.code.into(),
-            init: lw.const_val.iter().map(|v| v.unwrap_or(0.0)).collect(),
+            code: regs.code.into(),
+            init: regs.const_val.iter().map(|v| v.unwrap_or(0.0)).collect(),
             inputs: names.len(),
             outputs: outputs.into(),
         })
@@ -1307,9 +1579,9 @@ impl Linker {
             .or_insert_with(|| pool.constant(value))
     }
 
-    /// [`Lowerer::pure`] over value numbers: the folded constant, else
-    /// an identical earlier operation's value, else a new value written
-    /// by an instruction emitted here.
+    /// The register back end's `pure` over value numbers: the folded
+    /// constant, else an identical earlier operation's value, else a new
+    /// value written by an instruction emitted here.
     fn pure(&mut self, op: Pure) -> u32 {
         if let Some(value) = op.fold(|v| self.pool.const_of[v as usize]) {
             return self.konst(value);
@@ -1454,12 +1726,9 @@ impl Program {
             rows_total += fragment.nested_rows;
             let (linked, power, area) = lk.link(&fragment, &names);
             if !fragment.poisoned {
-                if let Some(pref) = &row.power_ref {
-                    names.insert(pref, (power, pref));
-                }
-                if let (Some(aref), Some(area)) = (&row.area_ref, area) {
-                    names.insert(aref, (area, aref));
-                }
+                publish(row, power, area, |name, vn| {
+                    names.insert(name, (vn, name));
+                });
             }
             rows[i] = Some(linked);
         }

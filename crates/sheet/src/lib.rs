@@ -52,6 +52,7 @@ mod row;
 mod sheet;
 pub mod whatif;
 
+pub use bytecode::{Backend, Formula, Pure, WalkedRow};
 pub use engine::{toposort, EvaluateSheetError};
 pub use json_io::DecodeSheetError;
 pub use macros::LumpMacroError;

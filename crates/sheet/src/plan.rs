@@ -132,7 +132,7 @@ fn with_scratch_regs<T>(f: impl FnOnce(&mut Vec<f64>) -> T) -> T {
 #[derive(Debug, Clone)]
 pub struct CompiledSheet {
     /// Process-unique identity (clones share it — same content).
-    id: u64,
+    pub(crate) id: u64,
     /// The registry generation the rows resolved their elements in.
     generation: u64,
     pub(crate) name: Arc<str>,
@@ -478,9 +478,9 @@ fn dedup_overrides<'a>(overrides: &[(&'a str, f64)]) -> (Vec<&'a str>, Vec<f64>)
 /// and, lowered on the first play through it, its globals' prologue.
 #[derive(Debug, Clone)]
 pub struct OverridePlan {
-    plan_id: u64,
-    names: Vec<String>,
-    inner: Result<OverridePlanInner, EvaluateSheetError>,
+    pub(crate) plan_id: u64,
+    pub(crate) names: Vec<String>,
+    pub(crate) inner: Result<OverridePlanInner, EvaluateSheetError>,
     /// The plan's globals as register code, lowered on first use (the
     /// oracle never uses it), or the global error every play raises.
     prologue: OnceLock<Result<Prologue, EvaluateSheetError>>,
@@ -507,21 +507,6 @@ impl OverridePlan {
     /// [`BatchKernel::replay_chunk`] align with this order.
     pub fn names(&self) -> &[String] {
         &self.names
-    }
-
-    /// The global evaluation order under these override names, as node
-    /// indices: nodes below the sheet's global count are its declared
-    /// globals (indices into [`CompiledSheet::globals_view`]), the rest
-    /// are the names this plan appends, in [`OverridePlan::names`] order.
-    ///
-    /// # Errors
-    ///
-    /// The `CircularGlobals` error every play with these names raises.
-    pub fn global_order(&self) -> Result<&[usize], &EvaluateSheetError> {
-        match &self.inner {
-            Ok(inner) => Ok(&inner.order),
-            Err(err) => Err(err),
-        }
     }
 
     /// `names` slots that append new globals (none when the plan errors).
@@ -1111,11 +1096,9 @@ fn evaluate_compiled_row(
 // Read-only structural views.
 //
 // The compiled plan's internals stay private (the replay machinery owns
-// them), but external analyzers — notably the abstract interpreter in
-// `powerplay-analysis` — need to walk the *same* toposorted structure
-// the replay loop walks, so their verdicts line up with what a play
-// would actually compute. These views expose the structure without
-// exposing any mutability.
+// them). An analysis that needs a play's semantics runs the lowering walk
+// itself ([`CompiledSheet::walk`]); these views only list what a plan
+// holds: its name, its globals' formulas and its rows' kinds.
 // ---------------------------------------------------------------------------
 
 /// One compiled global: its name and formula.
@@ -1137,48 +1120,20 @@ impl<'a> GlobalView<'a> {
     }
 }
 
-/// The compiled row structure: rows in declaration order plus the
-/// dependency-respecting evaluation order the replay loop uses.
+/// The compiled row structure: rows in declaration order.
 #[derive(Debug, Clone, Copy)]
 pub struct RowsView<'a> {
     plan: &'a RowsPlan,
 }
 
 impl<'a> RowsView<'a> {
-    /// Number of top-level rows.
-    pub fn len(&self) -> usize {
-        self.plan.rows.len()
-    }
-
-    /// True when the sheet has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.plan.rows.is_empty()
-    }
-
-    /// Row indices in the evaluation (toposort) order a play uses.
-    pub fn order(&self) -> &'a [usize] {
-        &self.plan.order
-    }
-
-    /// The row at declaration index `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    pub fn row(&self, i: usize) -> RowView<'a> {
-        RowView {
-            row: &self.plan.rows[i],
-        }
-    }
-
     /// Rows in declaration order.
     pub fn iter(&self) -> impl Iterator<Item = RowView<'a>> + '_ {
         self.plan.rows.iter().map(|row| RowView { row })
     }
 }
 
-/// One compiled row: bindings, output references, and its element or
-/// sub-sheet.
+/// One compiled row: its element or sub-sheet.
 #[derive(Debug, Clone, Copy)]
 pub struct RowView<'a> {
     row: &'a CompiledRow,
@@ -1196,45 +1151,6 @@ pub enum RowKindView<'a> {
 }
 
 impl<'a> RowView<'a> {
-    /// The row's display name.
-    pub fn name(&self) -> &'a str {
-        &self.row.name
-    }
-
-    /// The row's folded identifier (the `<ident>` of `P_<ident>`).
-    pub fn ident(&self) -> &'a str {
-        &self.row.ident
-    }
-
-    /// Parameter bindings in declaration order (evaluated in order,
-    /// later bindings may read earlier ones).
-    pub fn bindings(&self) -> impl Iterator<Item = (&'a str, &'a Expr)> + '_ {
-        self.row.bindings.iter().map(|(name, expr)| (&**name, expr))
-    }
-
-    /// The `P_<ident>` power reference this row publishes, if any.
-    pub fn power_ref(&self) -> Option<&'a str> {
-        self.row.power_ref.as_deref()
-    }
-
-    /// The `A_<ident>` area reference this row publishes, if any.
-    pub fn area_ref(&self) -> Option<&'a str> {
-        self.row.area_ref.as_deref()
-    }
-
-    /// Element parameter defaults seeded before bindings run, as
-    /// `(name, default)` pairs sorted by name.
-    pub fn param_defaults(&self) -> Vec<(&'a str, f64)> {
-        let mut defaults: Vec<(&str, f64)> = self
-            .row
-            .params
-            .iter()
-            .map(|(name, value)| (&**name, *value))
-            .collect();
-        defaults.sort_by(|a, b| a.0.cmp(b.0));
-        defaults
-    }
-
     /// What the row instantiates.
     pub fn kind(&self) -> RowKindView<'a> {
         match &self.row.kind {
@@ -1259,14 +1175,14 @@ impl CompiledSheet {
         })
     }
 
-    /// Global evaluation order for the un-overridden sheet, as indices
-    /// into [`CompiledSheet::globals_view`].
-    ///
-    /// # Errors
-    ///
-    /// The `CircularGlobals` error every play would raise.
-    pub fn global_order(&self) -> Result<&[usize], &EvaluateSheetError> {
-        self.base.global_order()
+    /// Global evaluation order for the un-overridden sheet, as
+    /// declaration indices; or the `CircularGlobals` error every play
+    /// would raise.
+    pub(crate) fn global_order(&self) -> Result<&[usize], &EvaluateSheetError> {
+        match &self.base.inner {
+            Ok(inner) => Ok(&inner.order),
+            Err(err) => Err(err),
+        }
     }
 
     /// The compiled row structure.

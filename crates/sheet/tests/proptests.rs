@@ -318,26 +318,19 @@ proptest! {
     /// The batched sweep kernel answers every point bit-for-bit as the
     /// tree walker would — totals, compared by their bits, and errors —
     /// chunk by chunk and end to end through the what-if pipeline.
-    /// Sweeps run over declared globals (`vdd`, `f`) and over appended
-    /// names (`ghost`, which resolves the unknown-variable defects, and
-    /// the unreferenced `x_new`), on sound sheets and on every defect
-    /// class above. A converter whose load reads `f` but no `vdd` stays
-    /// outside a `vdd` sweep's slice with a baseline, and its power is
-    /// computed at run time (a constant load would fold to a constant),
-    /// so the lane total reads the register its baseline play wrote. An
-    /// inline element reads `vdd` and `f` only through the EQ 1
-    /// template, and a second converter's load reads the first row's
-    /// `P_`, so slices cross rows through both.
+    /// Each case sweeps every pair of a defect class above (or none) and
+    /// a swept name: declared globals (`vdd`, `f`) and appended names
+    /// (`ghost`, which resolves the unknown-variable defects, and the
+    /// unreferenced `x_new`). A converter whose load reads `f` but no
+    /// `vdd` stays outside a `vdd` sweep's slice with a baseline, and its
+    /// power is computed at run time (a constant load would fold to a
+    /// constant), so the lane total reads the register its baseline play
+    /// wrote. An inline element reads `vdd` and `f` only through the
+    /// EQ 1 template, and a second converter's load reads the first
+    /// row's `P_`, so slices cross rows through both.
     #[test]
     fn batched_sweep_matches_tree_walker_per_point(
         sheet in arb_sheet(),
-        defect in 0u32..14,
-        name in prop_oneof![
-            Just("vdd".to_owned()),
-            Just("f".to_owned()),
-            Just("ghost".to_owned()),
-            Just("x_new".to_owned()),
-        ],
         values in prop::collection::vec(0.5f64..4.0, 1..20),
     ) {
         let library = lib();
@@ -349,35 +342,39 @@ proptest! {
         sheet
             .add_element_row("Chained Conv", "ucb/dcdc", [("p_load", "P_row_0 * 1.25")])
             .unwrap();
-        let plan = CompiledSheet::compile(&with_defect(sheet, defect), &library);
-        let tree: Vec<_> = values
-            .iter()
-            .map(|&v| {
-                plan.play_with_tree(&[(name.as_str(), v)])
-                    .map(|report| report.total_power().value().to_bits())
-            })
-            .collect();
+        for defect in 0u32..14 {
+            let plan = CompiledSheet::compile(&with_defect(sheet.clone(), defect), &library);
+            for name in ["vdd", "f", "ghost", "x_new"] {
+                let tree: Vec<_> = values
+                    .iter()
+                    .map(|&v| {
+                        plan.play_with_tree(&[(name, v)])
+                            .map(|report| report.total_power().value().to_bits())
+                    })
+                    .collect();
 
-        let override_plan = plan.override_plan(&[name.as_str()]);
-        let mut kernel = plan.batch_kernel(&override_plan);
-        let points: Vec<[f64; 1]> = values.iter().map(|&v| [v]).collect();
-        let batched: Vec<_> = points
-            .chunks(BatchKernel::WIDTH)
-            .flat_map(|chunk| kernel.replay_chunk(chunk))
-            .map(|total| total.map(|p| p.value().to_bits()))
-            .collect();
-        prop_assert_eq!(&batched, &tree);
+                let override_plan = plan.override_plan(&[name]);
+                let mut kernel = plan.batch_kernel(&override_plan);
+                let points: Vec<[f64; 1]> = values.iter().map(|&v| [v]).collect();
+                let batched: Vec<_> = points
+                    .chunks(BatchKernel::WIDTH)
+                    .flat_map(|chunk| kernel.replay_chunk(chunk))
+                    .map(|total| total.map(|p| p.value().to_bits()))
+                    .collect();
+                prop_assert_eq!(&batched, &tree, "defect {}, sweeping {}", defect, name);
 
-        // The sweep answers every total, or the first error in input
-        // order.
-        let expected: Result<Vec<_>, _> = values
-            .iter()
-            .zip(tree)
-            .map(|(&v, played)| played.map(|total| (v, total)))
-            .collect();
-        let swept = powerplay_sheet::whatif::sweep_compiled(&plan, &name, &values)
-            .map(|curve| curve.into_iter().map(|(v, p)| (v, p.value().to_bits())).collect());
-        prop_assert_eq!(swept, expected);
+                // The sweep answers every total, or the first error in
+                // input order.
+                let expected: Result<Vec<_>, _> = values
+                    .iter()
+                    .zip(tree)
+                    .map(|(&v, played)| played.map(|total| (v, total)))
+                    .collect();
+                let swept = powerplay_sheet::whatif::sweep_compiled(&plan, name, &values)
+                    .map(|curve| curve.into_iter().map(|(v, p)| (v, p.value().to_bits())).collect());
+                prop_assert_eq!(swept, expected, "defect {}, sweeping {}", defect, name);
+            }
+        }
     }
 
     /// Doubling the global rate doubles dynamic power for rate-derived

@@ -218,6 +218,25 @@ fn analyze_proves_bounds_on_clean_designs() {
 }
 
 #[test]
+fn analyze_prints_the_pinned_bounds_of_the_shipped_designs() {
+    // `tests/fixtures/analyze/` holds the text output pinned for each
+    // shipped design, at its operating point and over a supply range.
+    let root = env!("CARGO_MANIFEST_DIR");
+    for design in ["infopad", "luminance_direct_lut", "luminance_grouped_lut"] {
+        let path = format!("{root}/examples/designs/{design}.json");
+        for (range, suffix) in [(None, ""), (Some("vdd=1.0:3.3"), ".vdd_1.0_3.3")] {
+            let mut args = vec!["analyze", path.as_str()];
+            args.extend(range.iter().flat_map(|range| ["--range", *range]));
+            let out = cli(&args);
+            assert_eq!(out.status.code(), Some(0), "{args:?}");
+            let golden = format!("{root}/tests/fixtures/analyze/{design}{suffix}.txt");
+            let expected = std::fs::read_to_string(&golden).unwrap();
+            assert_eq!(String::from_utf8_lossy(&out.stdout), expected, "{args:?}");
+        }
+    }
+}
+
+#[test]
 fn analyze_json_carries_intervals_and_diagnostics() {
     let path = write_design("analyze_json_carries_intervals_and_diagnostics");
     let out = cli(&[

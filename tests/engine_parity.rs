@@ -20,7 +20,8 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use powerplay_analysis::{
-    analyze, analyze_with_ranges, sweep_constrained, Interval, PointOutcome, PowerConstraint,
+    analyze, analyze_with_ranges, sweep_constrained, Direction, Interval, PointOutcome,
+    PowerConstraint,
 };
 use powerplay_expr::Expr;
 use powerplay_json::Json;
@@ -253,6 +254,81 @@ fn analyzer_reports_the_global_error_a_play_reports() {
     let analyzed =
         analyze_with_ranges(&plan, &[("d".to_owned(), Interval::new(0.5, 2.0))]).unwrap_err();
     assert_eq!(analyzed, played);
+}
+
+#[test]
+fn analyzer_reports_the_row_error_a_play_reports() {
+    // With no `vdd` in scope, the play fails first on the unknown name in
+    // `cap_full`, before the template asks for an operating point.
+    let mut sheet = Sheet::new("row-error");
+    sheet.set_global("f", "2MHz").unwrap();
+    let element = inline_element(
+        "inline/bad",
+        vec![],
+        ElementModel {
+            cap_full: Some(Expr::parse("mystery * 1e-12").unwrap()),
+            ..ElementModel::default()
+        },
+    );
+    sheet.add_row(Row::new("Bad", RowModel::Inline(element)));
+    let plan = CompiledSheet::compile(&sheet, &ucb_library());
+
+    let played = plan.play().unwrap_err();
+    assert_eq!(
+        played.to_string(),
+        "row `Bad`: error in `cap_full` formula: unknown variable `mystery`"
+    );
+    assert_eq!(analyze(&plan).unwrap_err(), played);
+}
+
+#[test]
+fn area_references_carry_the_area_monotonicity() {
+    // X's power is constant but its area falls as `vdd` rises; Y burns
+    // ten times X's area, so the total falls with `vdd` too.
+    let mut sheet = Sheet::new("area-coupling");
+    sheet.set_global("vdd", "2").unwrap();
+    let x = inline_element(
+        "inline/x",
+        vec![
+            ParamDecl::new("p", 0.0, "power"),
+            ParamDecl::new("a", 0.0, "area"),
+        ],
+        ElementModel {
+            power_direct: Some(Expr::parse("p").unwrap()),
+            area: Some(Expr::parse("a").unwrap()),
+            ..ElementModel::default()
+        },
+    );
+    let row = sheet.add_row(Row::new("X", RowModel::Inline(x)));
+    row.bind("p", "1").unwrap();
+    row.bind("a", "4 - vdd").unwrap();
+    let y = inline_element(
+        "inline/y",
+        vec![ParamDecl::new("load", 0.0, "power")],
+        ElementModel {
+            power_direct: Some(Expr::parse("load").unwrap()),
+            ..ElementModel::default()
+        },
+    );
+    let row = sheet.add_row(Row::new("Y", RowModel::Inline(y)));
+    row.bind("load", "A_x * 10").unwrap();
+    let plan = CompiledSheet::compile(&sheet, &ucb_library());
+
+    let total = |vdd: f64| plan.play_with(&[("vdd", vdd)]).unwrap().total_power();
+    assert_eq!(total(1.0), Power::new(31.0));
+    assert_eq!(total(3.0), Power::new(11.0));
+    let bounds =
+        analyze_with_ranges(&plan, &[("vdd".to_owned(), Interval::new(1.0, 3.0))]).unwrap();
+    let vdd = bounds.monotone.iter().find(|m| m.name == "vdd").unwrap();
+    assert_eq!(vdd.direction, Direction::Decreasing);
+    for v in [1.0, 2.0, 3.0] {
+        assert!(bounds.total_power.contains(total(v).value()));
+    }
+}
+
+/// An inline computation element with `params` and `model`.
+fn inline_element(name: &str, params: Vec<ParamDecl>, model: ElementModel) -> LibraryElement {
+    LibraryElement::new(name, ElementClass::Computation, "Inline.", params, model)
 }
 
 #[test]

@@ -4,9 +4,18 @@
 //! machines. For full security, a private version of PowerPlay may be
 //! run within a company's firewalls."
 
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
+
 use powerplay::ucb_library;
+use powerplay_expr::{Expr, MAX_DEPTH};
+use powerplay_json::Json;
+use powerplay_sheet::Sheet;
 use powerplay_web::app::PowerPlayApp;
-use powerplay_web::http::{http_get, http_get_basic_auth, ClientError, Response, Server, Status};
+use powerplay_web::http::{
+    http_get, http_get_basic_auth, read_response, ClientError, Method, Request, Response, Server,
+    Status,
+};
 use powerplay_web::remote;
 
 fn data_dir(tag: &str) -> std::path::PathBuf {
@@ -109,4 +118,112 @@ fn help_page_is_served() {
     assert!(body.contains("Tutorial"));
     assert!(body.contains("P_other_row"));
     assert!(body.contains("Defining models"));
+}
+
+/// A design whose one global is `1+1+…+1` with `terms` terms.
+fn deep_design(terms: usize) -> String {
+    let formula = vec!["1"; terms].join("+");
+    format!(r#"{{"name":"deep","globals":[{{"name":"x","formula":"{formula}"}}],"rows":[]}}"#)
+}
+
+#[test]
+fn an_over_deep_formula_is_refused_and_the_server_serves_on() {
+    let app = PowerPlayApp::new(ucb_library(), data_dir("deep"));
+    let server = app.serve("127.0.0.1:0").unwrap();
+    let mut conn = BufReader::new(TcpStream::connect(server.addr()).unwrap());
+    let mut send = |method: &str, path: &str, body: &str| {
+        let head = format!(
+            "{method} {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        let stream = conn.get_mut();
+        stream.write_all(head.as_bytes()).unwrap();
+        stream.write_all(body.as_bytes()).unwrap();
+        read_response(&mut conn).unwrap()
+    };
+
+    // The 257th `+` of the global nests one level too deep.
+    let refused = send("POST", "/api/v1/sensitivities", &deep_design(20_000));
+    assert_eq!(refused.status(), Status::BadRequest);
+    assert!(
+        refused.body_text().contains("at offset 513"),
+        "{}",
+        refused.body_text()
+    );
+    assert_eq!(send("GET", "/api/v1", "").status(), Status::Ok);
+
+    let put = send("PUT", "/api/v1/designs/u/deep", &deep_design(6_000));
+    assert_eq!(put.status(), Status::BadRequest);
+    let stored = send("GET", "/api/v1/designs/u/deep", "");
+    assert_eq!(stored.status(), Status::NotFound);
+}
+
+#[test]
+fn formula_parsing_is_bounded_on_a_small_stack() {
+    // Each of these would recurse once per level without the cap.
+    let deep = std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(|| {
+            let n = 100_000;
+            for src in [
+                format!("{}1{}", "(".repeat(n), ")".repeat(n)),
+                format!("{}1", "-".repeat(n)),
+                vec!["2"; n].join("^"),
+                vec!["1"; n].join("+"),
+            ] {
+                assert!(Expr::parse(&src).is_err(), "{}…", &src[..8]);
+            }
+            let at_cap = format!("{}1{}", "(".repeat(256), ")".repeat(256));
+            Expr::parse(&at_cap).is_ok() && Expr::parse(&vec!["1"; 257].join("+")).is_ok()
+        })
+        .unwrap();
+    assert!(deep.join().unwrap(), "a 256-deep formula parses");
+}
+
+#[test]
+fn a_formula_at_the_depth_cap_survives_storage_and_a_restart() {
+    // Stored and sent designs print each `+` of the sum in parentheses.
+    let design = deep_design(MAX_DEPTH + 1);
+    let sheet = Sheet::from_json(&Json::parse(&design).unwrap()).unwrap();
+    let printed = sheet.to_json().to_string();
+    assert!(printed.contains(&"(".repeat(MAX_DEPTH)), "{printed}");
+    assert_eq!(
+        Sheet::from_json(&Json::parse(&printed).unwrap()).unwrap(),
+        sheet
+    );
+
+    let dir = data_dir("at-cap");
+    let send = |app: &PowerPlayApp, method: Method, path: &str, body: Option<&str>| {
+        let mut req = Request::new(method, path);
+        if let Some(body) = body {
+            req.set_body(body.as_bytes().to_vec(), "application/json");
+        }
+        app.handle(&req)
+    };
+    let app = PowerPlayApp::new(ucb_library(), dir.clone());
+    let other = r#"{"name":"other","globals":[{"name":"vdd","formula":"1.5"}],"rows":[]}"#;
+    for (name, body) in [("deep", design.as_str()), ("other", other)] {
+        let path = format!("/api/v1/designs/u/{name}");
+        let put = send(&app, Method::Put, &path, Some(body));
+        assert_eq!(put.status(), Status::Created, "{}", put.body_text());
+    }
+    // What a GET answers, a PUT takes back.
+    let got = send(&app, Method::Get, "/api/v1/designs/u/deep", None);
+    assert_eq!(got.status(), Status::Ok);
+    let design = Json::parse(&got.body_text()).unwrap()["design"].to_string();
+    let mut put = Request::new(Method::Put, "/api/v1/designs/u/deep");
+    put.set_body(design.into_bytes(), "application/json");
+    put.set_header("If-Match", "\"1\"");
+    let put = app.handle(&put);
+    assert_eq!(put.status(), Status::Ok, "{}", put.body_text());
+    drop(app);
+
+    // Recovery rereads the printed formula from the log.
+    let reopened = PowerPlayApp::new(ucb_library(), dir.clone());
+    let played = send(&reopened, Method::Post, "/api/v1/designs/u/deep/play", None);
+    assert_eq!(played.status(), Status::Ok, "{}", played.body_text());
+    let other = send(&reopened, Method::Get, "/api/v1/designs/u/other", None);
+    assert_eq!(other.status(), Status::Ok, "{}", other.body_text());
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
 }
