@@ -21,8 +21,12 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
 
 use powerplay_expr::{BinaryOp, Builtin, Expr};
-use powerplay_lint::{codes, convention_dim, infer_dims, Diagnostic, DimInfo, LintReport};
-use powerplay_sheet::{Backend, CompiledSheet, EvaluateSheetError, Formula, Pure, SUM_IDENTITY};
+use powerplay_lint::{
+    codes, convention_dim, formula_path, infer_dims, Diagnostic, DimInfo, LintReport,
+};
+use powerplay_sheet::{
+    Backend, CompiledSheet, EvaluateSheetError, Formula, Names, Pure, SUM_IDENTITY,
+};
 use powerplay_telemetry::{Counter, Histogram};
 
 use crate::bounds::{Direction, InputBound, MonotoneInput, RowBounds, SheetBounds};
@@ -85,9 +89,9 @@ struct Abstract {
     konsts: HashMap<u64, u32>,
     /// The handle each override name is bound to.
     overrides: Vec<(String, u32)>,
-    /// Per declared top-level global: the tracked input a constant
-    /// formula binds to.
-    tracked: Vec<Option<u32>>,
+    /// Each declared top-level global whose constant formula binds it to
+    /// a tracked input, with that input.
+    tracked: Vec<(String, u32)>,
     report: LintReport,
     /// The path of the formula being lowered, as diagnostics print it.
     path: String,
@@ -153,7 +157,7 @@ impl Abstract {
     }
 }
 
-impl Backend for Abstract {
+impl Backend<'_> for Abstract {
     fn konst(&mut self, value: f64) -> u32 {
         if let Some(&handle) = self.konsts.get(&value.to_bits()) {
             return handle;
@@ -291,19 +295,22 @@ impl Backend for Abstract {
         can_pass || !can_trap
     }
 
-    fn trap(&mut self, _: &EvaluateSheetError) {}
-
-    fn formula(&mut self, nest: &[Arc<str>], formula: Formula<'_>) {
-        let path = &mut self.path;
-        path.clear();
-        for row in nest {
-            path.extend(["rows/", row, "/"]);
-        }
-        match formula {
-            Formula::Global(name) => path.extend(["globals/", name]),
-            Formula::Binding { row, param } => path.extend(["rows/", row, "/params/", param]),
-            Formula::Model { row, formula } => path.extend(["rows/", row, "/model/", formula]),
-        }
+    /// A constant-formula global is a tracked input: the play still
+    /// evaluates its formula, whose diagnostics stand, but its value is
+    /// the input's.
+    fn formula(
+        &mut self,
+        nest: &[Arc<str>],
+        formula: Formula<'_>,
+        _: &Expr,
+        _: Names<'_>,
+    ) -> Option<u32> {
+        formula_path(&mut self.path, nest, formula);
+        let Formula::Global(name) = formula else {
+            return None;
+        };
+        let tracked = self.tracked.iter().find(|(global, _)| global == name);
+        tracked.filter(|_| nest.is_empty()).map(|&(_, input)| input)
     }
 
     fn enter_arm(&mut self, cond: u32, then: bool) {
@@ -314,13 +321,6 @@ impl Backend for Abstract {
 
     fn exit_arm(&mut self) {
         self.live = self.arms.pop().expect("an arm is open");
-    }
-
-    /// A constant-formula global is a tracked input: the play still
-    /// evaluates its formula, whose diagnostics stand, but its value is
-    /// the input's.
-    fn global(&mut self, index: usize, value: u32) -> u32 {
-        self.tracked[index].unwrap_or(value)
     }
 
     fn row(&mut self, nest: &[Arc<str>], name: &str, power: u32) {
@@ -519,7 +519,7 @@ pub fn analyze_with_ranges(
             .map(|(name, _)| (name.clone(), input_index[name.as_str()]))
             .collect(),
         tracked: (globals.iter())
-            .map(|g| input_index.get(g.name()).copied())
+            .filter_map(|g| Some((g.name().to_owned(), *input_index.get(g.name())?)))
             .collect(),
         report: LintReport::new(),
         path: String::new(),

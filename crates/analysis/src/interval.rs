@@ -19,7 +19,7 @@
 //! * The libm transcendentals (`exp`, `ln`, `log10`, `log2`, `powf`,
 //!   `hypot`) are *not* guaranteed correctly rounded or monotone, so
 //!   their endpoint results are widened outward by a few ulps
-//!   ([`ULP_SLOP`]) before use. `sqrt` is IEEE-exact and needs none.
+//!   (`ULP_SLOP`) before use. `sqrt` is IEEE-exact and needs none.
 //!
 //! Signed zeros are deliberately ignored: `-0.0 == 0.0` numerically,
 //! and every containment check here compares numerically, so an

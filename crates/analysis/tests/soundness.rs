@@ -337,6 +337,26 @@ mod diagnostics {
     }
 
     #[test]
+    fn a_binding_diagnostic_carries_the_lint_path_of_the_binding() {
+        let registry = ucb_library();
+        let mut sheet = Sheet::new("binding");
+        sheet.set_global_value("vdd", 1.5);
+        sheet.set_global_value("f", 2e6);
+        sheet
+            .add_element_row("Reg", "ucb/register", [("x", "sqrt(vdd - 2)")])
+            .unwrap();
+        let plan = CompiledSheet::compile(&sheet, &registry);
+        let ranges = vec![("vdd".to_string(), Interval::new(1.0, 3.3))];
+        let bounds = analyze_with_ranges(&plan, &ranges).unwrap();
+        let found = bounds.diagnostics.diagnostics().iter();
+        let w115 = found
+            .filter(|d| d.code == codes::NAN_REACHABLE)
+            .collect::<Vec<_>>();
+        assert_eq!(w115.len(), 1, "{:?}", codes_of(&bounds));
+        assert_eq!(w115[0].path, "rows/Reg/bindings/x");
+    }
+
+    #[test]
     fn constant_foldable_row_fires_w118_under_ranges() {
         let registry = registry_with_probe();
         let mut sheet = Sheet::new("foldable");

@@ -105,13 +105,15 @@ impl PowerPlay {
     /// Statically analyzes a design: unit-dimension inference, name
     /// analysis, and plausibility checks, without evaluating anything.
     pub fn lint(&self, sheet: &Sheet) -> LintReport {
-        powerplay_lint::lint_sheet(sheet, &self.registry)
+        powerplay_lint::lint_sheet(&self.compile(sheet))
     }
 
-    /// [`PowerPlay::compile`] plus the [`LintReport`] for the same
-    /// sheet, so callers can surface diagnostics alongside the plan.
+    /// [`PowerPlay::compile`] plus the [`LintReport`] of the compiled
+    /// plan, so callers can surface diagnostics alongside it.
     pub fn compile_with_diagnostics(&self, sheet: &Sheet) -> (CompiledSheet, LintReport) {
-        (self.compile(sheet), self.lint(sheet))
+        let plan = self.compile(sheet);
+        let report = powerplay_lint::lint_sheet(&plan);
+        (plan, report)
     }
 
     /// Lumps a design into a reusable macro and registers it.

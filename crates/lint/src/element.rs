@@ -104,27 +104,7 @@ pub fn lint_element(element: &LibraryElement) -> LintReport {
         }
     };
     for (slot, expr, expected) in slots(element) {
-        let path = format!("model/{slot}");
-        let inferred = infer_dims(expr, &path, &lookup, &mut out);
-        if let Some(d) = inferred.known() {
-            if d != expected {
-                out.push(Diagnostic::warning(
-                    codes::RESULT_DIM,
-                    &path,
-                    format!("formula has dimension {d}, but this slot holds {expected}"),
-                ));
-            }
-        }
-        check_constant_folds(expr, &path, &mut out);
-        if let Some(v) = expr.constant_value() {
-            if v.is_finite() && v < 0.0 {
-                out.push(Diagnostic::error(
-                    codes::NEGATIVE_CONSTANT_MODEL,
-                    &path,
-                    format!("formula always evaluates to {v}; physical values must be >= 0"),
-                ));
-            }
-        }
+        check_slot(expr, &format!("model/{slot}"), expected, &lookup, &mut out);
     }
 
     // W109: converter efficiency defaults outside (0, 1].
@@ -144,6 +124,35 @@ pub fn lint_element(element: &LibraryElement) -> LintReport {
     }
 
     out
+}
+
+/// The checks of one model formula at `path` against the dimension its
+/// slot holds (W104), its constant folds (E011) and a negative constant
+/// (E012); `lookup` gives the dimension of each name it reads.
+pub(crate) fn check_slot(
+    expr: &Expr,
+    path: &str,
+    expected: Dim,
+    lookup: &dyn Fn(&str) -> DimInfo,
+    out: &mut LintReport,
+) {
+    if let Some(d) = infer_dims(expr, path, lookup, out).known() {
+        if d != expected {
+            out.push(Diagnostic::warning(
+                codes::RESULT_DIM,
+                path,
+                format!("formula has dimension {d}, but this slot holds {expected}"),
+            ));
+        }
+    }
+    check_constant_folds(expr, path, out);
+    if let Some(v) = expr.constant_value().filter(|v| v.is_finite() && *v < 0.0) {
+        out.push(Diagnostic::error(
+            codes::NEGATIVE_CONSTANT_MODEL,
+            path,
+            format!("formula always evaluates to {v}; physical values must be >= 0"),
+        ));
+    }
 }
 
 fn declared_list(element: &LibraryElement) -> String {

@@ -1,939 +1,543 @@
-//! Whole-sheet semantic analysis: name resolution, dependency order,
-//! dimension inference, and plausibility checks.
+//! Whole-sheet lint: a back end of the engine's lowering walk.
 //!
-//! The analyzer is an *exact static simulation* of the evaluation
-//! semantics in `powerplay_sheet::plan`: globals are dependency-ordered
-//! with the same toposort the engine uses, rows are walked in the same
-//! order the engine would evaluate them, and `P_`/`A_` availability is
-//! tracked point-by-point. That precision is what makes the headline
-//! guarantee hold: a sheet with zero `Error` diagnostics evaluates
-//! without structural errors — the only failures left are ones that
-//! depend on runtime *values* (a formula producing a negative
-//! capacitance from particular inputs).
+//! [`lint_sheet`] runs [`CompiledSheet::walk`], the walk the register
+//! program and the interval analyzer come from, with a back end that
+//! turns each trap into a diagnostic at the path of the formula being
+//! lowered and goes on past it with a stand-in. Scopes, global and row
+//! order, sub-sheets, the EQ 1 template's `vdd`/`f` and the structural
+//! findings are the walk's, so a sheet with zero `Error` diagnostics
+//! evaluates without structural errors; what is left depends on runtime
+//! *values* (a formula producing a negative capacitance).
+//!
+//! This module keeps what the walk does not decide: the wording of an
+//! unknown `P_x`/`A_x` (E008/E009, from the plan's row idents), the
+//! references only evaluation order makes work (W111) or a dependency
+//! edge reorders (I202), dimension inference, and the syntactic checks:
+//! dead globals and bindings (W105, W106), shadowing (I201),
+//! plausibility (W107–W110) and constant folds (E011).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
-use powerplay_expr::{Expr, BUILTIN_FUNCTIONS};
-use powerplay_library::{ElementClass, LibraryElement, Registry};
-use powerplay_sheet::{toposort, Row, RowModel, Sheet};
+use powerplay_expr::{EvalError, Expr};
+use powerplay_library::{ElementClass, EvaluateElementError};
+use powerplay_sheet::{
+    Backend, CompiledSheet, EvaluateSheetError, Formula, GlobalView, Names, Pure, RowKindView,
+    RowView,
+};
 use powerplay_units::dim::Dim;
 
 use crate::diag::{codes, Diagnostic, LintReport};
 use crate::dims::{check_constant_folds, convention_dim, infer_dims, DimInfo};
-use crate::element::slots;
+use crate::element::{check_slot, slots};
+use crate::{diagnostic_for_play_error, formula_path, slot_name, unnest};
 
-/// Options controlling a lint run.
-#[derive(Debug, Clone, Default)]
-pub struct LintOptions {
-    /// Diagnostic codes to suppress ("we know, it's intentional").
-    pub allow: Vec<String>,
-}
-
-/// Lints a sheet against a registry. See the module docs for what the
-/// passes guarantee.
-pub fn lint_sheet(sheet: &Sheet, registry: &Registry) -> LintReport {
+/// Lints a compiled sheet. See the module docs for what the passes
+/// guarantee.
+pub fn lint_sheet(plan: &CompiledSheet) -> LintReport {
     let metrics = crate::obs::lint_metrics();
     metrics.reports_total.inc();
     let _timer = metrics.sheet_pass_seconds.start_timer();
-    let _span = powerplay_telemetry::profile::span_lazy(|| format!("lint {}", sheet.name()));
-    let mut out = LintReport::new();
-    lint_level(sheet, registry, "", &Ambient::new(), &mut out);
-    out
+    let _span = powerplay_telemetry::profile::span_lazy(|| format!("lint {}", plan.plan_name()));
+    let mut lint = Lint::default();
+    let walked = plan.walk(&plan.override_plan(&[]), &mut lint);
+    walked.expect("lint goes on past every trap");
+    lint.report
 }
 
-/// [`lint_sheet`] with [`LintOptions`] applied.
-pub fn lint_sheet_with(sheet: &Sheet, registry: &Registry, options: &LintOptions) -> LintReport {
-    let allowed: Vec<&str> = options.allow.iter().map(String::as_str).collect();
-    lint_sheet(sheet, registry).allow(&allowed)
+/// The handle of every value whose dimension lint does not track:
+/// constants, operations and stand-ins.
+const ANY: u32 = 0;
+
+/// The lint back end. A global or a binding gets a handle of its own,
+/// `k + 1` for its dimension `dims[k]`, so a name the walk resolves
+/// reads the dimension of whatever it is bound to.
+#[derive(Default)]
+struct Lint<'p> {
+    report: LintReport,
+    dims: Vec<DimInfo>,
+    /// The sheet levels the walk is inside, outermost first.
+    levels: Vec<Level<'p>>,
 }
 
-/// A name inherited from enclosing scopes, with whether resolving it
-/// depends on the engine's evaluation order rather than a tracked
-/// dependency (a parent row's `P_`/`A_` seen from inside a sub-sheet).
-#[derive(Debug, Clone, Copy)]
-struct AmbientEntry {
-    dim: DimInfo,
-    order_dependent: bool,
+/// A sheet level the walk is inside.
+struct Level<'p> {
+    sheet: &'p CompiledSheet,
+    /// `rows/<row>/` for each enclosing sub-sheet row.
+    prefix: String,
+    rows: Vec<RowView<'p>>,
+    /// Row ident → the row the engine indexes it to (the last one).
+    idents: HashMap<&'p str, usize>,
+    /// The row being lowered.
+    row: usize,
 }
 
-type Ambient = BTreeMap<String, AmbientEntry>;
-
-/// Row-reference context for resolving `P_`/`A_` names at one sheet
-/// level.
-struct RowRefCtx<'a> {
-    /// Nonempty row idents mapped to textual index.
-    idents: &'a BTreeMap<String, usize>,
-    /// Display names by textual index.
-    names: &'a [String],
-    /// Whether each row contributes an `A_` value.
-    has_area: &'a [bool],
-    /// Textual indices of rows already evaluated at this point of the
-    /// engine's order.
-    processed: &'a BTreeSet<usize>,
-    /// Textual index of the row being analyzed.
-    current: usize,
-    /// True when the expression is one of the current row's own
-    /// bindings — the only place `compile_rows` records dependency
-    /// edges, which guarantee the referenced row evaluates first.
-    dep_edged: bool,
+/// Which kind of formula a name is read from.
+#[derive(Clone, Copy, PartialEq)]
+enum Kind {
+    Global,
+    Binding,
+    Model,
 }
 
-/// Everything a variable can resolve against at one point.
-struct VarCtx<'a> {
-    /// Row-local names: element parameter defaults plus bindings
-    /// evaluated so far.
-    local: &'a BTreeMap<String, DimInfo>,
-    /// This level's globals.
-    gdims: &'a BTreeMap<String, DimInfo>,
-    /// Names inherited from enclosing scopes.
-    ambient: &'a Ambient,
-    /// Row-reference context; `None` while linting globals (which the
-    /// engine evaluates before any row's `P_`/`A_` exists).
-    rows: Option<RowRefCtx<'a>>,
-    /// In globals context: this level's row idents, used only to word
-    /// the "globals are evaluated before rows" error.
-    globals_hint: Option<&'a BTreeMap<String, usize>>,
-}
-
-/// Outcome of resolving one variable.
-enum Res {
-    /// Resolves; carries the dimension.
-    Ok(DimInfo),
-    /// Resolves today, but only because of evaluation order (W111).
-    OrderDependent(DimInfo, String),
-    /// Resolves via a dependency edge to a textually later row (I202).
-    Forward(DimInfo, String),
-    /// A row's model references its own power (E008).
-    SelfPower,
-    /// Reference to a row evaluated after this one, with no dependency
-    /// edge to reorder it (E008).
-    NotYetEvaluated(String),
-    /// `A_` reference to a row whose model has no area (E009).
-    NoArea(String),
-    /// `P_`/`A_` identifier matching no row (E008).
-    UnknownRow(String),
-    /// Global referencing a row result (E008).
-    RowsInvisible(String),
-    /// Nothing anywhere defines it (E001).
-    Unbound,
-}
-
-fn plain_lookup(var: &str, ctx: &VarCtx<'_>) -> Option<Res> {
-    if let Some(d) = ctx.local.get(var) {
-        return Some(Res::Ok(*d));
+impl Level<'_> {
+    /// The row `var` names as `P_<ident>` or `A_<ident>`, and whether it
+    /// names an area.
+    fn target(&self, var: &str) -> Option<(usize, bool)> {
+        let (ident, area) = match (var.strip_prefix("P_"), var.strip_prefix("A_")) {
+            (Some(ident), _) => (ident, false),
+            (_, Some(ident)) => (ident, true),
+            _ => return None,
+        };
+        self.idents.get(ident).map(|&j| (j, area))
     }
-    if let Some(d) = ctx.gdims.get(var) {
-        return Some(Res::Ok(*d));
+
+    /// The other row whose published value `var` names: its power, or
+    /// an area it has.
+    fn other_row(&self, var: &str) -> Option<usize> {
+        let (j, area) = self.target(var)?;
+        (j != self.row && (!area || has_area(self.rows[j]))).then_some(j)
     }
-    if let Some(e) = ctx.ambient.get(var) {
-        return Some(if e.order_dependent {
-            Res::OrderDependent(e.dim, "a parent sheet's row".to_owned())
-        } else {
-            Res::Ok(e.dim)
-        });
+
+    /// The value of the level's global `name`, when it is a finite
+    /// constant.
+    fn constant(&self, name: &str) -> Option<f64> {
+        let global = self.sheet.globals_view().find(|g| g.name() == name)?;
+        global.expr().constant_value().filter(|v| v.is_finite())
     }
-    None
 }
 
-fn resolve(var: &str, ctx: &VarCtx<'_>) -> Res {
-    // `P_x` / `A_x` row references resolve through the power layer,
-    // which sits between row-local names and the globals. Collisions
-    // between a row ident and a local/global of the same spelled name
-    // are pathological; the row reference wins here, as it does in the
-    // engine whenever the row has been evaluated.
-    if let Some(rc) = &ctx.rows {
-        let target = var.strip_prefix("P_").or_else(|| var.strip_prefix("A_"));
-        if let Some(ident) = target {
-            if let Some(&j) = rc.idents.get(ident) {
-                let is_area = var.starts_with("A_");
-                let dim = DimInfo::Known(if is_area { Dim::SQ_METRE } else { Dim::WATT });
-                if j == rc.current {
-                    // In a binding this is a row cycle, already reported
-                    // by the dependency phase; in a model formula the
-                    // value simply does not exist yet.
-                    return if rc.dep_edged {
-                        Res::Ok(dim)
-                    } else {
-                        Res::SelfPower
-                    };
-                }
-                if is_area && !rc.has_area[j] {
-                    // The engine never sets `A_x` for area-less rows, so
-                    // the lookup falls through to plain scopes.
-                    return plain_lookup(var, ctx).unwrap_or(Res::NoArea(rc.names[j].clone()));
-                }
-                if rc.dep_edged {
-                    return if j > rc.current {
-                        Res::Forward(dim, rc.names[j].clone())
-                    } else {
-                        Res::Ok(dim)
-                    };
-                }
-                // No dependency edge (a model formula, not a binding):
-                // availability is whatever the evaluation order left us.
-                if rc.processed.contains(&j) {
-                    return Res::OrderDependent(dim, format!("row `{}`", rc.names[j]));
-                }
-                return plain_lookup(var, ctx).unwrap_or(Res::NotYetEvaluated(rc.names[j].clone()));
+/// Whether a row publishes an `A_<ident>` value. A missing element
+/// answers `true`, so it (already an E004) does not cascade.
+fn has_area(row: RowView<'_>) -> bool {
+    match row.kind() {
+        RowKindView::Element(element) => element.model().area.is_some(),
+        RowKindView::Missing(_) => true,
+        RowKindView::SubSheet(sub) => sub.rows_view().iter().any(has_area),
+    }
+}
+
+/// Every name the formulas of `rows` read.
+fn rows_read<'a>(rows: impl IntoIterator<Item = RowView<'a>>, used: &mut BTreeSet<String>) {
+    for row in rows {
+        for (_, expr) in row.bindings() {
+            used.extend(expr.free_variables());
+        }
+        model_reads(row, used);
+    }
+}
+
+/// Every name a row's element formulas, or its sub-sheet's globals and
+/// rows, read: what its bindings and the globals above it feed.
+fn model_reads(row: RowView<'_>, used: &mut BTreeSet<String>) {
+    match row.kind() {
+        RowKindView::Element(element) => {
+            for (_, expr, _) in slots(element) {
+                used.extend(expr.free_variables());
             }
         }
-    }
-    if let Some(res) = plain_lookup(var, ctx) {
-        return res;
-    }
-    if let Some(ident) = var.strip_prefix("P_").or_else(|| var.strip_prefix("A_")) {
-        if !ident.is_empty() {
-            if let Some(hint) = ctx.globals_hint {
-                if hint.contains_key(ident) {
-                    return Res::RowsInvisible(ident.to_owned());
-                }
+        RowKindView::Missing(_) => {}
+        RowKindView::SubSheet(sub) => {
+            for g in sub.globals_view() {
+                used.extend(g.expr().free_variables());
             }
-            if ctx.rows.is_some() {
-                return Res::UnknownRow(ident.to_owned());
-            }
+            rows_read(sub.rows_view().iter(), used);
         }
     }
-    Res::Unbound
 }
 
-/// Reports name-analysis diagnostics for every free variable and call
-/// of `expr`, then returns a dimension-lookup closure's worth of
-/// knowledge via [`resolve`].
-fn report_names(expr: &Expr, path: &str, ctx: &VarCtx<'_>, out: &mut LintReport) {
-    for var in expr.free_variables() {
-        match resolve(&var, ctx) {
-            Res::Ok(_) => {}
-            Res::OrderDependent(_, owner) => out.push(
-                Diagnostic::warning(
-                    codes::ORDER_DEPENDENT_REF,
-                    path,
-                    format!(
-                        "`{var}` resolves to {owner}, but only because of the current \
-                         evaluation order; no dependency is tracked for this reference"
-                    ),
-                )
-                .with_suggestion(
-                    "reference it from a row binding at the same sheet level so the \
-                     engine orders evaluation explicitly",
-                ),
-            ),
-            Res::Forward(_, name) => out.push(Diagnostic::info(
-                codes::FORWARD_REF,
-                path,
-                format!(
-                    "`{var}` refers to row `{name}`, defined later in the sheet \
-                     (dependency analysis reorders evaluation, so this works)"
-                ),
-            )),
-            Res::SelfPower => out.push(Diagnostic::error(
+/// W105: the globals of `level` nothing in its subtree reads. `vdd`/`f`
+/// are exempt: elements read them implicitly through the scope chain.
+fn dead_globals(level: &Level<'_>, out: &mut LintReport) {
+    let mut used = BTreeSet::new();
+    rows_read(level.rows.iter().copied(), &mut used);
+    let globals = || level.sheet.globals_view();
+    for name in globals().map(|g| g.name()) {
+        // Its own formula does not count as a use.
+        let read = |g: GlobalView<'_>| g.name() != name && g.expr().free_variables().contains(name);
+        if ["vdd", "f"].contains(&name) || used.contains(name) || globals().any(read) {
+            continue;
+        }
+        let path = format!("{}globals/{name}", level.prefix);
+        let message = format!("global `{name}` is never read");
+        let d = Diagnostic::warning(codes::DEAD_GLOBAL, path, message);
+        out.push(d.with_suggestion("remove it, or reference it from a formula"));
+    }
+}
+
+/// The checks that read a row but not its evaluation: shadowed globals
+/// (I201), dead bindings (W106), a clocked element at 0 Hz (W107), swing
+/// above the rail (W108) and converter efficiency (W109).
+fn row_checks(level: &Level<'_>, row: RowView<'_>, out: &mut LintReport) {
+    let rpath = format!("{}rows/{}", level.prefix, row.name());
+    let element = match row.kind() {
+        RowKindView::Element(element) => Some(element),
+        _ => None,
+    };
+    let params: Vec<&str> = element
+        .iter()
+        .flat_map(|e| e.params())
+        .map(|p| p.name.as_str())
+        .collect();
+    let mut read = BTreeSet::from(["vdd".to_owned(), "f".to_owned()]);
+    read.extend(params.iter().map(|p| p.to_string()));
+    model_reads(row, &mut read);
+    let bindings: Vec<(&str, &Expr)> = row.bindings().collect();
+    for (k, &(param, _)) in bindings.iter().enumerate() {
+        let path = format!("{rpath}/bindings/{param}");
+        if level.sheet.globals_view().any(|g| g.name() == param) {
+            let message =
+                format!("binding `{param}` shadows the sheet global of the same name for this row");
+            out.push(Diagnostic::info(codes::SHADOWED_GLOBAL, &path, message));
+        }
+        let read_later = bindings[k + 1..]
+            .iter()
+            .any(|(_, e)| e.free_variables().contains(param));
+        if !read.contains(param) && !read_later {
+            let message = format!("binding `{param}` matches no parameter and is never read");
+            let d = Diagnostic::warning(codes::DEAD_BINDING, &path, message);
+            out.push(match element.filter(|_| !params.is_empty()) {
+                Some(e) => {
+                    d.with_suggestion(format!("`{}` declares: {}", e.name(), params.join(", ")))
+                }
+                None => d,
+            });
+        }
+    }
+    let Some(e) = element else { return };
+    let bound = |name: &str| bindings.iter().find(|b| b.0 == name)?.1.constant_value();
+    let param =
+        |name: &str| bound(name).or(Some(e.params().iter().find(|p| p.name == name)?.default));
+    let rail = |name: &str| bound(name).or_else(|| level.constant(name));
+    let mut warn = |code, message: String| out.push(Diagnostic::warning(code, &rpath, message));
+    let clocked = e.model().cap_full.is_some() || e.model().cap_partial.is_some();
+    if clocked && rail("f") == Some(0.0) {
+        let message =
+            "clocked element evaluated at a constant 0 Hz; its dynamic power will be zero";
+        warn(codes::ZERO_FREQUENCY, message.to_owned());
+    }
+    let swing = param("swing").filter(|_| params.contains(&"swing"));
+    if let Some((s, v)) = swing.zip(rail("vdd")).filter(|(s, v)| s > v) {
+        warn(
+            codes::SWING_EXCEEDS_VDD,
+            format!("reduced swing {s} V exceeds the supply vdd = {v} V"),
+        );
+    }
+    let converter = e.class() == ElementClass::Converter;
+    if let Some(eta) = param("eta").filter(|eta| converter && !(*eta > 0.0 && *eta <= 1.0)) {
+        warn(
+            codes::ETA_OUT_OF_RANGE,
+            format!("converter efficiency eta = {eta} is outside (0, 1]"),
+        );
+    }
+}
+
+/// The dimension of `var` where a formula inside `levels[..=depth]`
+/// reads it: a row's published value is a power or an area, and a global
+/// or a binding has its formula's (handle `k + 1` is `dims[k]`).
+fn dim_of(
+    levels: &[Level<'_>],
+    dims: &[DimInfo],
+    depth: usize,
+    var: &str,
+    names: Names<'_>,
+) -> DimInfo {
+    let Some(handle) = names(var) else {
+        return DimInfo::Any;
+    };
+    if levels[..=depth].iter().any(|l| l.target(var).is_some()) {
+        let area = var.starts_with("A_");
+        return DimInfo::Known(if area { Dim::SQ_METRE } else { Dim::WATT });
+    }
+    handle
+        .checked_sub(1)
+        .map_or(DimInfo::Any, |k| dims[k as usize])
+}
+
+impl Lint<'_> {
+    /// The row references of a formula of `kind` at `path` that resolve,
+    /// and how: through a dependency edge to a later row (I202), or only
+    /// through evaluation order (W111).
+    fn row_references(&mut self, depth: usize, kind: Kind, path: &str, expr: &Expr, names: Names) {
+        let level = &self.levels[depth];
+        for var in expr.free_variables() {
+            let resolves = names(&var).is_some();
+            let owner = match level.other_row(&var).filter(|_| kind != Kind::Global) {
+                Some(j) if kind == Kind::Binding && j > level.row => {
+                    let message = format!(
+                        "`{var}` refers to row `{}`, defined later in the sheet \
+                         (dependency analysis reorders evaluation, so this works)",
+                        level.rows[j].name()
+                    );
+                    self.report
+                        .push(Diagnostic::info(codes::FORWARD_REF, path, message));
+                    continue;
+                }
+                Some(j) if kind == Kind::Model && resolves => {
+                    format!("row `{}`", level.rows[j].name())
+                }
+                None if resolves
+                    && (kind == Kind::Global || level.target(&var).is_none())
+                    && self.levels[..depth]
+                        .iter()
+                        .any(|l| l.target(&var).is_some()) =>
+                {
+                    "a parent sheet's row".to_owned()
+                }
+                _ => continue,
+            };
+            let message = format!(
+                "`{var}` resolves to {owner}, but only because of the current \
+                 evaluation order; no dependency is tracked for this reference"
+            );
+            let d = Diagnostic::warning(codes::ORDER_DEPENDENT_REF, path, message);
+            self.report.push(d.with_suggestion(
+                "reference it from a row binding at the same sheet level so the \
+                 engine orders evaluation explicitly",
+            ));
+        }
+    }
+
+    /// The diagnostic for a name the walk found unbound in a formula of
+    /// `kind` at `depth`; `found` is the play's. An unknown `P_x` or
+    /// `A_x` is worded by what the plan's row idents say of it, and one a
+    /// dependency edge or a cycle accounts for is none.
+    fn unbound(&self, depth: usize, kind: Kind, var: &str, d: Diagnostic) -> Option<Diagnostic> {
+        let ident = var.strip_prefix("P_").or_else(|| var.strip_prefix("A_"));
+        let Some(ident) = ident.filter(|ident| !ident.is_empty()) else {
+            return Some(d);
+        };
+        let level = &self.levels[depth];
+        let target = level.target(var).map(|(j, area)| (j, area, level.rows[j]));
+        let (code, message, help) = match (target, kind) {
+            (None, Kind::Global) => return Some(d),
+            (None, _) => (
                 codes::REF_UNKNOWN_ROW,
-                path,
-                format!("`{var}` is this row's own result, which does not exist while the row is being evaluated"),
-            )),
-            Res::NotYetEvaluated(name) => out.push(
-                Diagnostic::error(
-                    codes::REF_UNKNOWN_ROW,
-                    path,
-                    format!(
-                        "`{var}` refers to row `{name}`, which is evaluated after this row; \
-                         model formulas do not create dependency edges"
-                    ),
-                )
-                .with_suggestion("bind the value through a row parameter instead"),
-            ),
-            Res::NoArea(name) => out.push(
-                Diagnostic::error(
-                    codes::AREA_REF_NO_AREA,
-                    path,
-                    format!("`{var}` refers to row `{name}`, whose model has no area"),
-                )
-                .with_suggestion("give that row's model an `area` formula"),
-            ),
-            Res::UnknownRow(ident) => out.push(Diagnostic::error(
-                codes::REF_UNKNOWN_ROW,
-                path,
                 format!("`{var}` references a row result, but no row folds to identifier `{ident}`"),
-            )),
-            Res::RowsInvisible(ident) => out.push(Diagnostic::error(
+                None,
+            ),
+            (Some(_), Kind::Global) => (
                 codes::REF_UNKNOWN_ROW,
-                path,
                 format!(
                     "`{var}` references row `{ident}`, but globals are evaluated \
                      before any row; row results are not visible here"
                 ),
-            )),
-            Res::Unbound => out.push(Diagnostic::error(
-                codes::UNBOUND_VARIABLE,
-                path,
-                format!("nothing in scope defines `{var}`"),
-            )),
-        }
-    }
-    check_calls(expr, path, out);
-}
-
-/// Recursively validates every function call: unknown names and wrong
-/// arities are structural errors (they fail at evaluation).
-fn check_calls(expr: &Expr, path: &str, out: &mut LintReport) {
-    match expr {
-        Expr::Call(name, args) => {
-            match BUILTIN_FUNCTIONS.iter().find(|(n, _)| n == name) {
-                None => out.push(
-                    Diagnostic::error(
-                        codes::UNKNOWN_FUNCTION,
-                        path,
-                        format!("unknown function `{name}`"),
-                    )
-                    .with_suggestion(format!(
-                        "builtins: {}",
-                        BUILTIN_FUNCTIONS
-                            .iter()
-                            .map(|(n, _)| *n)
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    )),
+                None,
+            ),
+            (Some((j, ..)), Kind::Binding) if j == level.row => return None,
+            (Some((j, ..)), Kind::Model) if j == level.row => (
+                codes::REF_UNKNOWN_ROW,
+                format!("`{var}` is this row's own result, which does not exist while the row is being evaluated"),
+                None,
+            ),
+            (Some((_, true, row)), _) if !has_area(row) => (
+                codes::AREA_REF_NO_AREA,
+                format!("`{var}` refers to row `{}`, whose model has no area", row.name()),
+                Some("give that row's model an `area` formula"),
+            ),
+            (Some(_), Kind::Binding) => return None,
+            (Some((_, _, row)), Kind::Model) => (
+                codes::REF_UNKNOWN_ROW,
+                format!(
+                    "`{var}` refers to row `{}`, which is evaluated after this row; \
+                     model formulas do not create dependency edges",
+                    row.name()
                 ),
-                Some((_, arity)) if args.len() != *arity => out.push(Diagnostic::error(
-                    codes::WRONG_ARITY,
-                    path,
-                    format!(
-                        "`{name}` takes {arity} argument{}, found {}",
-                        if *arity == 1 { "" } else { "s" },
-                        args.len()
-                    ),
-                )),
-                _ => {}
-            }
-            for a in args {
-                check_calls(a, path, out);
-            }
-        }
-        Expr::Unary(_, inner) => check_calls(inner, path, out),
-        Expr::Binary(_, lhs, rhs) => {
-            check_calls(lhs, path, out);
-            check_calls(rhs, path, out);
-        }
-        Expr::Number(_) | Expr::Variable(_) => {}
-    }
-}
-
-/// Whether a row will publish an `A_<ident>` value when evaluated.
-/// Unresolvable elements answer `true` so a missing element (already an
-/// E004) does not cascade into spurious area errors.
-fn row_has_area(row: &Row, registry: &Registry) -> bool {
-    match row.model() {
-        RowModel::Element(path) => registry.get(path).is_none_or(|e| e.model().area.is_some()),
-        RowModel::Inline(e) => e.model().area.is_some(),
-        RowModel::SubSheet(sub) => sub.rows().iter().any(|r| row_has_area(r, registry)),
-    }
-}
-
-/// Every variable mentioned anywhere in the sheet's subtree: global
-/// formulas, bindings, model formulas (inline and resolved registry
-/// elements), recursively through sub-sheets.
-fn subtree_free_vars(sheet: &Sheet, registry: &Registry, used: &mut BTreeSet<String>) {
-    for (_, expr) in sheet.globals() {
-        used.extend(expr.free_variables());
-    }
-    for row in sheet.rows() {
-        for (_, expr) in row.bindings() {
-            used.extend(expr.free_variables());
-        }
-        match row.model() {
-            RowModel::Element(path) => {
-                if let Some(e) = registry.get(path) {
-                    for (_, expr, _) in slots(e) {
-                        used.extend(expr.free_variables());
-                    }
-                }
-            }
-            RowModel::Inline(e) => {
-                for (_, expr, _) in slots(e) {
-                    used.extend(expr.free_variables());
-                }
-            }
-            RowModel::SubSheet(sub) => subtree_free_vars(sub, registry, used),
-        }
-    }
-}
-
-/// The element a row instantiates, when resolvable.
-fn row_element<'a>(row: &'a Row, registry: &'a Registry) -> Option<&'a LibraryElement> {
-    match row.model() {
-        RowModel::Element(path) => registry.get(path),
-        RowModel::Inline(e) => Some(e),
-        RowModel::SubSheet(_) => None,
-    }
-}
-
-/// Lints one hierarchy level and recurses into sub-sheets.
-fn lint_level(
-    sheet: &Sheet,
-    registry: &Registry,
-    prefix: &str,
-    ambient: &Ambient,
-    out: &mut LintReport,
-) {
-    // ----- row identity, shared by the globals hint and the row pass -----
-    let idents: Vec<String> = sheet.rows().iter().map(Row::ident).collect();
-    let row_names: Vec<String> = sheet.rows().iter().map(|r| r.name().to_owned()).collect();
-    let ident_index: BTreeMap<String, usize> = idents
-        .iter()
-        .enumerate()
-        .filter(|(_, ident)| !ident.is_empty())
-        .map(|(i, ident)| (ident.clone(), i))
-        .collect();
-    let has_area: Vec<bool> = sheet
-        .rows()
-        .iter()
-        .map(|r| row_has_area(r, registry))
-        .collect();
-
-    // E005: duplicate row idents (the engine refuses to evaluate these).
-    {
-        let mut seen: BTreeMap<&str, &str> = BTreeMap::new();
-        for (ident, name) in idents.iter().zip(&row_names) {
-            if ident.is_empty() {
-                continue;
-            }
-            if let Some(first) = seen.get(ident.as_str()) {
-                out.push(Diagnostic::error(
-                    codes::DUPLICATE_ROW_IDENT,
-                    format!("{prefix}rows/{name}"),
-                    format!("rows `{first}` and `{name}` both fold to identifier `{ident}`"),
-                ));
-            } else {
-                seen.insert(ident, name);
-            }
-        }
-    }
-
-    // ----- globals: dependency order, names, dimensions -----
-    let global_exprs = sheet.globals();
-    let gindex: BTreeMap<&str, usize> = global_exprs
-        .iter()
-        .enumerate()
-        .map(|(i, (name, _))| (name.as_str(), i))
-        .collect();
-    let mut gdeps: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-    for (i, (name, expr)) in global_exprs.iter().enumerate() {
-        let free = expr.free_variables();
-        if free.contains(name) {
-            out.push(Diagnostic::error(
-                codes::CIRCULAR_GLOBALS,
-                format!("{prefix}globals/{name}"),
-                format!("global `{name}` refers to itself"),
-            ));
-        }
-        let entry = gdeps.entry(i).or_default();
-        for var in &free {
-            if let Some(&j) = gindex.get(var.as_str()) {
-                if j != i {
-                    entry.insert(j);
-                }
-            }
-        }
-    }
-    let gorder = match toposort(global_exprs.len(), &gdeps) {
-        Ok(order) => order,
-        Err(cycle) => {
-            let names: Vec<&str> = cycle.iter().map(|&i| global_exprs[i].0.as_str()).collect();
-            let first = names.first().copied().unwrap_or("");
-            out.push(Diagnostic::error(
-                codes::CIRCULAR_GLOBALS,
-                format!("{prefix}globals/{first}"),
-                format!("global definitions form a cycle: {}", names.join(" -> ")),
-            ));
-            (0..global_exprs.len()).collect()
-        }
-    };
-
-    let mut gdims: BTreeMap<String, DimInfo> = BTreeMap::new();
-    // Constant global values, for plausibility checks further down.
-    let mut gconsts: BTreeMap<String, f64> = BTreeMap::new();
-    let empty_local: BTreeMap<String, DimInfo> = BTreeMap::new();
-    for &i in &gorder {
-        let (name, expr) = &global_exprs[i];
-        let path = format!("{prefix}globals/{name}");
-        let ctx = VarCtx {
-            local: &empty_local,
-            gdims: &gdims,
-            ambient,
-            rows: None,
-            globals_hint: Some(&ident_index),
+                Some("bind the value through a row parameter instead"),
+            ),
         };
-        // A global may reference any other global (dependency edges
-        // order them), so seed names not yet dimensioned as Any.
-        let gctx_lookup = |v: &str| -> DimInfo {
-            if gindex.contains_key(v) {
-                return gdims.get(v).copied().unwrap_or(DimInfo::Any);
-            }
-            match resolve(v, &ctx) {
-                Res::Ok(d) | Res::OrderDependent(d, _) | Res::Forward(d, _) => d,
-                _ => DimInfo::Any,
-            }
-        };
-        // Name analysis: a reference to another global is fine even
-        // before "its turn" — the dependency graph orders them.
-        for var in expr.free_variables() {
-            if var != *name && gindex.contains_key(var.as_str()) {
-                continue;
-            }
-            if var == *name {
-                continue; // self-reference already reported above
-            }
-            let single = Expr::Variable(var.clone());
-            report_names(&single, &path, &ctx, out);
-        }
-        check_calls(expr, &path, out);
-        check_constant_folds(expr, &path, out);
-        let inferred = infer_dims(expr, &path, &gctx_lookup, out);
-        let conv = convention_dim(name);
-        if let (Some(c), Some(d)) = (conv, inferred.known()) {
-            if c != d {
-                out.push(Diagnostic::warning(
-                    codes::BINDING_TARGET_DIM,
-                    &path,
-                    format!("`{name}` is conventionally {c}, but its formula has dimension {d}"),
-                ));
-            }
-        }
-        if let Some(v) = expr.constant_value() {
-            if v.is_finite() {
-                gconsts.insert(name.clone(), v);
-                if let Some(c) = conv.filter(|_| v < 0.0) {
-                    out.push(Diagnostic::warning(
-                        codes::NEGATIVE_CONSTANT_BINDING,
-                        &path,
-                        format!("`{name}` is the physical quantity {c} and is always {v}"),
-                    ));
-                }
-            }
-        }
-        let dim = match inferred.known() {
-            Some(d) => DimInfo::Known(d),
-            None => conv.map(DimInfo::Known).unwrap_or(DimInfo::Any),
-        };
-        gdims.insert(name.clone(), dim);
+        let found = Diagnostic::error(code, d.path, message);
+        Some(match help {
+            Some(help) => found.with_suggestion(help),
+            None => found,
+        })
     }
 
-    // W105: globals nothing in the subtree reads. `vdd`/`f` are exempt:
-    // elements read them implicitly through the scope chain.
-    {
-        let mut rows_used = BTreeSet::new();
-        for row in sheet.rows() {
-            for (_, expr) in row.bindings() {
-                rows_used.extend(expr.free_variables());
-            }
-            match row.model() {
-                RowModel::Inline(e) => {
-                    for (_, expr, _) in slots(e) {
-                        rows_used.extend(expr.free_variables());
-                    }
-                }
-                RowModel::Element(path) => {
-                    if let Some(e) = registry.get(path) {
-                        for (_, expr, _) in slots(e) {
-                            rows_used.extend(expr.free_variables());
-                        }
-                    }
-                }
-                RowModel::SubSheet(sub) => subtree_free_vars(sub, registry, &mut rows_used),
-            }
-        }
-        for (name, _) in global_exprs {
-            if name == "vdd" || name == "f" {
-                continue;
-            }
-            // Its own formula does not count as a use.
-            let read_by_global = global_exprs
-                .iter()
-                .filter(|(n, _)| n != name)
-                .any(|(_, e)| e.free_variables().contains(name));
-            if !read_by_global && !rows_used.contains(name) {
-                out.push(
-                    Diagnostic::warning(
-                        codes::DEAD_GLOBAL,
-                        format!("{prefix}globals/{name}"),
-                        format!("global `{name}` is never read"),
-                    )
-                    .with_suggestion("remove it, or reference it from a formula"),
-                );
-            }
-        }
-    }
-
-    // ----- row dependency graph, mirroring `compile_rows` -----
-    let mut rdeps: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-    for (i, row) in sheet.rows().iter().enumerate() {
-        let mut wanted = BTreeSet::new();
-        for (_, expr) in row.bindings() {
-            wanted.extend(expr.free_variables());
-        }
-        let entry = rdeps.entry(i).or_default();
-        for var in &wanted {
-            let target = var.strip_prefix("P_").or_else(|| var.strip_prefix("A_"));
-            let Some(&j) = target.and_then(|t| ident_index.get(t)) else {
-                continue;
-            };
-            if i == j {
-                out.push(Diagnostic::error(
-                    codes::CIRCULAR_ROWS,
-                    format!("{prefix}rows/{}", row.name()),
-                    format!("row `{}` references its own result `{var}`", row.name()),
-                ));
-            } else {
-                entry.insert(j);
-            }
-        }
-    }
-    let rorder = match toposort(sheet.rows().len(), &rdeps) {
-        Ok(order) => order,
-        Err(cycle) => {
-            let names: Vec<&str> = cycle.iter().map(|&i| row_names[i].as_str()).collect();
-            let first = names.first().copied().unwrap_or("");
-            out.push(Diagnostic::error(
-                codes::CIRCULAR_ROWS,
-                format!("{prefix}rows/{first}"),
-                format!("row dependencies form a cycle: {}", names.join(" -> ")),
-            ));
-            (0..sheet.rows().len()).collect()
-        }
-    };
-
-    // ----- walk rows in evaluation order -----
-    let global_names: BTreeSet<&str> = global_exprs.iter().map(|(n, _)| n.as_str()).collect();
-    let mut processed: BTreeSet<usize> = BTreeSet::new();
-    for &i in &rorder {
-        let row = &sheet.rows()[i];
-        let rpath = format!("{prefix}rows/{}", row.name());
-        let element = row_element(row, registry);
-        if let RowModel::Element(path) = row.model() {
-            if element.is_none() {
-                out.push(
-                    Diagnostic::error(
-                        codes::UNKNOWN_ELEMENT,
-                        &rpath,
-                        format!("no element `{path}` in the library"),
-                    )
-                    .with_suggestion(
-                        "check the registry path (namespace/name) or upload the model first",
-                    ),
-                );
-            }
-        }
-
-        // Row-local names: parameter defaults, then bindings in order.
-        let mut local: BTreeMap<String, DimInfo> = BTreeMap::new();
-        if let Some(e) = element {
-            for p in e.params() {
-                local.insert(p.name.clone(), DimInfo::Any);
-            }
-        }
-
-        // Which binding names anything actually reads.
-        let read_by_row: BTreeSet<String> = {
-            let mut used: BTreeSet<String> = BTreeSet::new();
-            used.insert("vdd".to_owned());
-            used.insert("f".to_owned());
-            if let Some(e) = element {
-                used.extend(e.params().iter().map(|p| p.name.clone()));
-                for (_, expr, _) in slots(e) {
-                    used.extend(expr.free_variables());
-                }
-            }
-            if let RowModel::SubSheet(sub) = row.model() {
-                subtree_free_vars(sub, registry, &mut used);
-            }
-            used
-        };
-
-        for (k, (param, expr)) in row.bindings().iter().enumerate() {
-            let bpath = format!("{rpath}/bindings/{param}");
-
-            // I201: shadowing a same-level global is a feature (per-row
-            // `f` overrides) but worth surfacing.
-            if global_names.contains(param.as_str()) {
-                out.push(Diagnostic::info(
-                    codes::SHADOWED_GLOBAL,
-                    &bpath,
-                    format!(
-                        "binding `{param}` shadows the sheet global of the same name for this row"
-                    ),
-                ));
-            }
-
-            // W106: nothing reads this binding.
-            let read_later = row.bindings()[k + 1..]
-                .iter()
-                .any(|(_, e)| e.free_variables().contains(param));
-            if !read_by_row.contains(param) && !read_later {
-                let mut d = Diagnostic::warning(
-                    codes::DEAD_BINDING,
-                    &bpath,
-                    format!("binding `{param}` matches no parameter and is never read"),
-                );
-                if let Some(e) = element {
-                    let params: Vec<&str> = e.params().iter().map(|p| p.name.as_str()).collect();
-                    if !params.is_empty() {
-                        d = d.with_suggestion(format!(
-                            "`{}` declares: {}",
-                            e.name(),
-                            params.join(", ")
-                        ));
-                    }
-                }
-                out.push(d);
-            }
-
-            let ctx = VarCtx {
-                local: &local,
-                gdims: &gdims,
-                ambient,
-                rows: Some(RowRefCtx {
-                    idents: &ident_index,
-                    names: &row_names,
-                    has_area: &has_area,
-                    processed: &processed,
-                    current: i,
-                    dep_edged: true,
-                }),
-                globals_hint: None,
-            };
-            report_names(expr, &bpath, &ctx, out);
-            check_constant_folds(expr, &bpath, out);
-            let lookup = |v: &str| -> DimInfo {
-                match resolve(v, &ctx) {
-                    Res::Ok(d) | Res::OrderDependent(d, _) | Res::Forward(d, _) => d,
-                    _ => DimInfo::Any,
-                }
-            };
-            let inferred = infer_dims(expr, &bpath, &lookup, out);
-            let conv = convention_dim(param);
-            if let (Some(c), Some(d)) = (conv, inferred.known()) {
-                if c != d {
-                    out.push(Diagnostic::warning(
-                        codes::BINDING_TARGET_DIM,
-                        &bpath,
-                        format!("`{param}` is conventionally {c}, but the bound formula has dimension {d}"),
-                    ));
-                }
-            }
-            if let (Some(v), Some(c)) = (expr.constant_value(), conv) {
-                if v.is_finite() && v < 0.0 {
-                    out.push(Diagnostic::warning(
-                        codes::NEGATIVE_CONSTANT_BINDING,
-                        &bpath,
-                        format!("`{param}` is the physical quantity {c} and is always {v}"),
-                    ));
-                }
-            }
-            let dim = match inferred.known() {
-                Some(d) => DimInfo::Known(d),
-                None => conv.map(DimInfo::Known).unwrap_or(DimInfo::Any),
-            };
-            local.insert(param.clone(), dim);
-        }
-
-        // Model formulas resolve through the full runtime scope chain
-        // (an inline model may read globals or even parent results), but
-        // with no dependency edges recorded for them.
-        if let Some(e) = element {
-            let is_inline = matches!(row.model(), RowModel::Inline(_));
-            for (slot, expr, expected) in slots(e) {
-                let spath = format!("{rpath}/model/{slot}");
-                let ctx = VarCtx {
-                    local: &local,
-                    gdims: &gdims,
-                    ambient,
-                    rows: Some(RowRefCtx {
-                        idents: &ident_index,
-                        names: &row_names,
-                        has_area: &has_area,
-                        processed: &processed,
-                        current: i,
-                        dep_edged: false,
-                    }),
-                    globals_hint: None,
-                };
-                report_names(expr, &spath, &ctx, out);
-                // Dimension/plausibility checks for registry elements
-                // belong to the registry lint (at upload); repeating
-                // them per sheet row would only duplicate noise.
-                if is_inline {
-                    check_constant_folds(expr, &spath, out);
-                    let lookup = |v: &str| -> DimInfo {
-                        match resolve(v, &ctx) {
-                            Res::Ok(d) | Res::OrderDependent(d, _) | Res::Forward(d, _) => d,
-                            _ => DimInfo::Any,
-                        }
+    /// Reports a trap the walk met: the play's diagnostic, worded with
+    /// what the plan says of the rows where it knows more.
+    fn report_trap(&mut self, err: &EvaluateSheetError) {
+        let (nest, inner) = unnest(err);
+        let level = &self.levels[nest.len()];
+        let rpath = |row: &str| format!("{}rows/{row}", level.prefix);
+        let mut found = diagnostic_for_play_error(err);
+        let (kind, var) = match inner {
+            EvaluateSheetError::Global {
+                source: EvalError::UnknownVariable(var),
+                ..
+            } => (Kind::Global, var),
+            EvaluateSheetError::Binding {
+                source: EvalError::UnknownVariable(var),
+                ..
+            } => (Kind::Binding, var),
+            EvaluateSheetError::Element { source, .. } => match source {
+                EvaluateElementError::Eval {
+                    source: EvalError::UnknownVariable(var),
+                    ..
+                } => (Kind::Model, var),
+                EvaluateElementError::MissingOperatingPoint(var) => {
+                    let element = match level.rows[level.row].kind() {
+                        RowKindView::Element(element) => element.name(),
+                        _ => "",
                     };
-                    let inferred = infer_dims(expr, &spath, &lookup, out);
-                    if let Some(d) = inferred.known() {
-                        if d != expected {
-                            out.push(Diagnostic::warning(
-                                codes::RESULT_DIM,
-                                &spath,
-                                format!(
-                                    "formula has dimension {d}, but this slot holds {expected}"
-                                ),
-                            ));
-                        }
-                    }
-                    if let Some(v) = expr.constant_value() {
-                        if v.is_finite() && v < 0.0 {
-                            out.push(Diagnostic::error(
-                                codes::NEGATIVE_CONSTANT_MODEL,
-                                &spath,
-                                format!(
-                                    "formula always evaluates to {v}; physical values must be >= 0"
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-
-            // E014: the EQ-1 template needs an operating point.
-            let model = e.model();
-            let needs_vdd = model.cap_full.is_some()
-                || model.cap_partial.is_some()
-                || model.static_current.is_some();
-            let needs_f = model.cap_full.is_some() || model.cap_partial.is_some();
-            let resolvable = |name: &str| {
-                local.contains_key(name) || gdims.contains_key(name) || ambient.contains_key(name)
-            };
-            if needs_vdd && !resolvable("vdd") {
-                out.push(
-                    Diagnostic::error(
-                        codes::MISSING_OPERATING_POINT,
-                        &rpath,
-                        format!("element `{}` needs `vdd`, but no global, binding, or parent defines it", e.name()),
-                    )
-                    .with_suggestion("add a `vdd` global to the sheet"),
-                );
-            }
-            if needs_f && !resolvable("f") {
-                out.push(
-                    Diagnostic::error(
-                        codes::MISSING_OPERATING_POINT,
-                        &rpath,
-                        format!("element `{}` is clocked and needs `f`, but no global, binding, or parent defines it", e.name()),
-                    )
-                    .with_suggestion("add an `f` global to the sheet"),
-                );
-            }
-
-            // W107: a clocked element at a constant zero rate.
-            if needs_f {
-                let bound_f = row
-                    .bindings()
-                    .iter()
-                    .find(|(n, _)| n == "f")
-                    .and_then(|(_, e)| e.constant_value());
-                let eff_f = bound_f.or_else(|| gconsts.get("f").copied());
-                if eff_f == Some(0.0) {
-                    out.push(Diagnostic::warning(
-                        codes::ZERO_FREQUENCY,
-                        &rpath,
-                        "clocked element evaluated at a constant 0 Hz; its dynamic power will be zero".to_owned(),
-                    ));
-                }
-            }
-
-            // W108: reduced swing above the supply rail.
-            let const_of = |name: &str| -> Option<f64> {
-                row.bindings()
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .and_then(|(_, ex)| ex.constant_value())
-                    .or_else(|| {
-                        e.params()
-                            .iter()
-                            .find(|p| p.name == name)
-                            .map(|p| p.default)
-                    })
-            };
-            if e.params().iter().any(|p| p.name == "swing") {
-                let vdd_v = row
-                    .bindings()
-                    .iter()
-                    .find(|(n, _)| n == "vdd")
-                    .and_then(|(_, ex)| ex.constant_value())
-                    .or_else(|| gconsts.get("vdd").copied());
-                if let (Some(s), Some(v)) = (const_of("swing"), vdd_v) {
-                    if s > v {
-                        out.push(Diagnostic::warning(
-                            codes::SWING_EXCEEDS_VDD,
-                            &rpath,
-                            format!("reduced swing {s} V exceeds the supply vdd = {v} V"),
-                        ));
-                    }
-                }
-            }
-
-            // W109: converter efficiency outside (0, 1].
-            if e.class() == ElementClass::Converter {
-                if let Some(eta) = const_of("eta") {
-                    if !(eta > 0.0 && eta <= 1.0) {
-                        out.push(Diagnostic::warning(
-                            codes::ETA_OUT_OF_RANGE,
-                            &rpath,
-                            format!("converter efficiency eta = {eta} is outside (0, 1]"),
-                        ));
-                    }
-                }
-            }
-        }
-
-        // Recurse into sub-sheets with the scope the engine hands them:
-        // our ambient, this level's globals, the results evaluated so
-        // far (order-dependent!), and this row's bindings.
-        if let RowModel::SubSheet(sub) = row.model() {
-            let mut inner: Ambient = ambient.clone();
-            for (name, dim) in &gdims {
-                inner.insert(
-                    name.clone(),
-                    AmbientEntry {
-                        dim: *dim,
-                        order_dependent: false,
-                    },
-                );
-            }
-            for &j in &processed {
-                if idents[j].is_empty() {
-                    continue;
-                }
-                inner.insert(
-                    format!("P_{}", idents[j]),
-                    AmbientEntry {
-                        dim: DimInfo::Known(Dim::WATT),
-                        order_dependent: true,
-                    },
-                );
-                if has_area[j] {
-                    inner.insert(
-                        format!("A_{}", idents[j]),
-                        AmbientEntry {
-                            dim: DimInfo::Known(Dim::SQ_METRE),
-                            order_dependent: true,
-                        },
+                    let (needs, global) = match *var {
+                        "f" => ("is clocked and needs `f`", "an `f`"),
+                        _ => ("needs `vdd`", "a `vdd`"),
+                    };
+                    found.message = format!(
+                        "element `{element}` {needs}, but no global, binding, or parent defines it"
                     );
+                    let help = format!("add {global} global to the sheet");
+                    return self.report.push(found.with_suggestion(help));
+                }
+                _ => return self.report.push(found),
+            },
+            EvaluateSheetError::CircularRows(names) if names.len() == 1 => {
+                // Each of its own names the row's bindings read.
+                let (i, row) = (level.rows.iter().enumerate())
+                    .find(|(_, row)| row.name() == names[0])
+                    .expect("the plan names its own row");
+                let own = |var: &String| level.target(var).is_some_and(|(j, _)| j == i);
+                let read = row.bindings().flat_map(|(_, e)| e.free_variables());
+                for var in read.filter(own).collect::<BTreeSet<_>>() {
+                    let message = format!("row `{}` references its own result `{var}`", row.name());
+                    let d = Diagnostic::error(codes::CIRCULAR_ROWS, rpath(row.name()), message);
+                    self.report.push(d);
+                }
+                return;
+            }
+            EvaluateSheetError::DuplicateRowIdent(ident) => {
+                let mut twins = level.rows.iter().filter(|row| row.ident() == ident);
+                let first = twins.next().map_or("", |row| row.name());
+                for row in twins {
+                    let message = format!(
+                        "rows `{first}` and `{}` both fold to identifier `{ident}`",
+                        row.name()
+                    );
+                    let d =
+                        Diagnostic::error(codes::DUPLICATE_ROW_IDENT, rpath(row.name()), message);
+                    self.report.push(d);
+                }
+                return;
+            }
+            _ => return self.report.push(found),
+        };
+        // A name is reported once per formula, however often it occurs.
+        let found = self.unbound(nest.len(), kind, var, found);
+        if let Some(d) = found.filter(|d| !self.report.diagnostics().contains(d)) {
+            self.report.push(d);
+        }
+    }
+}
+
+impl<'p> Backend<'p> for Lint<'p> {
+    fn konst(&mut self, _: f64) -> u32 {
+        ANY
+    }
+
+    /// Lint walks the un-overridden sheet: no name is an input.
+    fn input(&mut self, _: &str) -> Option<u32> {
+        None
+    }
+
+    fn pure(&mut self, _: Pure, _: Option<&Expr>) -> u32 {
+        ANY
+    }
+
+    fn check(&mut self, value: u32, _: &[Arc<str>], _: &Arc<str>, _: &'static str) -> u32 {
+        value
+    }
+
+    /// A missing `vdd` is an error even where a play needs it only for
+    /// a nonzero current.
+    fn trap_if(&mut self, _: u32, err: &EvaluateSheetError) -> bool {
+        self.report_trap(err);
+        true
+    }
+
+    fn trap(&mut self, err: &EvaluateSheetError) -> Option<u32> {
+        self.report_trap(err);
+        Some(ANY)
+    }
+
+    fn sheet(&mut self, nest: &[Arc<str>], sheet: &'p CompiledSheet) {
+        let rows: Vec<RowView<'p>> = sheet.rows_view().iter().collect();
+        let idents = (rows.iter().enumerate())
+            .filter(|(_, row)| !row.ident().is_empty())
+            .map(|(i, row)| (row.ident(), i))
+            .collect();
+        let prefix = nest.iter().flat_map(|row| ["rows/", row, "/"]).collect();
+        let level = Level {
+            sheet,
+            prefix,
+            rows,
+            idents,
+            row: 0,
+        };
+        dead_globals(&level, &mut self.report);
+        self.levels.truncate(nest.len());
+        self.levels.push(level);
+    }
+
+    fn enter_row(&mut self, nest: &[Arc<str>], index: usize, row: RowView<'p>) {
+        let level = &mut self.levels[nest.len()];
+        level.row = index;
+        row_checks(level, row, &mut self.report);
+    }
+
+    fn formula(
+        &mut self,
+        nest: &[Arc<str>],
+        formula: Formula<'_>,
+        expr: &Expr,
+        names: Names<'_>,
+    ) -> Option<u32> {
+        let depth = nest.len();
+        let mut path = String::new();
+        formula_path(&mut path, nest, formula);
+        let (kind, name) = match formula {
+            Formula::Global(name) => (Kind::Global, name),
+            Formula::Binding { param, .. } => (Kind::Binding, param),
+            Formula::Model { formula, .. } => (Kind::Model, formula),
+        };
+        self.row_references(depth, kind, &path, expr, names);
+        let (levels, dims, out) = (&self.levels, &self.dims, &mut self.report);
+        let lookup = |var: &str| dim_of(levels, dims, depth, var, names);
+        if kind == Kind::Model {
+            // A registry element's formulas are checked by the registry
+            // lint, at upload; an inline one's only here.
+            let row = levels[depth].rows[levels[depth].row];
+            if let (RowKindView::Element(e), true) = (row.kind(), row.is_inline()) {
+                let slot = slots(e).into_iter().find(|slot| slot.0 == slot_name(name));
+                if let Some((_, _, expected)) = slot {
+                    check_slot(expr, &path, expected, &lookup, out);
                 }
             }
-            for (name, dim) in &local {
-                inner.insert(
-                    name.clone(),
-                    AmbientEntry {
-                        dim: *dim,
-                        order_dependent: false,
-                    },
-                );
-            }
-            lint_level(sub, registry, &format!("{rpath}/"), &inner, out);
+            return None;
         }
-
-        processed.insert(i);
+        check_constant_folds(expr, &path, out);
+        let inferred = infer_dims(expr, &path, &lookup, out).known();
+        let conv = convention_dim(name);
+        let mut warn = |code, message| out.push(Diagnostic::warning(code, &path, message));
+        if let (Some(c), Some(d)) = (conv, inferred.filter(|d| Some(*d) != conv)) {
+            let what = match kind {
+                Kind::Global => "its formula",
+                _ => "the bound formula",
+            };
+            warn(
+                codes::BINDING_TARGET_DIM,
+                format!("`{name}` is conventionally {c}, but {what} has dimension {d}"),
+            );
+        }
+        let negative = expr.constant_value().filter(|v| v.is_finite() && *v < 0.0);
+        if let (Some(c), Some(v)) = (conv, negative) {
+            warn(
+                codes::NEGATIVE_CONSTANT_BINDING,
+                format!("`{name}` is the physical quantity {c} and is always {v}"),
+            );
+        }
+        self.dims
+            .push(inferred.or(conv).map_or(DimInfo::Any, DimInfo::Known));
+        Some(self.dims.len() as u32)
     }
 }
 
@@ -941,7 +545,12 @@ fn lint_level(
 mod tests {
     use super::*;
     use powerplay_library::builtin::ucb_library;
-    use powerplay_library::ElementModel;
+    use powerplay_library::{ElementModel, LibraryElement, Registry};
+    use powerplay_sheet::Sheet;
+
+    fn lint(sheet: &Sheet, registry: &Registry) -> LintReport {
+        lint_sheet(&CompiledSheet::compile(sheet, registry))
+    }
 
     fn codes_of(report: &LintReport) -> Vec<&str> {
         report
@@ -964,7 +573,7 @@ mod tests {
         sheet
             .add_element_row("Adder", "ucb/ripple_adder", [("bits", "16")])
             .unwrap();
-        let report = lint_sheet(&sheet, &lib);
+        let report = lint(&sheet, &lib);
         assert!(!report.has_errors(), "{}", report.render_text());
         sheet.play(&lib).expect("zero-error sheet must play");
     }
@@ -978,7 +587,7 @@ mod tests {
         sheet
             .add_element_row("Adder", "ucb/ripple_adder", [("bits", "word_width")])
             .unwrap();
-        let report = lint_sheet(&sheet, &lib);
+        let report = lint(&sheet, &lib);
         let d = find(&report, codes::UNBOUND_VARIABLE).expect("E001");
         assert_eq!(d.path, "rows/Adder/bindings/bits");
         assert!(d.message.contains("word_width"));
@@ -998,7 +607,7 @@ mod tests {
         sheet
             .add_element_row("Pads", "ucb/pads", [("c_pad", "P_adder + c_load")])
             .unwrap();
-        let report = lint_sheet(&sheet, &lib);
+        let report = lint(&sheet, &lib);
         let d = find(&report, codes::DIM_MISMATCH).expect("E010");
         assert_eq!(d.path, "rows/Pads/bindings/c_pad");
         assert!(report.has_errors());
@@ -1013,7 +622,7 @@ mod tests {
         sheet
             .add_element_row("DC", "ucb/dcdc", [("p_load", "P_nonexistent_row")])
             .unwrap();
-        let report = lint_sheet(&sheet, &lib);
+        let report = lint(&sheet, &lib);
         let d = find(&report, codes::REF_UNKNOWN_ROW).expect("E008");
         assert_eq!(d.path, "rows/DC/bindings/p_load");
         assert!(d.message.contains("nonexistent_row"));
@@ -1032,7 +641,7 @@ mod tests {
         sheet
             .add_element_row("Clock", "ucb/clock_net", [("area_mm2", "A_wire * 1e6")])
             .unwrap();
-        let report = lint_sheet(&sheet, &lib);
+        let report = lint(&sheet, &lib);
         let d = find(&report, codes::AREA_REF_NO_AREA).expect("E009");
         assert_eq!(d.path, "rows/Clock/bindings/area_mm2");
     }
@@ -1043,7 +652,7 @@ mod tests {
         let mut sheet = Sheet::new("s");
         sheet.set_global("a", "b * 2").unwrap();
         sheet.set_global("b", "a / 2").unwrap();
-        let report = lint_sheet(&sheet, &lib);
+        let report = lint(&sheet, &lib);
         let d = find(&report, codes::CIRCULAR_GLOBALS).expect("E006");
         assert!(d.message.contains("->"), "{}", d.message);
         assert!(d.message.contains('a') && d.message.contains('b'));
@@ -1054,7 +663,7 @@ mod tests {
         let lib = ucb_library();
         let mut sheet = Sheet::new("s");
         sheet.set_global("vdd", "vdd + 0.1").unwrap();
-        let report = lint_sheet(&sheet, &lib);
+        let report = lint(&sheet, &lib);
         assert_eq!(
             find(&report, codes::CIRCULAR_GLOBALS).expect("E006").path,
             "globals/vdd"
@@ -1073,7 +682,7 @@ mod tests {
         sheet
             .add_element_row("Two", "ucb/dcdc", [("p_load", "P_one")])
             .unwrap();
-        let report = lint_sheet(&sheet, &lib);
+        let report = lint(&sheet, &lib);
         let d = find(&report, codes::CIRCULAR_ROWS).expect("E007");
         assert!(d.message.contains("->"), "{}", d.message);
     }
@@ -1086,7 +695,7 @@ mod tests {
         sheet
             .add_element_row("Loop", "ucb/dcdc", [("p_load", "P_loop * 0.1")])
             .unwrap();
-        let report = lint_sheet(&sheet, &lib);
+        let report = lint(&sheet, &lib);
         assert!(find(&report, codes::CIRCULAR_ROWS).is_some());
     }
 
@@ -1098,7 +707,7 @@ mod tests {
         sheet.set_global("f", "2MHz").unwrap();
         sheet.add_element_row("Read Bank", "ucb/sram", []).unwrap();
         sheet.add_element_row("read bank", "ucb/sram", []).unwrap();
-        let report = lint_sheet(&sheet, &lib);
+        let report = lint(&sheet, &lib);
         let d = find(&report, codes::DUPLICATE_ROW_IDENT).expect("E005");
         assert!(d.message.contains("read_bank"));
     }
@@ -1111,7 +720,7 @@ mod tests {
         sheet
             .add_element_row("Mystery", "ucb/does_not_exist", [])
             .unwrap();
-        let report = lint_sheet(&sheet, &lib);
+        let report = lint(&sheet, &lib);
         assert_eq!(
             find(&report, codes::UNKNOWN_ELEMENT).expect("E004").path,
             "rows/Mystery"
@@ -1127,7 +736,7 @@ mod tests {
         sheet
             .add_element_row("Slow Adder", "ucb/ripple_adder", [("f", "f / 16")])
             .unwrap();
-        let report = lint_sheet(&sheet, &lib);
+        let report = lint(&sheet, &lib);
         let d = find(&report, codes::SHADOWED_GLOBAL).expect("I201");
         assert_eq!(d.path, "rows/Slow Adder/bindings/f");
         assert!(!report.has_errors(), "{}", report.render_text());
@@ -1145,7 +754,7 @@ mod tests {
         sheet
             .add_element_row("Adder", "ucb/ripple_adder", [])
             .unwrap();
-        let report = lint_sheet(&sheet, &lib);
+        let report = lint(&sheet, &lib);
         let d = find(&report, codes::FORWARD_REF).expect("I202");
         assert_eq!(d.path, "rows/DC/bindings/p_load");
         assert!(!report.has_errors(), "{}", report.render_text());
@@ -1159,7 +768,7 @@ mod tests {
         sheet
             .add_element_row("Adder", "ucb/ripple_adder", [])
             .unwrap();
-        let report = lint_sheet(&sheet, &lib);
+        let report = lint(&sheet, &lib);
         let hits: Vec<_> = report
             .diagnostics()
             .iter()
@@ -1183,7 +792,7 @@ mod tests {
         sheet
             .add_element_row("Adder", "ucb/ripple_adder", [])
             .unwrap();
-        let report = lint_sheet(&sheet, &lib);
+        let report = lint(&sheet, &lib);
         assert!(find(&report, codes::ZERO_FREQUENCY).is_some());
     }
 
@@ -1196,7 +805,7 @@ mod tests {
         sheet
             .add_element_row("SRAM", "ucb/sram_lowswing", [("swing", "1.8")])
             .unwrap();
-        let report = lint_sheet(&sheet, &lib);
+        let report = lint(&sheet, &lib);
         assert!(find(&report, codes::SWING_EXCEEDS_VDD).is_some());
     }
 
@@ -1208,7 +817,7 @@ mod tests {
         sheet
             .add_element_row("DC", "ucb/dcdc", [("p_load", "1"), ("eta", "1.4")])
             .unwrap();
-        let report = lint_sheet(&sheet, &lib);
+        let report = lint(&sheet, &lib);
         assert!(find(&report, codes::ETA_OUT_OF_RANGE).is_some());
     }
 
@@ -1222,7 +831,7 @@ mod tests {
         sheet
             .add_element_row("Adder", "ucb/ripple_adder", [])
             .unwrap();
-        let report = lint_sheet(&sheet, &lib);
+        let report = lint(&sheet, &lib);
         let dead: Vec<_> = report
             .diagnostics()
             .iter()
@@ -1241,7 +850,7 @@ mod tests {
         sheet
             .add_element_row("Adder", "ucb/ripple_adder", [("bitz", "16")])
             .unwrap();
-        let report = lint_sheet(&sheet, &lib);
+        let report = lint(&sheet, &lib);
         let d = find(&report, codes::DEAD_BINDING).expect("W106");
         assert_eq!(d.path, "rows/Adder/bindings/bitz");
         assert!(d.suggestion.as_deref().unwrap_or("").contains("bits"));
@@ -1269,7 +878,7 @@ mod tests {
             },
         );
         sheet.add_inline_row("Monitor", monitor);
-        let report = lint_sheet(&sheet, &lib);
+        let report = lint(&sheet, &lib);
         let d = find(&report, codes::ORDER_DEPENDENT_REF).expect("W111");
         assert_eq!(d.path, "rows/Monitor/model/power_direct");
     }
@@ -1294,7 +903,7 @@ mod tests {
         sheet
             .add_element_row("Adder", "ucb/ripple_adder", [])
             .unwrap();
-        let report = lint_sheet(&sheet, &lib);
+        let report = lint(&sheet, &lib);
         let d = find(&report, codes::REF_UNKNOWN_ROW).expect("E008");
         assert_eq!(d.path, "rows/Monitor/model/power_direct");
         assert!(sheet.play(&lib).is_err());
@@ -1310,7 +919,7 @@ mod tests {
         sheet
             .add_element_row("Adder", "ucb/ripple_adder", [])
             .unwrap();
-        let report = lint_sheet(&sheet, &lib);
+        let report = lint(&sheet, &lib);
         let d = find(&report, codes::REF_UNKNOWN_ROW).expect("E008");
         assert_eq!(d.path, "globals/budget");
         assert!(d.message.contains("before any row"));
@@ -1328,7 +937,7 @@ mod tests {
         sheet.set_global("vdd", "1.5").unwrap();
         sheet.set_global("f", "2MHz").unwrap();
         sheet.add_subsheet_row("Custom Hardware", inner);
-        let report = lint_sheet(&sheet, &lib);
+        let report = lint(&sheet, &lib);
         let d = find(&report, codes::UNBOUND_VARIABLE).expect("E001");
         assert_eq!(d.path, "rows/Custom Hardware/rows/Core/bindings/bits");
         // No E014: vdd/f resolve through the parent's globals.
@@ -1349,7 +958,7 @@ mod tests {
             .add_element_row("Adder", "ucb/ripple_adder", [])
             .unwrap();
         sheet.add_subsheet_row("Converters", inner);
-        let report = lint_sheet(&sheet, &lib);
+        let report = lint(&sheet, &lib);
         let d = find(&report, codes::ORDER_DEPENDENT_REF).expect("W111");
         assert_eq!(d.path, "rows/Converters/rows/DC/bindings/p_load");
         assert!(!report.has_errors(), "{}", report.render_text());
@@ -1368,10 +977,7 @@ mod tests {
         sheet
             .add_element_row("Adder", "ucb/ripple_adder", [])
             .unwrap();
-        let options = LintOptions {
-            allow: vec![codes::DEAD_GLOBAL.to_owned()],
-        };
-        let report = lint_sheet_with(&sheet, &lib, &options);
+        let report = lint(&sheet, &lib).allow(&[codes::DEAD_GLOBAL]);
         assert!(find(&report, codes::DEAD_GLOBAL).is_none());
     }
 }

@@ -7,8 +7,33 @@ use proptest::prelude::*;
 
 use powerplay_library::builtin::ucb_library;
 use powerplay_library::{EvaluateElementError, Registry};
-use powerplay_lint::{lint_sheet, LintReport};
-use powerplay_sheet::{EvaluateSheetError, Row, RowModel, Sheet};
+use powerplay_lint::{codes, lint_sheet, LintReport};
+use powerplay_sheet::{CompiledSheet, EvaluateSheetError, Row, RowModel, Sheet};
+
+/// Lints `sheet` compiled against `registry`.
+fn lint(sheet: &Sheet, registry: &Registry) -> LintReport {
+    lint_sheet(&CompiledSheet::compile(sheet, registry))
+}
+
+/// A row of a generated design: an element path with its integer
+/// parameters, and the divider of `f` it is clocked at.
+type RowSpec<'a> = ((&'a str, Vec<(&'a str, u32)>), u32);
+
+/// A design at `vdd` and `f` with one row per spec, `Row 0` first.
+fn design(rows: Vec<RowSpec<'_>>, vdd: f64, f: f64) -> Sheet {
+    let mut sheet = Sheet::new("random");
+    sheet.set_global_value("vdd", vdd);
+    sheet.set_global_value("f", f);
+    for (i, ((path, params), divider)) in rows.into_iter().enumerate() {
+        let mut row = Row::new(format!("Row {i}"), RowModel::Element(path.to_owned()));
+        for (param, value) in params {
+            row.bind(param, &value.to_string()).unwrap();
+        }
+        row.bind("f", &format!("f / {divider}")).unwrap();
+        sheet.add_row(row);
+    }
+    sheet
+}
 
 /// A random small design over a handful of builtin elements, mirroring
 /// the sheet engine's own property harness.
@@ -25,20 +50,7 @@ fn arb_clean_sheet() -> impl Strategy<Value = Sheet> {
         1.0f64..4.0,
         1e5f64..1e7,
     )
-        .prop_map(|(rows, vdd, f)| {
-            let mut sheet = Sheet::new("random");
-            sheet.set_global_value("vdd", vdd);
-            sheet.set_global_value("f", f);
-            for (i, ((path, params), divider)) in rows.into_iter().enumerate() {
-                let mut row = Row::new(format!("Row {i}"), RowModel::Element(path.to_owned()));
-                for (param, value) in params {
-                    row.bind(param, &value.to_string()).unwrap();
-                }
-                row.bind("f", &format!("f / {divider}")).unwrap();
-                sheet.add_row(row);
-            }
-            sheet
-        })
+        .prop_map(|(rows, vdd, f)| design(rows, vdd, f))
 }
 
 /// Injects one of a catalogue of defects the linter's passes cover:
@@ -84,8 +96,9 @@ fn inject_defect(sheet: &mut Sheet, defect: u32) {
         6 => {
             // Power added to a capacitance (E010) plus a `P_` reference
             // to `Row 0`, which every generated sheet has.
+            sheet.set_global("c_load", "100f").unwrap();
             sheet
-                .add_element_row("Pads", "ucb/pads", [("c_pad", "P_row_0 + 100f")])
+                .add_element_row("Pads", "ucb/pads", [("c_pad", "P_row_0 + c_load")])
                 .unwrap();
         }
         7 => {
@@ -108,6 +121,47 @@ fn inject_defect(sheet: &mut Sheet, defect: u32) {
 
 fn lib() -> Registry {
     ucb_library()
+}
+
+/// The error each class 1–7 of [`inject_defect`] raises.
+const DEFECT_CODES: [(u32, &str); 7] = [
+    (1, codes::CIRCULAR_GLOBALS),
+    (2, codes::UNKNOWN_ELEMENT),
+    (3, codes::DUPLICATE_ROW_IDENT),
+    (4, codes::CIRCULAR_ROWS),
+    (5, codes::UNBOUND_VARIABLE),
+    (6, codes::DIM_MISMATCH),
+    (7, codes::UNKNOWN_FUNCTION),
+];
+
+/// Lint reports every error of a sheet, not only the one a play meets
+/// first: for each pair of defect classes injected into one sheet, both
+/// classes' codes.
+#[test]
+fn lint_reports_both_of_two_injected_errors() {
+    let registry = lib();
+    for (k, &(a, code_a)) in DEFECT_CODES.iter().enumerate() {
+        for &(b, code_b) in &DEFECT_CODES[k + 1..] {
+            let mut sheet = design(
+                vec![
+                    (("ucb/register", vec![("bits", 16)]), 4),
+                    (("ucb/sram", vec![("words", 512), ("bits", 8)]), 2),
+                ],
+                1.5,
+                2e6,
+            );
+            inject_defect(&mut sheet, a);
+            inject_defect(&mut sheet, b);
+            let report = lint(&sheet, &registry);
+            for code in [code_a, code_b] {
+                assert!(
+                    report.diagnostics().iter().any(|d| d.code == code),
+                    "defects {a} and {b}: no {code}\n{}",
+                    report.render_text()
+                );
+            }
+        }
+    }
 }
 
 /// A play failure is *structural* when static analysis is expected to
@@ -134,7 +188,7 @@ proptest! {
     fn lint_never_panics(sheet in arb_clean_sheet(), defect in 0u32..9) {
         let mut sheet = sheet;
         inject_defect(&mut sheet, defect);
-        let report = lint_sheet(&sheet, &lib());
+        let report = lint(&sheet, &lib());
         // Exercise every renderer on the arbitrary report.
         let _ = report.render_text();
         let _ = report.render_html();
@@ -147,7 +201,7 @@ proptest! {
     fn report_json_round_trips(sheet in arb_clean_sheet(), defect in 0u32..9) {
         let mut sheet = sheet;
         inject_defect(&mut sheet, defect);
-        let report = lint_sheet(&sheet, &lib());
+        let report = lint(&sheet, &lib());
         let text = report.to_json().to_pretty();
         let parsed = powerplay_json::Json::parse(&text).unwrap();
         prop_assert_eq!(LintReport::from_json(&parsed).unwrap(), report);
@@ -161,7 +215,7 @@ proptest! {
         let mut sheet = sheet;
         inject_defect(&mut sheet, defect);
         let registry = lib();
-        let report = lint_sheet(&sheet, &registry);
+        let report = lint(&sheet, &registry);
         if !report.has_errors() {
             match sheet.play(&registry) {
                 Ok(_) => {}
@@ -183,7 +237,7 @@ proptest! {
         let registry = lib();
         if let Err(err) = sheet.play(&registry) {
             if is_structural(&err) {
-                let report = lint_sheet(&sheet, &registry);
+                let report = lint(&sheet, &registry);
                 prop_assert!(
                     report.has_errors(),
                     "play failed with {err:?} but lint found no errors:\n{}",

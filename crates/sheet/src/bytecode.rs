@@ -148,7 +148,7 @@ use powerplay_units::{Area, Energy, Power, Time};
 use crate::engine::EvaluateSheetError;
 use crate::plan::{
     CompiledGlobal, CompiledRow, CompiledRowKind, CompiledSheet, OverridePlan, OverridePlanInner,
-    RowsPlan,
+    RowView, RowsPlan,
 };
 use crate::report::{fold_sum, RowReport, SheetReport, SUM_IDENTITY};
 
@@ -510,7 +510,8 @@ pub(crate) struct Program {
 }
 
 /// The walk stops lowering the current row once it meets a trap every
-/// play raises: everything after it is dead code.
+/// play raises and its back end does not go on: everything after it is
+/// dead code.
 struct Poisoned;
 
 type Lower<T> = Result<T, Poisoned>;
@@ -562,8 +563,10 @@ impl Env {
 /// every decision about order and scope; a back end decides what a
 /// value is. Values are `u32` handles the back end hands out: local
 /// registers for the register back end, abstract values for the
-/// interval analyzer (`powerplay-analysis`).
-pub trait Backend {
+/// interval analyzer (`powerplay-analysis`), dimensions for the linter
+/// (`powerplay-lint`). A back end may keep what the walk shows it of the
+/// plan, which lives for `'p`.
+pub trait Backend<'p> {
     /// The handle of the constant `value`.
     fn konst(&mut self, value: f64) -> u32;
 
@@ -593,12 +596,34 @@ pub trait Backend {
     /// when every play does, which ends the walk with `err`.
     fn trap_if(&mut self, cond: u32, err: &EvaluateSheetError) -> bool;
 
-    /// Every play that gets here raises `err`; the walk stops.
-    fn trap(&mut self, err: &EvaluateSheetError);
+    /// Every play that gets here raises `err`. Returns the handle the
+    /// walk goes on with in place of what failed, or `None` (by default)
+    /// to end the walk with `err`.
+    fn trap(&mut self, _err: &EvaluateSheetError) -> Option<u32> {
+        None
+    }
 
-    /// Names the formula the walk lowers next, inside the sub-sheet rows
-    /// `nest`, outermost first.
-    fn formula(&mut self, _nest: &[Arc<str>], _formula: Formula<'_>) {}
+    /// The walk enters `sheet`: the top-level sheet, or the sub-sheet of
+    /// the rows `nest`, outermost first. Its globals come next.
+    fn sheet(&mut self, _nest: &[Arc<str>], _sheet: &'p CompiledSheet) {}
+
+    /// The walk enters row `index` (declaration order) of the sheet
+    /// inside the rows `nest`.
+    fn enter_row(&mut self, _nest: &[Arc<str>], _index: usize, _row: RowView<'p>) {}
+
+    /// Names the formula `expr` the walk lowers next, inside the
+    /// sub-sheet rows `nest`, outermost first, where `names` are in
+    /// scope. Returns the handle a global or a binding binds its name to
+    /// in place of its formula's value, if any.
+    fn formula(
+        &mut self,
+        _nest: &[Arc<str>],
+        _formula: Formula<'_>,
+        _expr: &Expr,
+        _names: Names<'_>,
+    ) -> Option<u32> {
+        None
+    }
 
     /// Marks entry into an arm of an `if` whose condition is `cond`: the
     /// then arm when `then`, else the else arm.
@@ -607,16 +632,15 @@ pub trait Backend {
     /// Marks exit from the `if` arm entered last.
     fn exit_arm(&mut self) {}
 
-    /// The value of the top-level declared global `index` (declaration
-    /// order), given its formula's value `value`.
-    fn global(&mut self, _index: usize, value: u32) -> u32 {
-        value
-    }
-
     /// The row `name` inside the sub-sheet rows `nest` is lowered, with
     /// power `power`.
     fn row(&mut self, _nest: &[Arc<str>], _name: &str, _power: u32) {}
 }
+
+/// The names in scope where the walk lowers a formula: the handle each
+/// resolves to through the sheet's globals and the enclosing rows'
+/// parameters, bindings and published `P_`/`A_` names.
+pub type Names<'a> = &'a dyn Fn(&str) -> Option<u32>;
 
 /// A formula the walk lowers, as diagnostics name it.
 #[derive(Debug, Clone, Copy)]
@@ -694,7 +718,7 @@ impl<'o> Regs<'o> {
     }
 }
 
-impl Backend for Regs<'_> {
+impl Backend<'_> for Regs<'_> {
     /// A slot holding `value` in the constant pool (deduplicated by bit
     /// pattern, so `0.0` and `-0.0` keep distinct slots).
     fn konst(&mut self, value: f64) -> u32 {
@@ -765,9 +789,11 @@ impl Backend for Regs<'_> {
         true
     }
 
-    fn trap(&mut self, err: &EvaluateSheetError) {
+    /// The trap ends the row's code: nothing after it runs.
+    fn trap(&mut self, err: &EvaluateSheetError) -> Option<u32> {
         let err = self.push_err(ErrTemplate::Fixed(err.clone()));
         self.code.push(Instr::Trap { err });
+        None
     }
 }
 
@@ -782,7 +808,7 @@ struct Lowerer<'b, B> {
     trapped: Option<EvaluateSheetError>,
 }
 
-impl<'b, B: Backend> Lowerer<'b, B> {
+impl<'b, 'p, B: Backend<'p>> Lowerer<'b, B> {
     fn new(b: &'b mut B) -> Lowerer<'b, B> {
         Lowerer {
             b,
@@ -817,13 +843,16 @@ impl<'b, B: Backend> Lowerer<'b, B> {
         err
     }
 
-    /// A statically-decided error: every play that gets here raises it,
-    /// so the rest of the current row is dead.
-    fn trap(&mut self, err: EvaluateSheetError) -> Poisoned {
+    /// A statically-decided error: every play that gets here raises it.
+    /// The walk goes on with the back end's stand-in, if it hands one
+    /// back; otherwise the rest of the current row is dead.
+    fn trap(&mut self, err: EvaluateSheetError) -> Lower<u32> {
         let err = self.wrap_nested(err);
-        self.b.trap(&err);
-        self.trapped = Some(err);
-        Poisoned
+        let standin = self.b.trap(&err);
+        standin.ok_or_else(|| {
+            self.trapped = Some(err);
+            Poisoned
+        })
     }
 
     /// The error of the trap that ended the walk.
@@ -845,7 +874,7 @@ impl<'b, B: Backend> Lowerer<'b, B> {
             Expr::Number(n) => Ok(self.b.konst(*n)),
             Expr::Variable(name) => match self.lookup(env, name) {
                 Some(slot) => Ok(slot),
-                None => Err(self.trap(wrap(EvalError::UnknownVariable(name.clone())))),
+                None => self.trap(wrap(EvalError::UnknownVariable(name.clone()))),
             },
             Expr::Unary(UnaryOp::Neg, inner) => {
                 let a = self.lower_expr(inner, env, wrap)?;
@@ -857,17 +886,25 @@ impl<'b, B: Backend> Lowerer<'b, B> {
                 Ok(self.b.pure(Pure::Bin(*op, a, b), Some(expr)))
             }
             Expr::Call(name, args) => {
-                let Some(builtin) = Builtin::lookup(name) else {
-                    return Err(self.trap(wrap(EvalError::UnknownFunction(name.clone()))));
+                let Some(builtin) = Builtin::lookup(name).filter(|b| b.arity() == args.len())
+                else {
+                    let err = match Builtin::lookup(name) {
+                        None => EvalError::UnknownFunction(name.clone()),
+                        Some(builtin) => EvalError::WrongArity {
+                            function: name.clone(),
+                            expected: builtin.arity(),
+                            found: args.len(),
+                        },
+                    };
+                    // A back end that goes on past the trap meets the
+                    // traps in the arguments too.
+                    let standin = self.trap(wrap(err))?;
+                    for arg in args {
+                        self.lower_expr(arg, env, wrap)?;
+                    }
+                    return Ok(standin);
                 };
                 let arity = builtin.arity();
-                if args.len() != arity {
-                    return Err(self.trap(wrap(EvalError::WrongArity {
-                        function: name.clone(),
-                        expected: arity,
-                        found: args.len(),
-                    })));
-                }
                 // The eager `if` lowers both arms after its condition.
                 let mut slots = [0u32; 3];
                 for (k, arg) in args.iter().enumerate() {
@@ -907,7 +944,8 @@ impl<'b, B: Backend> Lowerer<'b, B> {
             row: row_name,
             formula,
         };
-        self.b.formula(&self.nest, model);
+        self.b
+            .formula(&self.nest, model, expr, &|name| env.lookup(name));
         let slot = self.lower_expr(expr, env, &|source| EvaluateSheetError::Element {
             row: row_name.to_string(),
             source: EvaluateElementError::Eval { formula, source },
@@ -922,10 +960,10 @@ impl<'b, B: Backend> Lowerer<'b, B> {
     fn lookup_or_trap(&mut self, row_name: &Arc<str>, var: &'static str, env: &Env) -> Lower<u32> {
         match self.lookup(env, var) {
             Some(slot) => Ok(slot),
-            None => Err(self.trap(EvaluateSheetError::Element {
+            None => self.trap(EvaluateSheetError::Element {
                 row: row_name.to_string(),
                 source: EvaluateElementError::MissingOperatingPoint(var),
-            })),
+            }),
         }
     }
 
@@ -1045,7 +1083,7 @@ impl<'b, B: Backend> Lowerer<'b, B> {
 
     /// Lowers one row (element or inlined sub-sheet). Scope layers the
     /// row pushes are unwound even when lowering poisons.
-    fn lower_row(&mut self, env: &mut Env, row: &CompiledRow) -> Lower<RowRecipe> {
+    fn lower_row(&mut self, env: &mut Env, row: &'p CompiledRow) -> Lower<RowRecipe> {
         let depth = env.depth();
         let result = self.lower_row_inner(env, row);
         env.truncate(depth);
@@ -1055,15 +1093,19 @@ impl<'b, B: Backend> Lowerer<'b, B> {
         result
     }
 
-    fn lower_row_inner(&mut self, env: &mut Env, row: &CompiledRow) -> Lower<RowRecipe> {
+    fn lower_row_inner(&mut self, env: &mut Env, row: &'p CompiledRow) -> Lower<RowRecipe> {
         // Element resolution errors precede binding errors, matching the
-        // uncompiled engine.
-        if let CompiledRowKind::Missing { path } = &row.kind {
-            return Err(self.trap(EvaluateSheetError::UnknownElement {
-                row: row.name.to_string(),
-                element: path.clone(),
-            }));
-        }
+        // uncompiled engine. A back end that goes on lowers the bindings
+        // and takes its stand-in as the row's power and area.
+        let missing = match &row.kind {
+            CompiledRowKind::Missing { path } => {
+                Some(self.trap(EvaluateSheetError::UnknownElement {
+                    row: row.name.to_string(),
+                    element: path.clone(),
+                })?)
+            }
+            _ => None,
+        };
 
         // Parameter defaults first, so bindings can shadow and reference
         // them (e.g. `bits = words / 4`).
@@ -1077,13 +1119,15 @@ impl<'b, B: Backend> Lowerer<'b, B> {
                 row: &row.name,
                 param,
             };
-            self.b.formula(&self.nest, binding);
+            let bound = self
+                .b
+                .formula(&self.nest, binding, expr, &|name| env.lookup(name));
             let slot = self.lower_expr(expr, env, &|source| EvaluateSheetError::Binding {
                 row: row.name.to_string(),
                 param: param.to_string(),
                 source,
             })?;
-            env.insert_top(param.clone(), slot);
+            env.insert_top(param.clone(), bound.unwrap_or(slot));
         }
 
         match &row.kind {
@@ -1135,33 +1179,48 @@ impl<'b, B: Backend> Lowerer<'b, B> {
                     sub: None,
                 })
             }
-            CompiledRowKind::Missing { .. } => unreachable!("rejected above"),
+            CompiledRowKind::Missing { .. } => {
+                let standin = missing.expect("a missing element trapped above");
+                let mut recipe = self.placeholder(row);
+                (recipe.power, recipe.area) = (standin, Some(standin));
+                Ok(recipe)
+            }
         }
     }
 
     /// Lowers the declared globals `order` lists, in that order, into a
     /// new scope layer; returns each one's handle by declaration index
-    /// ([`NO_REG`] for the globals `order` skips). A top-level global's
-    /// value passes through [`Backend::global`].
+    /// ([`NO_REG`] for the globals `order` skips). Each of `errors`, the
+    /// findings that fail these globals, traps first; past them every
+    /// global reads as the stand-in until its own formula is lowered.
     fn lower_globals(
         &mut self,
         env: &mut Env,
         globals: &[CompiledGlobal],
-        order: impl Iterator<Item = usize>,
+        errors: &[EvaluateSheetError],
+        order: impl Iterator<Item = usize> + Clone,
     ) -> Lower<Vec<u32>> {
         env.push_layer();
+        for err in errors {
+            let standin = self.trap(err.clone())?;
+            for k in order.clone() {
+                env.insert_top(globals[k].name.clone(), standin);
+            }
+        }
         let mut regs = vec![NO_REG; globals.len()];
         for k in order {
             let g = &globals[k];
-            self.b.formula(&self.nest, Formula::Global(&g.name));
+            let bound = self
+                .b
+                .formula(&self.nest, Formula::Global(&g.name), &g.expr, &|name| {
+                    env.lookup(name)
+                });
             let wrap = |source| EvaluateSheetError::Global {
                 name: g.name.to_string(),
                 source,
             };
-            regs[k] = self.lower_expr(&g.expr, env, &wrap)?;
-            if self.nest.is_empty() {
-                regs[k] = self.b.global(k, regs[k]);
-            }
+            let value = self.lower_expr(&g.expr, env, &wrap)?;
+            regs[k] = bound.unwrap_or(value);
             env.insert_top(g.name.clone(), regs[k]);
         }
         Ok(regs)
@@ -1187,7 +1246,7 @@ impl<'b, B: Backend> Lowerer<'b, B> {
         }
         let computed = plan.order.iter().copied();
         let computed = computed.filter(|&k| k < globals.len() && plan.global_slot[k].is_none());
-        let mut values = self.lower_globals(env, globals, computed)?;
+        let mut values = self.lower_globals(env, globals, &plan.errors, computed)?;
         for (value, &slot) in values.iter_mut().zip(&plan.global_slot) {
             if let Some(slot) = slot {
                 *value = inputs[slot];
@@ -1199,13 +1258,18 @@ impl<'b, B: Backend> Lowerer<'b, B> {
 
     /// Lowers the rows of one sheet level in plan order over a new power
     /// layer, each row publishing its outputs to the rows after it;
-    /// returns their recipes in declaration order.
-    fn lower_rows(&mut self, env: &mut Env, plan: &RowsPlan) -> Lower<Vec<RowRecipe>> {
+    /// returns their recipes in declaration order. Each structural
+    /// finding traps first.
+    fn lower_rows(&mut self, env: &mut Env, plan: &'p RowsPlan) -> Lower<Vec<RowRecipe>> {
+        for err in &plan.errors {
+            self.trap(err.clone())?;
+        }
         let power_layer = env.push_layer();
         self.rows_total += plan.order.len() as u64;
         let mut rows: Vec<Option<RowRecipe>> = vec![None; plan.rows.len()];
         for &i in &plan.order {
             let row = &plan.rows[i];
+            self.b.enter_row(&self.nest, i, RowView { row });
             let rec = self.lower_row(env, row)?;
             publish(row, rec.power, rec.area, |name, slot| {
                 env.insert_at(power_layer, name.clone(), slot);
@@ -1225,30 +1289,19 @@ impl<'b, B: Backend> Lowerer<'b, B> {
     fn lower_subsheet(
         &mut self,
         env: &mut Env,
-        sub: &CompiledSheet,
+        sub: &'p CompiledSheet,
     ) -> Lower<(SheetRecipe, u32, Option<u32>)> {
-        let order = match sub.global_order() {
-            Ok(order) => order,
-            Err(e) => {
-                let e = e.clone();
-                return Err(self.trap(e));
-            }
-        };
-        let regs = self.lower_globals(env, &sub.globals, order.iter().copied())?;
+        self.b.sheet(&self.nest, sub);
+        let plan = &sub.base.inner;
+        let order = plan.order.iter().copied();
+        let regs = self.lower_globals(env, &sub.globals, &plan.errors, order)?;
         let globals = sub
             .globals
             .iter()
             .map(|g| g.name.clone())
             .zip(regs)
             .collect();
-        let rows_plan = match &sub.structure {
-            Ok(plan) => plan,
-            Err(e) => {
-                let e = e.clone();
-                return Err(self.trap(e));
-            }
-        };
-        let rows = self.lower_rows(env, rows_plan)?;
+        let rows = self.lower_rows(env, &sub.structure)?;
         let (power, area) = self.lower_totals(&rows);
         let recipe = SheetRecipe {
             name: sub.name.clone(),
@@ -1320,20 +1373,20 @@ fn publish<'r>(
 impl CompiledSheet {
     /// Runs the lowering walk a play's code comes from with `backend` in
     /// place of the register back end, in the order a play through
-    /// `plan` meets each error: `plan`'s cycle error, its globals
-    /// (override names as inputs, each declared global's value through
-    /// [`Backend::global`]), the rows' structure error, then the rows in
-    /// plan order, each reading the globals and the `P_`/`A_` names of
-    /// the rows before it. Returns the top-level rows in declaration
-    /// order.
+    /// `plan` meets each error: `plan`'s global findings, its globals
+    /// (override names as inputs), the rows' structural findings, then
+    /// the rows in plan order, each reading the globals and the
+    /// `P_`/`A_` names of the rows before it. A back end that goes on
+    /// past a trap ([`Backend::trap`]) sees every formula of the sheet.
+    /// Returns the top-level rows in declaration order.
     ///
     /// # Errors
     ///
-    /// The first error the walk meets: a global's, a structural one, or
-    /// a row's statically-decided error (or one the back end proves
-    /// certain at [`Backend::trap_if`]).
-    pub fn walk<B: Backend>(
-        &self,
+    /// The error of the trap that ended the walk: a global finding, a
+    /// structural one, or a row's statically-decided error (or one the
+    /// back end proves certain at [`Backend::trap_if`]).
+    pub fn walk<'p, B: Backend<'p>>(
+        &'p self,
         plan: &OverridePlan,
         backend: &mut B,
     ) -> Result<Vec<WalkedRow>, EvaluateSheetError> {
@@ -1341,17 +1394,13 @@ impl CompiledSheet {
             plan.plan_id, self.id,
             "override plan built for a different compiled sheet"
         );
-        let inner = plan.inner.as_ref().map_err(Clone::clone)?;
+        backend.sheet(&[], self);
         let mut lw = Lowerer::new(backend);
         let mut env = Env::new();
-        if lw
-            .lower_top_globals(&mut env, &self.globals, &plan.names, inner)
-            .is_err()
-        {
-            return Err(lw.error());
-        }
-        let rows_plan = self.structure.as_ref().map_err(Clone::clone)?;
-        let Ok(rows) = lw.lower_rows(&mut env, rows_plan) else {
+        let walked = lw
+            .lower_top_globals(&mut env, &self.globals, &plan.names, &plan.inner)
+            .and_then(|_| lw.lower_rows(&mut env, &self.structure));
+        let Ok(rows) = walked else {
             return Err(lw.error());
         };
         Ok(rows

@@ -50,6 +50,9 @@ impl Sheet {
     }
 
     /// Decodes a design from the [`Self::to_json`] representation.
+    /// `globals` and `rows` are required, as arrays, at every level: a
+    /// document without them (a design's API envelope, say) is not a
+    /// design with none.
     ///
     /// # Errors
     ///
@@ -58,24 +61,26 @@ impl Sheet {
         let name = json["name"]
             .as_str()
             .ok_or_else(|| DecodeSheetError::new("missing `name`"))?;
+        let array = |key: &str| {
+            json[key].as_array().ok_or_else(|| {
+                DecodeSheetError::new(format!("design `{name}` has no `{key}` array"))
+            })
+        };
+        let (globals, rows) = (array("globals")?, array("rows")?);
         let mut sheet = Sheet::new(name);
-        if let Some(globals) = json["globals"].as_array() {
-            for g in globals {
-                let gname = g["name"]
-                    .as_str()
-                    .ok_or_else(|| DecodeSheetError::new("global missing `name`"))?;
-                let formula = g["formula"]
-                    .as_str()
-                    .ok_or_else(|| DecodeSheetError::new("global missing `formula`"))?;
-                sheet
-                    .set_global(gname, formula)
-                    .map_err(|e| DecodeSheetError::new(format!("global `{gname}`: {e}")))?;
-            }
+        for g in globals {
+            let gname = g["name"]
+                .as_str()
+                .ok_or_else(|| DecodeSheetError::new("global missing `name`"))?;
+            let formula = g["formula"]
+                .as_str()
+                .ok_or_else(|| DecodeSheetError::new("global missing `formula`"))?;
+            sheet
+                .set_global(gname, formula)
+                .map_err(|e| DecodeSheetError::new(format!("global `{gname}`: {e}")))?;
         }
-        if let Some(rows) = json["rows"].as_array() {
-            for r in rows {
-                sheet.add_row(row_from_json(r)?);
-            }
+        for r in rows {
+            sheet.add_row(row_from_json(r)?);
         }
         sheet.shrink_to_fit();
         Ok(sheet)
@@ -252,9 +257,16 @@ mod tests {
     fn rejects_malformed_documents() {
         for bad in [
             "{}",
-            r#"{"name": "x", "rows": [{"name": "r"}]}"#,
-            r#"{"name": "x", "rows": [{"name": "r", "kind": "warp"}]}"#,
-            r#"{"name": "x", "globals": [{"name": "g", "formula": "1 +"}]}"#,
+            r#"{"name": "x", "globals": [], "rows": [{"name": "r"}]}"#,
+            r#"{"name": "x", "globals": [], "rows": [{"name": "r", "kind": "warp"}]}"#,
+            r#"{"name": "x", "globals": [{"name": "g", "formula": "1 +"}], "rows": []}"#,
+            // A design's API envelope: the design sits under `design`.
+            r#"{"user": "u", "name": "x", "rev": 1, "revisions": 1,
+                "design": {"name": "x", "globals": [], "rows": []}}"#,
+            r#"{"name": "x", "globals": []}"#,
+            r#"{"name": "x", "globals": {}, "rows": []}"#,
+            r#"{"name": "x", "globals": [], "rows": [{"name": "s", "kind": "subsheet",
+                "sheet": {"name": "inner", "rows": []}}]}"#,
         ] {
             let json = powerplay_json::Json::parse(bad).unwrap();
             assert!(Sheet::from_json(&json).is_err(), "accepted {bad}");

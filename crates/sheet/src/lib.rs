@@ -52,7 +52,7 @@ mod row;
 mod sheet;
 pub mod whatif;
 
-pub use bytecode::{Backend, Formula, Pure, WalkedRow};
+pub use bytecode::{Backend, Formula, Names, Pure, WalkedRow};
 pub use engine::{toposort, EvaluateSheetError};
 pub use json_io::DecodeSheetError;
 pub use macros::LumpMacroError;

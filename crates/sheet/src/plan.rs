@@ -140,9 +140,9 @@ pub struct CompiledSheet {
     /// The plan of the un-overridden sheet. Its program cell holds the
     /// sheet's register program, shared by every plan that appends no
     /// name (see [`OverridePlan::program`]).
-    base: OverridePlan,
-    /// Row plan, or the structural error the engine would report.
-    pub(crate) structure: Result<RowsPlan, EvaluateSheetError>,
+    pub(crate) base: OverridePlan,
+    /// Row plan, with the structural findings that fail it.
+    pub(crate) structure: RowsPlan,
     /// The register image of the un-overridden play through the base
     /// program, run on first use by a sweep kernel; `None` when that
     /// play fails.
@@ -163,8 +163,20 @@ pub(crate) struct RowsPlan {
     /// Rows in declaration order, shared with the plan of the revision
     /// they were compiled for when their content has not changed since.
     pub(crate) rows: Vec<Arc<CompiledRow>>,
-    /// Dependency-respecting evaluation order over `rows` indices.
+    /// Dependency-respecting evaluation order over `rows` indices;
+    /// declaration order when the rows form a cycle.
     pub(crate) order: Vec<usize>,
+    /// Every structural finding, in the order the engine meets them:
+    /// each duplicated ident, each row that reads its own result, then a
+    /// cycle. A play raises the first; the lowering walk traps each.
+    pub(crate) errors: Vec<EvaluateSheetError>,
+}
+
+impl RowsPlan {
+    /// The plan, or the structural error every play raises.
+    pub(crate) fn checked(&self) -> Result<&RowsPlan, &EvaluateSheetError> {
+        self.errors.first().map_or(Ok(self), Err)
+    }
 }
 
 /// Every name a play touches is interned here as a shared `Arc<str>`, so
@@ -184,6 +196,9 @@ pub(crate) struct CompiledRow {
     pub(crate) params: Vec<(Arc<str>, f64)>,
     /// The element's display name, interned for the report.
     pub(crate) element_name: Option<Arc<str>>,
+    /// The row carries its element inline rather than naming one in the
+    /// registry.
+    pub(crate) inline: bool,
     pub(crate) kind: CompiledRowKind,
 }
 
@@ -229,13 +244,13 @@ impl CompiledSheet {
         let (plan, reused) = Self::compile_with(
             sheet,
             registry,
-            prev.and_then(|p| p.structure.as_ref().ok()),
+            prev.and_then(|p| p.structure.checked().ok()),
         );
         // Link the whole hierarchy (sub-sheets inlined) into one flat
         // register-machine program now, so compiling pays for it rather
         // than the first play. A sub-plan's rows are spans inside its
         // parent's program; played on its own, it links on first play.
-        if let Ok(rows) = &plan.structure {
+        if let Ok(rows) = plan.structure.checked() {
             let prev_fragments: Vec<&Arc<Fragment>> = prev
                 .and_then(|p| p.base.program.get())
                 .map(|program| program.fragments().collect())
@@ -276,10 +291,7 @@ impl CompiledSheet {
             })
             .collect();
         let id = PLAN_IDS.fetch_add(1, Ordering::Relaxed);
-        let (structure, reused) = match compile_rows(sheet, registry, prev) {
-            Ok((rows, reused)) => (Ok(rows), reused),
-            Err(err) => (Err(err), Vec::new()),
-        };
+        let (structure, reused) = compile_rows(sheet, registry, prev);
         let plan = CompiledSheet {
             id,
             generation: registry.generation(),
@@ -348,10 +360,10 @@ impl CompiledSheet {
         values: &[f64],
     ) -> Result<SheetReport, EvaluateSheetError> {
         let _span = profile::span_lazy(|| format!("play {}", self.name));
-        let inner = plan.inner.as_ref().map_err(Clone::clone)?;
+        let inner = plan.checked().map_err(Clone::clone)?;
         let mut globals_scope = parent.child();
         let resolved = self.eval_globals_with_plan(&mut globals_scope, plan, inner, values)?;
-        let rows_plan = self.structure.as_ref().map_err(Clone::clone)?;
+        let rows_plan = self.structure.checked().map_err(Clone::clone)?;
         let rows = eval_rows_full(rows_plan, &globals_scope)?;
         Ok(SheetReport::new(self.name.clone(), resolved, rows))
     }
@@ -431,7 +443,7 @@ impl CompiledSheet {
             "override plan built for a different compiled sheet"
         );
         let prologue = plan.prologue(self).as_ref().map_err(Clone::clone)?;
-        let rows_plan = self.structure.as_ref().map_err(Clone::clone)?;
+        let rows_plan = self.structure.checked().map_err(Clone::clone)?;
         Ok((prologue, plan.program(self, rows_plan)))
     }
 
@@ -480,7 +492,7 @@ fn dedup_overrides<'a>(overrides: &[(&'a str, f64)]) -> (Vec<&'a str>, Vec<f64>)
 pub struct OverridePlan {
     pub(crate) plan_id: u64,
     pub(crate) names: Vec<String>,
-    pub(crate) inner: Result<OverridePlanInner, EvaluateSheetError>,
+    pub(crate) inner: OverridePlanInner,
     /// The plan's globals as register code, lowered on first use (the
     /// oracle never uses it), or the global error every play raises.
     prologue: OnceLock<Result<Prologue, EvaluateSheetError>>,
@@ -509,9 +521,15 @@ impl OverridePlan {
         &self.names
     }
 
-    /// `names` slots that append new globals (none when the plan errors).
+    /// `names` slots that append new globals.
     fn appended(&self) -> &[usize] {
-        self.inner.as_ref().map_or(&[], |inner| &inner.appended)
+        &self.inner.appended
+    }
+
+    /// The plan's global order, or the global error every play through
+    /// it raises.
+    fn checked(&self) -> Result<&OverridePlanInner, &EvaluateSheetError> {
+        self.inner.errors.first().map_or(Ok(&self.inner), Err)
     }
 
     /// The prologue plays through this plan run, lowered on first use:
@@ -519,7 +537,7 @@ impl OverridePlan {
     /// such play raises first: a cycle, then the first failing formula.
     fn prologue(&self, sheet: &CompiledSheet) -> &Result<Prologue, EvaluateSheetError> {
         self.prologue.get_or_init(|| {
-            let inner = self.inner.as_ref().map_err(Clone::clone)?;
+            let inner = self.checked().map_err(Clone::clone)?;
             Prologue::lower(&sheet.globals, &self.names, inner)
         })
     }
@@ -562,8 +580,13 @@ pub(crate) struct OverridePlanInner {
     pub(crate) global_slot: Vec<Option<usize>>,
     /// `names` slots that append new globals, in append order.
     pub(crate) appended: Vec<usize>,
-    /// Toposorted node order (nodes: globals, then appended).
+    /// Toposorted node order (nodes: globals, then appended);
+    /// declaration order when the formulas form a cycle.
     pub(crate) order: Vec<usize>,
+    /// Every finding that fails the globals: each self-referential
+    /// formula in declaration order, then a cycle. A play raises the
+    /// first; the lowering walk traps each.
+    pub(crate) errors: Vec<EvaluateSheetError>,
 }
 
 /// Orders the globals under a set of override names — the one place the
@@ -572,10 +595,7 @@ pub(crate) struct OverridePlanInner {
 /// not a global appends a literal node that formulas may now read. Error
 /// precedence: a self-referential formula errors first (lowest
 /// declaration index), then cycles surface from the toposort.
-fn build_override_inner(
-    globals: &[CompiledGlobal],
-    names: &[String],
-) -> Result<OverridePlanInner, EvaluateSheetError> {
+fn build_override_inner(globals: &[CompiledGlobal], names: &[String]) -> OverridePlanInner {
     let mut global_slot: Vec<Option<usize>> = vec![None; globals.len()];
     let mut appended: Vec<usize> = Vec::new();
     for (slot, name) in names.iter().enumerate() {
@@ -598,12 +618,13 @@ fn build_override_inner(
     for k in 0..node_count {
         deps.entry(k).or_default();
     }
+    let mut errors = Vec::new();
     for (k, (slot, g)) in global_slot.iter().zip(globals).enumerate() {
         if slot.is_some() {
             continue; // overridden: a constant, no formula deps
         }
         if g.free.contains(&*g.name) {
-            return Err(EvaluateSheetError::CircularGlobals(vec![g
+            errors.push(EvaluateSheetError::CircularGlobals(vec![g
                 .name
                 .to_string()]));
         }
@@ -616,16 +637,17 @@ fn build_override_inner(
             }
         }
     }
-    let order = toposort(node_count, &deps).map_err(|cycle| {
-        EvaluateSheetError::CircularGlobals(
-            cycle.into_iter().map(|k| name_of(k).to_owned()).collect(),
-        )
-    })?;
-    Ok(OverridePlanInner {
+    let order = toposort(node_count, &deps).unwrap_or_else(|cycle| {
+        let cycle = cycle.into_iter().map(|k| name_of(k).to_owned());
+        errors.push(EvaluateSheetError::CircularGlobals(cycle.collect()));
+        (0..node_count).collect()
+    });
+    OverridePlanInner {
         global_slot,
         appended,
         order,
-    })
+        errors,
+    }
 }
 
 /// A batched bytecode sweep kernel: evaluates up to
@@ -833,20 +855,24 @@ fn set_row_outputs(row: &CompiledRow, report: &RowReport, power_layer: &mut Scop
 /// reference graph in one linear pass over precomputed free variables
 /// (the engine's original scan formatted two candidate names per row
 /// *pair* — quadratic in rows), then element resolution to shared
-/// handles. A row of `prev` at the same position, or else of the same
-/// name, whose content is unchanged is shared instead of compiled; the
-/// second result names, per row, the index in `prev` it shares.
+/// handles. Every row is compiled, in declaration order, also when the
+/// structure fails; the plan lists every finding. A row of `prev` at the
+/// same position, or else of the same name, whose content is unchanged
+/// is shared instead of compiled; the second result names, per row, the
+/// index in `prev` it shares.
 fn compile_rows(
     sheet: &Sheet,
     registry: &Registry,
     prev: Option<&RowsPlan>,
-) -> Result<(RowsPlan, Vec<Option<usize>>), EvaluateSheetError> {
+) -> (RowsPlan, Vec<Option<usize>>) {
     let idents: Vec<String> = sheet.rows().iter().map(Row::ident).collect();
+    let mut errors = Vec::new();
     {
         let mut seen = BTreeSet::new();
+        let mut duplicated = BTreeSet::new();
         for ident in &idents {
-            if !ident.is_empty() && !seen.insert(ident.clone()) {
-                return Err(EvaluateSheetError::DuplicateRowIdent(ident.clone()));
+            if !ident.is_empty() && !seen.insert(ident) && duplicated.insert(ident) {
+                errors.push(EvaluateSheetError::DuplicateRowIdent(ident.clone()));
             }
         }
     }
@@ -864,6 +890,7 @@ fn compile_rows(
             wanted.extend(expr.free_variables());
         }
         let entry = deps.entry(i).or_default();
+        let mut reads_itself = false;
         for var in &wanted {
             // Rows may reference other rows' power (`P_x`, the converter
             // load of EQ 19) and area (`A_x`: interconnect dissipation as
@@ -872,22 +899,22 @@ fn compile_rows(
             let Some(&j) = target.and_then(|t| index_of.get(t)) else {
                 continue;
             };
-            if i == j {
-                return Err(EvaluateSheetError::CircularRows(vec![row
-                    .name()
-                    .to_owned()]));
+            reads_itself |= i == j;
+            if i != j {
+                entry.insert(j);
             }
-            entry.insert(j);
+        }
+        if reads_itself {
+            errors.push(EvaluateSheetError::CircularRows(vec![row
+                .name()
+                .to_owned()]));
         }
     }
-    let order = toposort(sheet.rows().len(), &deps).map_err(|cycle| {
-        EvaluateSheetError::CircularRows(
-            cycle
-                .into_iter()
-                .map(|i| sheet.rows()[i].name().to_owned())
-                .collect(),
-        )
-    })?;
+    let order = toposort(sheet.rows().len(), &deps).unwrap_or_else(|cycle| {
+        let cycle = cycle.into_iter().map(|i| sheet.rows()[i].name().to_owned());
+        errors.push(EvaluateSheetError::CircularRows(cycle.collect()));
+        (0..sheet.rows().len()).collect()
+    });
 
     let mut by_name: Option<BTreeMap<&str, usize>> = None;
     let mut reused: Vec<Option<usize>> = Vec::with_capacity(sheet.rows().len());
@@ -954,11 +981,17 @@ fn compile_rows(
                     .collect(),
                 params,
                 element_name,
+                inline: matches!(row.model(), RowModel::Inline(_)),
                 kind,
             })
         })
         .collect();
-    Ok((RowsPlan { rows, order }, reused))
+    let plan = RowsPlan {
+        rows,
+        order,
+        errors,
+    };
+    (plan, reused)
 }
 
 /// Whether `compiled` is exactly what compiling `row` against `registry`
@@ -1001,7 +1034,7 @@ fn same_sheet(compiled: &CompiledSheet, sheet: &Sheet, registry: &Registry) -> b
             .iter()
             .zip(sheet.globals())
             .all(|(g, (name, expr))| *g.name == **name && g.expr.identical(expr))
-        && compiled.structure.as_ref().is_ok_and(|plan| {
+        && compiled.structure.checked().is_ok_and(|plan| {
             plan.rows.len() == sheet.rows().len()
                 && plan
                     .rows
@@ -1098,7 +1131,7 @@ fn evaluate_compiled_row(
 // The compiled plan's internals stay private (the replay machinery owns
 // them). An analysis that needs a play's semantics runs the lowering walk
 // itself ([`CompiledSheet::walk`]); these views only list what a plan
-// holds: its name, its globals' formulas and its rows' kinds.
+// holds: its name, its globals' formulas and its rows.
 // ---------------------------------------------------------------------------
 
 /// One compiled global: its name and formula.
@@ -1128,15 +1161,15 @@ pub struct RowsView<'a> {
 
 impl<'a> RowsView<'a> {
     /// Rows in declaration order.
-    pub fn iter(&self) -> impl Iterator<Item = RowView<'a>> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = RowView<'a>> + 'a {
         self.plan.rows.iter().map(|row| RowView { row })
     }
 }
 
-/// One compiled row: its element or sub-sheet.
+/// One compiled row: its names, bindings and element or sub-sheet.
 #[derive(Debug, Clone, Copy)]
 pub struct RowView<'a> {
-    row: &'a CompiledRow,
+    pub(crate) row: &'a CompiledRow,
 }
 
 /// What a row instantiates.
@@ -1151,6 +1184,29 @@ pub enum RowKindView<'a> {
 }
 
 impl<'a> RowView<'a> {
+    /// The row's display name.
+    pub fn name(&self) -> &'a str {
+        &self.row.name
+    }
+
+    /// The identifier its `P_`/`A_` names fold to (empty for none).
+    pub fn ident(&self) -> &'a str {
+        &self.row.ident
+    }
+
+    /// The row's bindings, in order.
+    pub fn bindings(&self) -> impl Iterator<Item = (&'a str, &'a Expr)> + 'a {
+        self.row
+            .bindings
+            .iter()
+            .map(|(param, expr)| (&**param, expr))
+    }
+
+    /// Whether the row carries its element inline.
+    pub fn is_inline(&self) -> bool {
+        self.row.inline
+    }
+
     /// What the row instantiates.
     pub fn kind(&self) -> RowKindView<'a> {
         match &self.row.kind {
@@ -1175,25 +1231,10 @@ impl CompiledSheet {
         })
     }
 
-    /// Global evaluation order for the un-overridden sheet, as
-    /// declaration indices; or the `CircularGlobals` error every play
-    /// would raise.
-    pub(crate) fn global_order(&self) -> Result<&[usize], &EvaluateSheetError> {
-        match &self.base.inner {
-            Ok(inner) => Ok(&inner.order),
-            Err(err) => Err(err),
-        }
-    }
-
-    /// The compiled row structure.
-    ///
-    /// # Errors
-    ///
-    /// The structural error every play would raise.
-    pub fn rows_view(&self) -> Result<RowsView<'_>, &EvaluateSheetError> {
-        match &self.structure {
-            Ok(plan) => Ok(RowsView { plan }),
-            Err(err) => Err(err),
+    /// The compiled rows, also when the structure fails to compile.
+    pub fn rows_view(&self) -> RowsView<'_> {
+        RowsView {
+            plan: &self.structure,
         }
     }
 
@@ -1212,7 +1253,7 @@ impl CompiledSheet {
     /// The register program of the un-overridden sheet, linked on first
     /// use; `None` when the top-level structure failed to compile.
     pub(crate) fn base_program(&self) -> Option<&Arc<Program>> {
-        let rows = self.structure.as_ref().ok()?;
+        let rows = self.structure.checked().ok()?;
         Some(self.base.program(self, rows))
     }
 }

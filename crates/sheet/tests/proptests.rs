@@ -525,7 +525,7 @@ fn sub_sheet_plan_plays_through_its_own_program() {
     let mut outer = chained_sheet();
     outer.add_subsheet_row("Sub", inner);
     let plan = CompiledSheet::compile(&outer, &library);
-    let rows = plan.rows_view().unwrap();
+    let rows = plan.rows_view();
     let sub = rows
         .iter()
         .find_map(|row| match row.kind() {

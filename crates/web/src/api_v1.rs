@@ -750,7 +750,7 @@ fn sensitivities_post(app: &PowerPlayApp, user: &str, name: &str) -> Result<Resp
 
 fn lint_post(app: &PowerPlayApp, user: &str, name: &str) -> Result<Response, Response> {
     let (rev, sheet) = load(app, user, name)?;
-    let report = powerplay_lint::lint_sheet(&sheet, &app.registry.read());
+    let report = powerplay_lint::lint_sheet(&app.stored_plan(user, name, rev, &sheet));
     Ok(Response::json(
         Json::object([("rev", Json::from(rev as f64)), ("lint", report.to_json())]).to_string(),
     ))

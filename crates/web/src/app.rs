@@ -14,7 +14,7 @@ use parking_lot::RwLock;
 use powerplay_expr::Scope;
 use powerplay_json::Json;
 use powerplay_library::{ElementClass, ElementModel, LibraryElement, ParamDecl, Registry};
-use powerplay_sheet::{CompiledSheet, RowModel, Sheet, SheetReport};
+use powerplay_sheet::{CompiledSheet, RowModel, Sheet};
 use powerplay_store::{DesignStore, StoreChange};
 use powerplay_telemetry::{profile, Counter, Gauge, Histogram};
 use powerplay_units::format;
@@ -330,7 +330,7 @@ impl PowerPlayApp {
 
     /// Handles one request: the telemetry middleware (in-flight gauge,
     /// latency histogram, status-class counters, a profile span) around
-    /// [`Self::route`]. Pure, so tests can drive the app without sockets.
+    /// `Self::route`. Pure, so tests can drive the app without sockets.
     pub fn handle(&self, req: &Request) -> Response {
         let metrics = http_metrics();
         metrics.inflight.add(1);
@@ -395,8 +395,13 @@ impl PowerPlayApp {
 
     /// Loads a stored design's current revision.
     fn load_design(&self, user: &str, design: &str) -> Result<Sheet, Response> {
+        Ok((*self.load_revision(user, design)?.1).clone())
+    }
+
+    /// The current revision of a stored design and its sheet.
+    fn load_revision(&self, user: &str, design: &str) -> Result<(u64, Arc<Sheet>), Response> {
         match self.store.load(user, design) {
-            Ok(Some((_, sheet))) => Ok((*sheet).clone()),
+            Ok(Some(current)) => Ok(current),
             Ok(None) => Err(Response::error(
                 Status::NotFound,
                 &format!("no design `{design}` for user `{user}`"),
@@ -855,8 +860,9 @@ errs conservatively high.</p>";
         user: &str,
         design: &str,
         sheet: &Sheet,
-        report: Result<SheetReport, String>,
+        plan: &CompiledSheet,
     ) -> Response {
+        let report = plan.play().map_err(|e| e.to_string());
         let mut body = String::new();
 
         // Globals, editable.
@@ -989,7 +995,7 @@ errs conservatively high.</p>";
 
         // Static diagnostics: the linter's findings for this sheet,
         // rendered whether or not evaluation succeeded.
-        let lint = powerplay_lint::lint_sheet(sheet, &self.registry.read());
+        let lint = powerplay_lint::lint_sheet(plan);
         if !lint.is_empty() {
             body.push_str("<h2>Diagnostics</h2>");
             body.push_str(&format!("<p>{}</p>", html::escape(&lint.summary())));
@@ -1088,9 +1094,9 @@ errs conservatively high.</p>";
         let design = req
             .query_param("name")
             .ok_or_else(|| Self::bad("missing `name`"))?;
-        let sheet = self.load_design(&user, &design)?;
-        let report = sheet.play(&self.registry.read()).map_err(|e| e.to_string());
-        Ok(self.render_design(&user, &design, &sheet, report))
+        let (rev, sheet) = self.load_revision(&user, &design)?;
+        let plan = self.stored_plan(&user, &design, rev, &sheet);
+        Ok(self.render_design(&user, &design, &sheet, &plan))
     }
 
     fn design_play(&self, req: &Request) -> Result<Response, Response> {

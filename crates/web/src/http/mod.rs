@@ -5,10 +5,10 @@
 //! defensively (size limits, timeouts) because [`remote`](crate::remote)
 //! accepts connections from other sites.
 //!
-//! Serving runs on a readiness reactor ([`server`]): a single epoll
+//! Serving runs on a readiness reactor (`server`): a single epoll
 //! event loop multiplexes every connection (keep-alive, pipelining,
 //! deadlines) while a small worker pool evaluates sheets. The syscall
-//! surface is vendored in [`sys`] — no async runtime crates.
+//! surface is vendored in `sys` — no async runtime crates.
 
 pub mod base64;
 

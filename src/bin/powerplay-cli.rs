@@ -297,8 +297,8 @@ fn cmd_lint(args: &[String]) -> Result<(), CliError> {
     })?;
     let pp = PowerPlay::new();
     let sheet = load_design(path).map_err(CliError::Failure)?;
-    let options = powerplay_lint::LintOptions { allow };
-    let report = powerplay_lint::lint_sheet_with(&sheet, pp.registry(), &options);
+    let allow: Vec<&str> = allow.iter().map(String::as_str).collect();
+    let report = powerplay_lint::lint_sheet(&pp.compile(&sheet)).allow(&allow);
     if as_json {
         // Machine-readable: keep stdout pure JSON.
         println!("{}", report.to_json().to_pretty());

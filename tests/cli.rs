@@ -236,6 +236,54 @@ fn analyze_prints_the_pinned_bounds_of_the_shipped_designs() {
     }
 }
 
+/// A lint report's text as its diagnostics, each line with its `help:`
+/// continuation, sorted, then its summary line.
+fn lint_records(text: &str) -> Vec<String> {
+    let mut records: Vec<String> = Vec::new();
+    for line in text.lines() {
+        match records.last_mut() {
+            Some(last) if line.starts_with("  help:") => {
+                last.push('\n');
+                last.push_str(line);
+            }
+            _ => records.push(line.to_owned()),
+        }
+    }
+    let summary = records.pop();
+    records.sort();
+    records.extend(summary);
+    records
+}
+
+#[test]
+fn lint_prints_the_pinned_diagnostics_of_the_lint_corpus() {
+    // `tests/fixtures/lint/` holds a design per defect class the lint
+    // property tests inject, the sheets of lint's unit tests, and one
+    // with every error class over two nesting levels, each with the
+    // text lint printed for it. Diagnostics may come in another order,
+    // but none may change, appear or go.
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/lint");
+    let mut designs: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    designs.sort();
+    assert!(designs.len() >= 20, "{} designs", designs.len());
+    for design in designs {
+        let out = cli(&["lint", design.to_str().unwrap()]);
+        let expected = std::fs::read_to_string(design.with_extension("txt")).unwrap();
+        let code = if expected.contains("error[") { 1 } else { 0 };
+        assert_eq!(out.status.code(), Some(code), "{}", design.display());
+        assert_eq!(
+            lint_records(&String::from_utf8_lossy(&out.stdout)),
+            lint_records(&expected),
+            "{}",
+            design.display()
+        );
+    }
+}
+
 #[test]
 fn analyze_json_carries_intervals_and_diagnostics() {
     let path = write_design("analyze_json_carries_intervals_and_diagnostics");

@@ -658,17 +658,13 @@ fn tiled_sheet() -> Sheet {
 /// The sub-sheet plans of a compiled sheet's top-level rows, by row: a
 /// row shared with another plan holds the very same sub-plan.
 fn sub_plans(plan: &CompiledSheet) -> Vec<Option<&CompiledSheet>> {
-    plan.rows_view().map_or_else(
-        |_| Vec::new(),
-        |rows| {
-            rows.iter()
-                .map(|row| match row.kind() {
-                    RowKindView::SubSheet(sub) => Some(sub),
-                    _ => None,
-                })
-                .collect()
-        },
-    )
+    plan.rows_view()
+        .iter()
+        .map(|row| match row.kind() {
+            RowKindView::SubSheet(sub) => Some(sub),
+            _ => None,
+        })
+        .collect()
 }
 
 /// How many top-level sub-sheet rows `plan` shares with `prev`.

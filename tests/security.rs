@@ -227,3 +227,36 @@ fn a_formula_at_the_depth_cap_survives_storage_and_a_restart() {
     drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_put_of_a_get_answer_is_refused_and_commits_nothing() {
+    let dir = data_dir("envelope");
+    let app = PowerPlayApp::new(ucb_library(), dir.clone());
+    let send = |method: Method, path: &str, body: Option<&str>| {
+        let mut req = Request::new(method, path);
+        if let Some(body) = body {
+            req.set_body(body.as_bytes().to_vec(), "application/json");
+            req.set_header("If-Match", "*");
+        }
+        app.handle(&req)
+    };
+    let design = r#"{"name": "d", "globals": [{"name": "vdd", "formula": "1.5"},
+        {"name": "f", "formula": "2e6"}], "rows": [{"name": "R", "kind": "element",
+        "element": "ucb/register", "bindings": []}]}"#;
+    let put = send(Method::Put, "/api/v1/designs/u/d", Some(design));
+    assert_eq!(put.status(), Status::Created, "{}", put.body_text());
+    let got = send(Method::Get, "/api/v1/designs/u/d", None);
+    assert_eq!(got.status(), Status::Ok);
+    let revisions = send(Method::Get, "/api/v1/designs/u/d/revisions", None).body_text();
+
+    // The answer names the design and holds it under `design`: it is no
+    // design itself, and no empty one either.
+    let put = send(Method::Put, "/api/v1/designs/u/d", Some(&got.body_text()));
+    assert_eq!(put.status(), Status::BadRequest, "{}", put.body_text());
+    let after = send(Method::Get, "/api/v1/designs/u/d/revisions", None).body_text();
+    assert_eq!(after, revisions);
+    let current = send(Method::Get, "/api/v1/designs/u/d", None);
+    assert_eq!(current.body_text(), got.body_text());
+    drop(app);
+    let _ = std::fs::remove_dir_all(&dir);
+}
